@@ -46,7 +46,7 @@ from .observables import (
     negativity_search,
     reconstruct_pure_state,
 )
-from .params import DeformParam, ModelParams
+from .params import ModelParams
 from .phase import (
     PhasePoly,
     apply_equivalence_map,

@@ -1,46 +1,18 @@
-"""Exact rational scalars, with a compiled backend when one is importable.
+"""Exact rational scalars.
 
-Every identity in this package is checked in exact arithmetic, so the whole
-workbench ultimately runs on one rational number type.  That type is chosen
-once, at import time:
-
-* ``gmpy2.mpq`` when gmpy2 is installed (a C extension; much faster on the
-  large numerators produced by high-order Laguerre recurrences and scans),
-* ``fractions.Fraction`` otherwise (pure Python, always available).
-
-Set ``MOYALBENCH_RATIONAL=fraction`` or ``=gmpy2`` to force a choice.
-``benchmarks/bench_backends.py`` times the two side by side.  The two types
-agree on semantics (normalized p/q, exact ops, interoperable hashing), so
-nothing outside this module depends on which one is active.
+Every identity in this package is checked in exact arithmetic, and the whole
+workbench runs on one rational number type: ``fractions.Fraction``.  Its
+numerators and denominators are plain Python ints, so code that needs the
+integer parts reads ``.numerator``/``.denominator`` directly.  ``BACKEND``
+names that type for reports and result files.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
-_requested = os.environ.get("MOYALBENCH_RATIONAL", "").strip().lower()
-
-if _requested in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _mpq
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        _mpq = None
-else:
-    _mpq = None
-
-if _mpq is not None:
-    BACKEND = "gmpy2"
-    _RAT = _mpq
-else:
-    BACKEND = "fraction"
-    _RAT = Fraction
-
-#: Types accepted wherever an exact scalar is expected.
-RATIONAL_TYPES = (int, Fraction) if _mpq is None else (int, Fraction, type(_mpq()))
+BACKEND = "fraction"
 
 
 def Q(numerator=0, denominator=None):
@@ -48,37 +20,25 @@ def Q(numerator=0, denominator=None):
 
     Floats are rejected: they would smuggle rounding into exact identities.
     """
-    if denominator is not None:
-        if isinstance(numerator, float) or isinstance(denominator, float):
-            raise TypeError("exact rationals cannot be built from floats")
-        return _RAT(numerator, denominator)
-    if isinstance(numerator, str):
-        s = numerator.strip()
-        if s.startswith("+"):
-            s = s[1:]
-        return _RAT(s)
-    if isinstance(numerator, float):
+    if isinstance(numerator, float) or isinstance(denominator, float):
         raise TypeError("exact rationals cannot be built from floats")
-    return _RAT(numerator)
+    if isinstance(numerator, str):
+        numerator = numerator.strip().removeprefix("+")
+    return Fraction(numerator, denominator)
 
 
 ZERO = Q(0)
 ONE = Q(1)
-HALF = Q(1, 2)
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, RATIONAL_TYPES)
+    return isinstance(x, (int, Fraction))
 
 
 def rational_str(x) -> str:
-    """Canonical "p/q" (or "p" when q == 1) form, stable across backends."""
+    """Canonical "p/q" (or "p" when q == 1) form."""
     n, d = x.numerator, x.denominator
     return f"{n}" if d == 1 else f"{n}/{d}"
-
-
-def parse_rational(s: str):
-    return Q(s)
 
 
 def qbinom(n: int, k: int):
@@ -91,10 +51,4 @@ def qfact(n: int):
 
 def rceil(x) -> int:
     """Exact ceiling of a rational."""
-    n, d = x.numerator, x.denominator
-    return int(-((-n) // d))
-
-
-def rfloor(x) -> int:
-    n, d = x.numerator, x.denominator
-    return int(n // d)
+    return -((-x.numerator) // x.denominator)

@@ -8,7 +8,7 @@ two convergent expansions agree iff all retained coefficients match.
 
 from __future__ import annotations
 
-from .backend import Q, ZERO, qfact, rational_str
+from .backend import Q, ZERO, qbinom, qfact, rational_str
 
 
 class BiSeries:
@@ -114,11 +114,6 @@ class BiSeries:
     def __hash__(self):
         return hash((self.kx, self.ky, tuple(sorted(self.coeffs.items()))))
 
-    def min_total_degree(self) -> int:
-        if self.is_zero:
-            return self.kx + self.ky + 1
-        return min(i + j for i, j in self.coeffs)
-
     def exp(self) -> "BiSeries":
         """exp(s) for a series with zero constant term (nilpotent truncation)."""
         if self.coeff(0, 0):
@@ -148,9 +143,6 @@ class BiSeries:
             out = out + term * Q(-1) ** m
         return out * (Q(1) / c)
 
-    def truncate(self, kx: int, ky: int) -> "BiSeries":
-        return BiSeries(self.coeffs, min(kx, self.kx), min(ky, self.ky))
-
     def __repr__(self):
         if self.is_zero:
             return f"BiSeries(0; kx={self.kx}, ky={self.ky})"
@@ -167,15 +159,8 @@ def _coerce(x, kx, ky):
     return BiSeries.constant(Q(x), kx, ky)
 
 
-def geometric(kx: int, ky: int) -> BiSeries:
-    """1/(1-x) = sum of x^i, exact to order kx."""
-    return BiSeries({(i, 0): Q(1) for i in range(kx + 1)}, kx, ky)
-
-
 def binom_inverse_power(m: int, kx: int, ky: int) -> BiSeries:
     """(1-x)^(-m) expanded by the negative binomial series, m >= 0."""
-    from .backend import qbinom
-
     if m == 0:
         return BiSeries.constant(Q(1), kx, ky)
     return BiSeries(

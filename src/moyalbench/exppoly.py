@@ -168,12 +168,9 @@ class ExpPoly:
                 mpmath.iv.prec = prec
                 iv = mpmath.iv.mpf(0)
                 for c, e in parts:
-                    coeff = mpmath.iv.mpf(int(c.numerator)) / mpmath.iv.mpf(
-                        int(c.denominator)
-                    )
+                    coeff = mpmath.iv.mpf(c.numerator) / mpmath.iv.mpf(c.denominator)
                     expo = mpmath.iv.exp(
-                        -mpmath.iv.mpf(int(e.numerator))
-                        / mpmath.iv.mpf(int(e.denominator))
+                        -mpmath.iv.mpf(e.numerator) / mpmath.iv.mpf(e.denominator)
                     )
                     iv += coeff * expo
                 if iv.b < 0:

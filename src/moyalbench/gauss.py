@@ -86,10 +86,6 @@ class GaussScalar:
         """|x|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -116,8 +112,6 @@ class GaussScalar:
 
 
 I = GaussScalar(0, 1)
-G_ZERO = GaussScalar(0)
-G_ONE = GaussScalar(1)
 
 
 def format_gauss(x: GaussScalar) -> str:

@@ -18,7 +18,7 @@ from .backend import Q, ZERO, qbinom, qfact, rational_str
 from .biseries import BiSeries, binom_inverse_power
 from .errors import DomainError
 from .exppoly import ExpPoly, exp_integral
-from .params import as_lambda
+from .params import as_lambda, nonneg_int
 from .poly import Poly
 from .quadrature import integrate_decay
 
@@ -53,11 +53,6 @@ def laguerre_coeff(n: int, j: int):
     return Q(-1) ** j * qbinom(n, j) / qfact(j)
 
 
-def laguerre_eval(n: int, x):
-    """Exact L_n(x) at rational x."""
-    return laguerre_eval_sequence(n, x)[n]
-
-
 def laguerre_eval_sequence(n_max: int, x) -> list:
     """[L_0(x), ..., L_nmax(x)] exactly, by an integer-rescaled recurrence.
 
@@ -65,8 +60,9 @@ def laguerre_eval_sequence(n_max: int, x) -> list:
     recurrence M_{n+1} = ((2n+1)q - p) M_n - n^2 q^2 M_{n-1}, which keeps the
     heavy arithmetic in plain integers.
     """
+    nonneg_int("n_max", n_max)
     x = Q(x)
-    p, q = int(x.numerator), int(x.denominator)
+    p, q = x.numerator, x.denominator
     out = [Q(1)]
     if n_max == 0:
         return out
@@ -88,10 +84,6 @@ def basis_matrix(size: int):
     return [
         [Q(-1) ** j * qbinom(i, j) for j in range(size)] for i in range(size)
     ]
-
-
-def factorial_diag(size: int):
-    return [Q(1) / qfact(n) for n in range(size)]
 
 
 def matmul(a, b):

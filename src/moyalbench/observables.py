@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .backend import Q, ZERO, qbinom, qfact
 from .errors import DomainError
 from .exppoly import ExpPoly, exp_integral
-from .params import as_lambda
+from .params import as_lambda, nonneg_int
 from .poly import Poly
 from .spectral import projector_closed, projector_poly_values
 
@@ -76,6 +76,7 @@ def basic_distribution(k: int, lam):
 def binomial_weights(k: int, lam) -> list:
     """Closed-form coefficients C(k,n) lam^n (1-lam)^{k-n}, n = 0..k."""
     lam = as_lambda(lam, lo_open=True)
+    nonneg_int("k", k)
     return [qbinom(k, n) * lam**n * (Q(1) - lam) ** (k - n) for n in range(k + 1)]
 
 
@@ -106,6 +107,7 @@ def _form_of(p) -> ExpPoly:
 def fourier_laguerre(p, lam, n_max: int) -> CoefficientVector:
     """Exact projector pairings c_n for n = 0..n_max."""
     lam = as_lambda(lam, lo_open=True)
+    nonneg_int("n_max", n_max)
     form = _form_of(p)
     entries = tuple(
         exp_integral(projector_closed(n, lam).form * form) for n in range(n_max + 1)
@@ -198,6 +200,7 @@ def duality_check(n: int, m: int, lam):
 def duality_gram(n_max: int, lam) -> list:
     """The full pairing matrix for n, m <= n_max."""
     lam = as_lambda(lam, lo_open=True)
+    nonneg_int("n_max", n_max)
     left = [projector_closed(n, lam).form for n in range(n_max + 1)]
     right = [projector_closed(m, Q(1) - lam).form for m in range(n_max + 1)]
     return [[exp_integral(a * b) for b in right] for a in left]
@@ -223,6 +226,7 @@ def basis_inversion(lam, size: int) -> BasisInversion:
     size >= 2 these combinations necessarily carry negative entries.
     """
     lam = as_lambda(lam, lo_open=True)
+    nonneg_int("size", size)
     n1 = size + 1
     m = [[qbinom(k, n) * lam**n * (Q(1) - lam) ** (k - n) if n <= k else ZERO
           for n in range(n1)] for k in range(n1)]
@@ -280,6 +284,7 @@ def negativity_search(lam, mu, n_max: int) -> list:
     An empty list means no witness up to n_max, never a refutation.
     """
     lam = as_lambda(lam, lo_open=True)
+    nonneg_int("n_max", n_max)
     mu = Q(mu)
     if mu <= 0:
         raise DomainError("mu must be positive")

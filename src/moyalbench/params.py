@@ -1,4 +1,4 @@
-"""Deformation parameter and oscillator model parameters."""
+"""Parameter validation: lambda ranges, sizes, and oscillator constants."""
 
 from __future__ import annotations
 
@@ -8,41 +8,8 @@ from .backend import ONE, Q, is_rational, rational_str
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class DeformParam:
-    """Rational deformation parameter lambda.
-
-    The canonical range is [0, 1/2] (0 = normal ordering, 1/2 = the
-    Groenewold-Moyal skew form); the full open interval (0, 1) is allowed so
-    that the dual parameter 1 - lambda stays representable.
-    """
-
-    value: object
-
-    def __post_init__(self):
-        v = _coerce(self.value)
-        if not (0 <= v < 1):
-            raise DomainError(f"lambda must lie in [0, 1), got {rational_str(v)}")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def dual(self) -> "DeformParam":
-        return DeformParam(ONE - self.value)
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.value <= Q(1, 2)
-
-    def __str__(self):
-        return rational_str(self.value)
-
-
 def _coerce(x):
-    if isinstance(x, DeformParam):
-        return x.value
-    if isinstance(x, str):
-        return Q(x)
-    if is_rational(x):
+    if isinstance(x, str) or is_rational(x):
         return Q(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -58,6 +25,13 @@ def as_lambda(x, *, lo=Q(0), hi=ONE, lo_open=False, hi_open=True):
             f"{rational_str(hi)}{right}"
         )
     return v
+
+
+def nonneg_int(name: str, value: int) -> int:
+    """Validate a size or count argument: it must be an integer >= 0."""
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,14 @@ def _normalize(terms: dict, den: int):
 def _scalar_parts(c):
     """(re_num, im_num, den) for an int / rational / GaussScalar."""
     if isinstance(c, GaussScalar):
-        d = _lcm(int(c.re.denominator), int(c.im.denominator))
+        d = _lcm(c.re.denominator, c.im.denominator)
         return (
-            int(c.re.numerator) * (d // int(c.re.denominator)),
-            int(c.im.numerator) * (d // int(c.im.denominator)),
+            c.re.numerator * (d // c.re.denominator),
+            c.im.numerator * (d // c.im.denominator),
             d,
         )
     q = Q(c)
-    return int(q.numerator), 0, int(q.denominator)
+    return q.numerator, 0, q.denominator
 
 
 class PhasePoly:
@@ -182,13 +182,6 @@ class PhasePoly:
         }
         return PhasePoly(sub, self.den)
 
-    def gauss_terms(self):
-        """Exact {(i, j, d): GaussScalar} view."""
-        return {
-            k: GaussScalar(Q(re, self.den), Q(im, self.den))
-            for k, (re, im) in self.terms.items()
-        }
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
@@ -274,25 +267,6 @@ class PhasePoly:
 
     def diff_abar(self) -> "PhasePoly":
         return PhasePoly(_diff_abar(self.terms), self.den)
-
-    def substitute(self, A: "PhasePoly", B: "PhasePoly") -> "PhasePoly":
-        """Replace a -> A, abar -> B (pointwise powers); hbar passes through."""
-        out = PhasePoly.zero()
-        for (i, j, d), (re, im) in self.terms.items():
-            term = (A ** i) * (B ** j)
-            coeff = PhasePoly({(0, 0, d): (re, im)}, self.den)
-            out = out + term * coeff
-        return out
-
-    def qp_view(self) -> "PhasePoly":
-        """Rewrite in position/momentum variables; keys then read (q-pow, p-pow, d).
-
-        Uses a = q + i p/2, abar = q - i p/2 (the normalized substitution), so
-        the returned object's first two indices are powers of q and p.
-        """
-        q_sym = PhasePoly({(1, 0, 0): (1, 0)})
-        ip2 = PhasePoly({(0, 1, 0): (0, 1)}, den=2)
-        return self.substitute(q_sym + ip2, q_sym - ip2)
 
     # -- radial view ---------------------------------------------------------
 
@@ -423,11 +397,11 @@ def star(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:
                 pairs.append((r, s, c))
     L = 1
     for _, _, c in pairs:
-        L = _lcm(L, int(c.denominator))
+        L = _lcm(L, c.denominator)
 
     acc: dict = {}
     for r, s, c in pairs:
-        m = int(c.numerator) * (L // int(c.denominator))
+        m = c.numerator * (L // c.denominator)
         if not m:
             continue
         shift = r + s
@@ -467,10 +441,10 @@ def apply_equivalence_map(f: PhasePoly, lam, inverse: bool = False) -> PhasePoly
             break
         c = lam**m / qfact(m)
         shifted = {
-            (i, j, d + m): (re * int(c.numerator), im * int(c.numerator))
+            (i, j, d + m): (re * c.numerator, im * c.numerator)
             for (i, j, d), (re, im) in cur.items()
         }
-        out = out + PhasePoly(shifted, den * int(c.denominator))
+        out = out + PhasePoly(shifted, den * c.denominator)
     return out
 
 
@@ -495,9 +469,7 @@ def check_associativity(f: PhasePoly, g: PhasePoly, h: PhasePoly, lam) -> bool:
 def hamiltonian(omega=Q(1)) -> PhasePoly:
     """H = omega * a * abar."""
     w = Q(omega)
-    return PhasePoly(
-        {(1, 1, 0): (int(w.numerator), 0)}, int(w.denominator)
-    )
+    return PhasePoly({(1, 1, 0): (w.numerator, 0)}, w.denominator)
 
 
 def random_phase_poly(

@@ -3,11 +3,13 @@
 Truncates [0, inf) to [0, T] with decay_rate * T >= 50 (the tail is then
 below ~2e-22 relative), and doubles the panel count until two successive
 composite estimates differ by less than the tolerance.  Function values are
-reused across doublings, so the total cost is ~2x the final grid.
+reused across doublings, so the total cost is ~2x the final grid.  A
+composite estimate that is not finite stops the refinement at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import AccuracyError
@@ -46,6 +48,8 @@ def integrate_decay(
     estimate = h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
 
     for _ in range(max_doublings):
+        if not math.isfinite(estimate):
+            raise AccuracyError(f"integrand not finite: {estimate} on {n} panels")
         n *= 2
         h = T / n
         new_odd = sum(f((2 * k + 1) * h) for k in range(n // 2))

@@ -118,14 +118,6 @@ def isolate_roots(q: Poly, lo, hi):
     return out
 
 
-def isolate_positive_roots(p: Poly):
-    """Isolating intervals for the distinct positive roots of p."""
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return []
-    return isolate_roots(sf, ZERO, cauchy_bound(sf))
-
-
 def _negative_sample_near(p: Poly, odd: Poly, a, b, max_iter: int = 256):
     """p changes sign at the single root of odd inside (a, b]; return a
     rational point where p < 0 by shrinking the bracket around that root."""

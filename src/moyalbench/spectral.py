@@ -30,13 +30,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .backend import Q, ZERO, qbinom
+from .backend import Q, ZERO, qbinom, qfact
 from .biseries import BiSeries
 from .errors import AccuracyError, ConditionalConvergenceWarning, DomainError, PoleError
 from .exppoly import ExpPoly, mu_times
 from .gauss import GaussScalar
 from .laguerre import laguerre, laguerre_eval_sequence
-from .params import ModelParams, as_lambda
+from .params import ModelParams, as_lambda, nonneg_int
 from .poly import Poly
 from .rootisolate import find_negative_point
 
@@ -70,8 +70,6 @@ def projector_closed(n: int, lam) -> Projector:
         raise DomainError("level index must be >= 0")
     lam = as_lambda(lam)
     if lam == 0:
-        from .backend import qfact
-
         form = ExpPoly.single(Poly.monomial(n, Q(1) / qfact(n)), 1)
         return Projector(n=n, lam=lam, form=form)
     one_m = Q(1) - lam
@@ -83,6 +81,7 @@ def projector_closed(n: int, lam) -> Projector:
 def projector_poly_values(lam, mu, n_max: int) -> list:
     """[r_0, ..., r_nmax] with pi_n(mu) = r_n * exp(-mu/(1-lam)), all exact."""
     lam = as_lambda(lam, lo_open=True)
+    nonneg_int("n_max", n_max)
     mu = Q(mu)
     one_m = Q(1) - lam
     seq = laguerre_eval_sequence(n_max, mu / (lam * one_m))
@@ -103,6 +102,8 @@ def projector_series_partial(n: int, lam, terms: int) -> Poly:
     convergence is conditional and slow (a warning reminds callers).
     """
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
+    nonneg_int("n", n)
+    nonneg_int("terms", terms)
     if lam == Q(1, 2):
         warnings.warn(
             "series for lam = 1/2 converges only conditionally",
@@ -121,6 +122,8 @@ def projector_series_partial(n: int, lam, terms: int) -> Poly:
 def projector_series_eval(n: int, lam, terms: int, mu):
     """Exact value of the K-term partial series at rational mu."""
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
+    nonneg_int("n", n)
+    nonneg_int("terms", terms)
     if lam == Q(1, 2):
         warnings.warn(
             "series for lam = 1/2 converges only conditionally",
@@ -138,6 +141,7 @@ def projector_series_eval(n: int, lam, terms: int, mu):
 def spectrum(lam, n_max: int, params: ModelParams = ModelParams()) -> list:
     """Energy levels (n + lam) hbar omega for n = 0..n_max; spacing hbar omega."""
     lam = as_lambda(lam)
+    nonneg_int("n_max", n_max)
     scale = params.hbar * params.omega
     return [
         SpectrumEntry(n=n, lam=lam, energy=(n + lam) * scale)
@@ -231,6 +235,7 @@ def star_exp_normal_closed(mu, t: float, omega: float = 1.0) -> complex:
 def star_exp_series(lam, mu, t: float, terms: int, omega: float = 1.0) -> StarExpEval:
     """Truncated Fourier-Dirichlet sum  sum_{n<=terms} pi_n(mu) e^{-i(n+lam)wt}."""
     lam = as_lambda(lam, hi=Q(1, 2), hi_open=False)
+    nonneg_int("terms", terms)
     lam_f, mu_f = float(lam), float(Q(mu))
     wt = omega * t
     phase = cmath.exp(-1j * wt)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .backend import Q, ZERO, rceil
 from .exppoly import exp_integral, mu_times
 from .observables import basic_distribution, binomial_weights
-from .params import as_lambda
+from .params import as_lambda, nonneg_int
 from .phase import hamiltonian, star
 from .poly import Poly
 
@@ -200,6 +200,7 @@ def default_lambda_grid(max_denominator: int = 64) -> list:
 
 def scan_lambda(grid, k_max: int) -> ScanResult:
     """First failing k for each lam on the grid, against the exact threshold."""
+    nonneg_int("k_max", k_max)
     entries = []
     for lam in grid:
         lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
@@ -243,6 +244,7 @@ class GMRow:
 
 def gm_asymptotics(k_max: int) -> list:
     """Exact variance gap 1/4 at lam = 1/2, plus the shrinking std gap."""
+    nonneg_int("k_max", k_max)
     half = Q(1, 2)
     rows = []
     for k in range(k_max + 1):

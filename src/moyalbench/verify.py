@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 
 from .backend import Q, rational_str
@@ -498,29 +498,31 @@ SUITES = ("all", "exact", "numeric", "errata")
 
 
 def run_suite(suite: str = "all", seed: int = 0) -> SuiteReport:
+    """Run a suite; a check that raises becomes a failed result of the list
+    it came from, detailed as "<ExceptionType>: <message>"."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+
+    def check_algebra_properties_seeded() -> CheckResult:
+        return check_algebra_properties(seed)
+
     checks = []
     if suite in ("all", "exact"):
-        checks.extend(_EXACT_CHECKS)
-        checks.append(lambda: check_algebra_properties(seed))
+        checks.extend(("exact", fn) for fn in _EXACT_CHECKS)
+        checks.append(("exact", check_algebra_properties_seeded))
     if suite in ("all", "numeric"):
-        checks.extend(_NUMERIC_CHECKS)
+        checks.extend(("numeric", fn) for fn in _NUMERIC_CHECKS)
     if suite in ("all", "errata"):
-        checks.extend(_ERRATA_CHECKS)
+        checks.extend(("errata", fn) for fn in _ERRATA_CHECKS)
     report = SuiteReport(suite=suite, seed=seed)
     t0 = time.perf_counter()
-    for fn in checks:
+    for origin, fn in checks:
         t1 = time.perf_counter()
-        result = fn()
-        result = CheckResult(
-            name=result.name,
-            suite=result.suite,
-            status=result.status,
-            detail=result.detail,
-            tolerance=result.tolerance,
-            elapsed=time.perf_counter() - t1,
-        )
-        report.results.append(result)
+        try:
+            result = fn()
+        except Exception as exc:
+            result = CheckResult(name=fn.__name__, suite=origin, status=FAIL,
+                                 detail=f"{type(exc).__name__}: {exc}")
+        report.results.append(replace(result, elapsed=time.perf_counter() - t1))
     report.elapsed = time.perf_counter() - t0
     return report

@@ -1,17 +1,13 @@
-import os
-import subprocess
-import sys
-
 import pytest
 
-from moyalbench.backend import BACKEND, Q, parse_rational, qbinom, qfact, rational_str, rceil
+from moyalbench.backend import Q, qbinom, qfact, rational_str, rceil
 
 
 def test_q_construction_and_strings():
     assert rational_str(Q(3, 4)) == "3/4"
     assert rational_str(Q(-3, 4)) == "-3/4"
     assert rational_str(Q(8, 4)) == "2"
-    assert parse_rational("  -5/7 ") == Q(-5, 7)
+    assert Q("  -5/7 ") == Q(-5, 7)
     assert Q("12") == 12
 
 
@@ -39,33 +35,3 @@ def test_rceil():
     assert rceil(Q(-1, 3)) == 0
     assert rceil(Q(2)) == 2
     assert rceil(Q(7, 2)) == 4
-
-
-MINI = r"""
-from moyalbench.backend import BACKEND, Q, rational_str
-from moyalbench.exppoly import ExpPoly, exp_integral
-from moyalbench.laguerre import laguerre
-from moyalbench.observables import duality_check
-print(BACKEND)
-print(rational_str(exp_integral(ExpPoly.single(laguerre(7).poly * laguerre(7).poly, 1))))
-print(rational_str(duality_check(3, 3, Q(1, 3))))
-"""
-
-
-def _run_with_backend(name):
-    env = dict(os.environ, MOYALBENCH_RATIONAL=name)
-    out = subprocess.run(
-        [sys.executable, "-c", MINI], capture_output=True, text=True, env=env,
-        check=True,
-    )
-    return out.stdout.strip().splitlines()
-
-
-def test_fraction_fallback_matches_active_backend():
-    lines = _run_with_backend("fraction")
-    assert lines[0] == "fraction"
-    assert lines[1:] == ["1", "1"]
-    if BACKEND == "gmpy2":
-        fast = _run_with_backend("gmpy2")
-        assert fast[0] == "gmpy2"
-        assert fast[1:] == lines[1:]

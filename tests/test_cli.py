@@ -144,3 +144,11 @@ def test_verify_json_deterministic_given_seed(capsys, tmp_path):
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "bogus"])
+
+
+def test_negative_size_is_an_error(capsys):
+    code = main(["spectrum", "--lambda", "1/4", "--n-max", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: n_max must be >= 0")

@@ -9,7 +9,6 @@ from moyalbench.exppoly import ExpPoly, exp_integral
 from moyalbench.laguerre import (
     basis_matrix,
     binomial_tail_identity,
-    factorial_diag,
     gamma_half_integer,
     gamma_moment,
     generating_function_check,
@@ -97,10 +96,6 @@ def test_basis_matrix_self_inverse():
 def test_basis_round_trip_monomials():
     for r in range(8):
         assert monomial_from_laguerre(r, 10) == Poly.monomial(r)
-
-
-def test_factorial_diag():
-    assert factorial_diag(4) == [Q(1), Q(1), Q(1, 2), Q(1, 6)]
 
 
 @pytest.mark.parametrize("n,orders", [(0, (8, 8)), (1, (9, 9)), (2, (10, 10)),

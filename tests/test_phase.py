@@ -147,12 +147,6 @@ def test_lambda_domain():
         star(A, AB, Q(-1, 4))
 
 
-def test_qp_view_of_hamiltonian():
-    # omega a abar = omega (q^2 + p^2/4) under the normalized substitution
-    view = hamiltonian().qp_view()
-    assert view == PhasePoly({(2, 0, 0): (4, 0), (0, 2, 0): (1, 0)}, den=4)
-
-
 def test_json_round_trip():
     rng = Random(41)
     f = random_phase_poly(rng, gauss=True)

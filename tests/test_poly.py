@@ -6,7 +6,6 @@ from moyalbench.rootisolate import (
     cauchy_bound,
     count_roots,
     find_negative_point,
-    isolate_positive_roots,
     nonneg_on_nonneg,
     odd_multiplicity_part,
     squarefree_decomposition,
@@ -75,14 +74,6 @@ def test_squarefree_decomposition():
     assert sorted(m for _, m in dec) == [1, 2]
     odd = odd_multiplicity_part(p)
     assert odd(Q(2)) == 0 and odd(Q(1)) != 0
-
-
-def test_isolation_adjacent_roots():
-    p = Poly([Q(2), Q(-3), Q(1)])  # (x-1)(x-2)
-    iv = isolate_positive_roots(p)
-    assert len(iv) == 2
-    for (a, b), root in zip(iv, (Q(1), Q(2))):
-        assert a < root <= b
 
 
 def test_nonneg_verdicts():

@@ -35,3 +35,15 @@ def test_invalid_arguments():
         integrate_decay(lambda z: math.exp(-z), tol=0.0)
     with pytest.raises(ValueError):
         integrate_decay(lambda z: math.exp(-z), decay_rate=0.0)
+
+
+def test_nan_integrand_fails_on_first_grid():
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return math.nan
+
+    with pytest.raises(AccuracyError):
+        integrate_decay(f)
+    assert len(calls) <= 17
