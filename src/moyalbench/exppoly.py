@@ -14,13 +14,25 @@ forms.
 from __future__ import annotations
 
 import math
+import threading
 
-import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from .backend import Q, ZERO, is_rational, qfact, rational_str
 from .errors import AccuracyError, IntegrabilityError
 from .poly import Poly
 from . import rootisolate
+
+_local = threading.local()
+
+
+def _interval_context() -> MPIntervalContext:
+    """This thread's own interval context, built once: sign_at sets its
+    precision without touching mpmath's shared ``iv``."""
+    ctx = getattr(_local, "iv", None)
+    if ctx is None:
+        ctx = _local.iv = MPIntervalContext()
+    return ctx
 
 
 class ExpPoly:
@@ -162,23 +174,18 @@ class ExpPoly:
             return 1
         if all(c < 0 for c, _ in parts):
             return -1
-        saved = mpmath.iv.prec
-        try:
-            for prec in (64, 128, 256, 512, 1024, 2048, 4096):
-                mpmath.iv.prec = prec
-                iv = mpmath.iv.mpf(0)
-                for c, e in parts:
-                    coeff = mpmath.iv.mpf(c.numerator) / mpmath.iv.mpf(c.denominator)
-                    expo = mpmath.iv.exp(
-                        -mpmath.iv.mpf(e.numerator) / mpmath.iv.mpf(e.denominator)
-                    )
-                    iv += coeff * expo
-                if iv.b < 0:
-                    return -1
-                if iv.a > 0:
-                    return 1
-        finally:
-            mpmath.iv.prec = saved
+        ctx = _interval_context()
+        for prec in (64, 128, 256, 512, 1024, 2048, 4096):
+            ctx.prec = prec
+            iv = ctx.mpf(0)
+            for c, e in parts:
+                coeff = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
+                expo = ctx.exp(-ctx.mpf(e.numerator) / ctx.mpf(e.denominator))
+                iv += coeff * expo
+            if iv.b < 0:
+                return -1
+            if iv.a > 0:
+                return 1
         raise AccuracyError("sign did not resolve at 4096 bits")  # pragma: no cover
 
     def nonneg_on_nonneg(self):

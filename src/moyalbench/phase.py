@@ -16,12 +16,25 @@ The deformed products live here:
   operator realizing the equivalence of *_lam with the normal product.
 
 Coefficients are stored internally as Gaussian integers over one common
-positive denominator, so the convolution loops run on machine/big ints; the
-exact rational view is recovered through ``coefficient``.
+positive denominator; the exact rational view is recovered through
+``coefficient``.
+
+``star`` and the pointwise ``*`` share one integer kernel (``_product``;
+``*`` is its (r, s) = (0, 0) case).  With lam = p/q the (r, s) factor is
+(q-p)^r (-p)^s / (q^(r+s) r! s!).  The 1/(r! s!) goes to f's side as
+binomials C(i, r) C(j, s) and g's side carries falling factorials, so every
+coefficient is an int; the rows of all (r, s) are built in one pass over
+each factor.  Exponents are flattened to one key (d*I + i)*J + j, so an
+exponent sum and the hbar^(r+s) shift are single integer additions into one
+dense list.  Each weight is scaled by q^(T-r-s), T the largest r+s used, and
+the result's denominator is f.den * g.den * q^T.  Gaussian coefficients are
+packed as re + im*2^w with w wide enough for every accumulated part, so one
+int product per pair of terms serves real and Gaussian inputs alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from random import Random
 
@@ -215,19 +228,7 @@ class PhasePoly:
     def __mul__(self, other):
         """Pointwise (commutative, hbar -> 0 limit) product or scalar scale."""
         if isinstance(other, PhasePoly):
-            acc: dict = {}
-            for (i1, j1, d1), (re1, im1) in self.terms.items():
-                for (i2, j2, d2), (re2, im2) in other.terms.items():
-                    key = (i1 + i2, j1 + j2, d1 + d2)
-                    if im1 or im2:
-                        re = re1 * re2 - im1 * im2
-                        im = re1 * im2 + im1 * re2
-                    else:
-                        re = re1 * re2
-                        im = 0
-                    r0, m0 = acc.get(key, (0, 0))
-                    acc[key] = (r0 + re, m0 + im)
-            return PhasePoly(acc, self.den * other.den)
+            return _product(self, other, 0, 1, 0, 0)
         re, im, cd = _scalar_parts(other)
         acc = {}
         for k, (r, m) in self.terms.items():
@@ -356,70 +357,124 @@ def _diff_abar(terms: dict) -> dict:
     }
 
 
-def _deriv_table(terms: dict, first, second, max_first: int, max_second: int):
-    """table[(r, s)] = second^s(first^r(terms)); empty dicts are pruned later."""
-    table = {(0, 0): terms}
-    cur = terms
-    for r in range(1, max_first + 1):
-        cur = first(cur)
-        if not cur:
-            break
-        table[(r, 0)] = cur
-    for r in range(0, max_first + 1):
-        base = table.get((r, 0))
-        if base is None:
-            break
-        cur = base
-        for s in range(1, max_second + 1):
-            cur = second(cur)
-            if not cur:
-                break
-            table[(r, s)] = cur
-    return table
+@functools.lru_cache(maxsize=64)
+def _factor_table(n: int, left: bool):
+    """t[m][k] = C(m, k) (left) or m!/(m-k)! (right) for 0 <= k <= m <= n."""
+    fn = math.comb if left else math.perm
+    return tuple(tuple(fn(m, k) for k in range(m + 1)) for m in range(n + 1))
+
+
+def _rows(terms: dict, r_max: int, s_max: int, I: int, J: int, left: bool):
+    """The (r, s) derivative rows of one factor, built in one pass.
+
+    rows[r][s] lists (key, re, im) with key = (d*I + i)*J + j flattened from
+    the surviving exponents.  The left factor gets d_a^r d_abar^s divided by
+    r! s!, i.e. binomials C(i, r) C(j, s); the right factor gets d_abar^r d_a^s
+    as falling factorials l^(r) k^(s), so every coefficient stays an int.
+    """
+    rows = [[[] for _ in range(s_max + 1)] for _ in range(r_max + 1)]
+    top = max(max(i, j) for i, j, _ in terms)
+    tab = _factor_table(top, left)
+    for (i, j, d), (re, im) in terms.items():
+        # left: r lowers i, s lowers j; right: r lowers j, s lowers i
+        a, b = (i, j) if left else (j, i)
+        ta, tb = tab[a], tab[b]
+        key0 = (d * I + i) * J + j
+        da, db = (J, 1) if left else (1, J)
+        for r in range(min(a, r_max) + 1):
+            row = rows[r]
+            ma, ka = ta[r], key0 - r * da
+            for s in range(min(b, s_max) + 1):
+                m = ma * tb[s]
+                row[s].append((ka - s * db, re * m, im * m))
+    return rows
+
+
+def _packed(row: list, width):
+    """(key, coeff) pairs; with a width, coeff = re + im * 2^width."""
+    if width is None:
+        return [(k, re) for k, re, _ in row]
+    return [(k, re + (im << width)) for k, re, im in row]
+
+
+def _unpacked(v: int, width) -> tuple:
+    """(re, im) of an accumulated A + C 2^width + E 2^(2 width): (A - E, C).
+
+    A, C and E are read as balanced base-2^width digits, low first; each
+    lies within 2^(width-1), which is what ``_product`` sizes width for.
+    """
+    if width is None:
+        return v, 0
+    digits = []
+    for _ in range(2):
+        low = v & ((1 << width) - 1)
+        if low >> (width - 1):
+            low -= 1 << width
+        digits.append(low)
+        v = (v - low) >> width
+    return digits[0] - v, digits[1]
+
+
+def _product(f: "PhasePoly", g: "PhasePoly", p: int, q: int, r_max: int, s_max: int):
+    """Sum over (r, s) of hbar^(r+s) w_rs (left row rs of f)(right row rs of g).
+
+    With lam = p/q the weight is w_rs = (q-p)^r (-p)^s / q^(r+s); it is
+    scaled by q^T (T the largest r+s used) so that the accumulation runs on
+    ints and the result's denominator is f.den * g.den * q^T.  (r, s) = (0, 0)
+    alone is the pointwise product.
+    """
+    if not f.terms or not g.terms:
+        return PhasePoly()
+    I = f.deg_a + g.deg_a + 1
+    J = f.deg_abar + g.deg_abar + 1
+    IJ = I * J
+    fr = _rows(f.terms, r_max, s_max, I, J, True)
+    gr = _rows(g.terms, r_max, s_max, I, J, False)
+    pairs = [
+        (r, s, fr[r][s], gr[r][s])
+        for r in range(r_max + 1)
+        for s in range(s_max + 1)
+        if fr[r][s] and gr[r][s]
+    ]
+    T = max(r + s for r, s, _, _ in pairs)
+    weights = [(q - p) ** r * (-p) ** s * q ** (T - r - s) for r, s, _, _ in pairs]
+    width = None
+    if any(im for _, im in f.terms.values()) or any(im for _, im in g.terms.values()):
+        # Gaussian coefficients are packed as re + im*2^width, so one product
+        # gives re1 re2 + (re1 im2 + im1 re2) 2^width + im1 im2 2^(2 width);
+        # bound caps each accumulated part, whatever its sign
+        bound = 0
+        for w, (_, _, a, b) in zip(weights, pairs):
+            mass_a = sum(abs(re) + abs(im) for _, re, im in a)
+            mass_b = sum(abs(re) + abs(im) for _, re, im in b)
+            bound += abs(w) * mass_a * mass_b
+        width = bound.bit_length() + 2
+    # one dense accumulator; key (d*I + i)*J + j, so hbar^(r+s) is a shift
+    acc = [0] * ((f.hbar_degree + g.hbar_degree + T + 1) * IJ)
+    for w, (r, s, a, b) in zip(weights, pairs):
+        shift = (r + s) * IJ
+        inner = _packed(b, width)
+        for k0, c0 in _packed(a, width):
+            k0 += shift
+            c0 *= w
+            for k, c in inner:
+                acc[k0 + k] += c0 * c
+    terms = {}
+    for k, v in enumerate(acc):
+        if v:
+            d, rem = divmod(k, IJ)
+            i, j = divmod(rem, J)
+            terms[(i, j, d)] = _unpacked(v, width)
+    return PhasePoly(terms, f.den * g.den * q**T)
 
 
 def star(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:
     """The deformed product f *_lam g, expanded exactly (always terminates)."""
     lam = as_lambda(lam)
-    one_minus = Q(1) - lam
+    p, q = lam.numerator, lam.denominator
     r_max = min(f.deg_a, g.deg_abar)
-    s_max = min(f.deg_abar, g.deg_a)
-    fd = _deriv_table(f.terms, _diff_a, _diff_abar, max(r_max, 0), max(s_max, 0))
-    gd = _deriv_table(g.terms, _diff_abar, _diff_a, max(r_max, 0), max(s_max, 0))
-
-    # scale factors (1-lam)^r (-lam)^s / (r! s!), with one shared denominator
-    # so the accumulation below runs on integers only
-    pairs = []
-    for r in range(r_max + 1):
-        for s in range(s_max + 1):
-            if (r, s) in fd and (r, s) in gd:
-                c = one_minus**r * (-lam) ** s / (qfact(r) * qfact(s))
-                pairs.append((r, s, c))
-    L = 1
-    for _, _, c in pairs:
-        L = _lcm(L, c.denominator)
-
-    acc: dict = {}
-    for r, s, c in pairs:
-        m = c.numerator * (L // c.denominator)
-        if not m:
-            continue
-        shift = r + s
-        for (i1, j1, d1), (re1, im1) in fd[(r, s)].items():
-            for (i2, j2, d2), (re2, im2) in gd[(r, s)].items():
-                key = (i1 + i2, j1 + j2, d1 + d2 + shift)
-                if im1 or im2:
-                    re = (re1 * re2 - im1 * im2) * m
-                    im = (re1 * im2 + im1 * re2) * m
-                else:
-                    re = re1 * re2 * m
-                    im = 0
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = (re, im)
-                else:
-                    acc[key] = (cur[0] + re, cur[1] + im)
-    return PhasePoly(acc, f.den * g.den * L)
+    s_max = min(f.deg_abar, g.deg_a) if p else 0
+    return _product(f, g, p, q, r_max, s_max)
 
 
 def star_commutator(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:

@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
+
+from mpmath import libmp
 
 from .backend import Q, ZERO, qbinom, qfact
 from .biseries import BiSeries
@@ -364,12 +367,13 @@ def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> Partitio
     mu = Q(mu)
     conditional = lam == Q(1, 2)
     values = projector_poly_values(lam, mu, n_cap)
-    decay = math.exp(-float(mu / (Q(1) - lam)))
+    rate = mu / (Q(1) - lam)
+    decay = math.exp(-float(rate))
     running = ZERO
     best_gap = math.inf
     for n, r in enumerate(values):
         running += r
-        gap = abs(float(running) * decay - 1.0)
+        gap = abs(_decayed(running, rate, decay) - 1.0)
         best_gap = min(best_gap, gap)
         if gap < tol:
             return PartitionReport(lam=lam, mu=mu, n_used=n, gap=gap, tol=tol,
@@ -388,8 +392,31 @@ def energy_identity_gap(lam, mu, n_terms: int) -> float:
     mu = Q(mu)
     values = projector_poly_values(lam, mu, n_terms)
     total = sum(((n + lam) * r for n, r in enumerate(values)), ZERO)
-    decay = math.exp(-float(mu / (Q(1) - lam)))
-    return abs(float(total) * decay - float(mu))
+    rate = mu / (Q(1) - lam)
+    decay = math.exp(-float(rate))
+    return abs(_decayed(total, rate, decay) - float(mu))
+
+
+def _decayed(x, rate, decay: float) -> float:
+    """x * exp(-rate) for exact rationals x, rate, where decay = exp(-rate).
+
+    The float product is used while decay is a normal float and x converts;
+    otherwise the product is formed in mpmath's exponent range, with guard
+    bits for the size of rate, and a value no float can hold raises
+    AccuracyError instead of turning into 0 or inf.
+    """
+    if decay >= sys.float_info.min:
+        try:
+            return float(x) * decay
+        except OverflowError:
+            pass
+    prec = 64 + (rate.numerator // rate.denominator).bit_length()
+    scale = libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
+    v = libmp.mpf_mul(libmp.from_rational(x.numerator, x.denominator, prec), scale, prec)
+    out = libmp.to_float(v)
+    if not math.isfinite(out):
+        raise AccuracyError(f"{libmp.to_str(v, 5)} exceeds the float range")
+    return out
 
 
 def projector_negative_witness(n: int, lam):

@@ -102,3 +102,42 @@ def test_derivative_closed():
     f = ExpPoly.single(Poly([Q(0), Q(1)]), 2)  # mu e^{-2mu}
     expect = ExpPoly.single(Poly([Q(1), Q(-2)]), 2)
     assert f.derivative() == expect
+
+
+class _NoSharedIntervals:
+    def __getattr__(self, name):
+        raise AssertionError(f"mpmath.iv.{name} touched")
+
+
+def test_sign_at_leaves_the_shared_interval_context_alone(monkeypatch):
+    import mpmath
+
+    from moyalbench.exppoly import _interval_context
+
+    # e^-1 - c e^-2 with c within 2^-97 of e: the sign needs >= 128 bits
+    with mpmath.workprec(200):
+        man, exp = mpmath.mpf(mpmath.e).man_exp  # e = man * 2^exp
+    ulp = Q(1, 2 ** (-exp - 100))
+    below = (man >> 100) * ulp  # e rounded down to a multiple of 2^-97
+    above = below + ulp
+    monkeypatch.setattr(mpmath, "iv", _NoSharedIntervals())
+    g = ExpPoly([(Poly([Q(1)]), 1), (Poly([Q(-1)]), 2)])
+    assert g.sign_at(Q(1)) == 1
+    assert (Q(-1) * g).sign_at(Q(3, 7)) == -1
+    assert ExpPoly([(Poly([Q(1)]), 1), (Poly([-below]), 2)]).sign_at(Q(1)) == 1
+    assert ExpPoly([(Poly([Q(1)]), 1), (Poly([-above]), 2)]).sign_at(Q(1)) == -1
+    assert _interval_context().prec >= 128
+
+
+def test_interval_context_is_per_thread_and_built_once():
+    import threading
+
+    from moyalbench.exppoly import _interval_context
+
+    mine = _interval_context()
+    assert _interval_context() is mine
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(_interval_context()))
+    worker.start()
+    worker.join()
+    assert seen[0] is not mine

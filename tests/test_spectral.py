@@ -5,6 +5,7 @@ import pytest
 
 from moyalbench.backend import Q, rational_str
 from moyalbench.errors import (
+    AccuracyError,
     ConditionalConvergenceWarning,
     DomainError,
     PoleError,
@@ -232,3 +233,31 @@ def test_negative_witnesses():
     for n in range(6):
         assert projector_closed(n, 0).form.nonneg_on_nonneg() == (True, None)
     assert projector_negative_witness(0, Q(1, 3)) is None
+
+
+def test_energy_identity_where_the_float_decay_underflows():
+    import mpmath
+
+    from moyalbench.spectral import projector_poly_values
+
+    lam, mu = Q(1, 4), Q(700)
+    # exp(-933.3) is 0 as a float; 300 levels hold almost none of mu = 700
+    values = projector_poly_values(lam, mu, 300)
+    total = sum(((n + lam) * v for n, v in enumerate(values)), Q(0))
+    with mpmath.workprec(300):
+        partial = mpmath.mpf(total.numerator) / total.denominator * mpmath.exp(
+            -mpmath.mpf(2800) / 3
+        )
+        expected = float(abs(partial - 700))
+    assert energy_identity_gap(lam, mu, 300) == expected
+    # with enough levels the identity holds: the gap is rounding, not mu
+    assert energy_identity_gap(lam, mu, 1200) < 1e-9
+
+
+def test_partition_of_unity_where_the_float_sum_overflows():
+    # float(partial sum) overflows long before 500 levels: a typed error,
+    # since the sum has not converged there
+    with pytest.raises(AccuracyError):
+        partition_of_unity(Q(1, 4), 800)
+    r = partition_of_unity(Q(1, 4), 700, n_cap=1200)
+    assert r.n_used is not None and r.gap < 1e-6

@@ -34,3 +34,15 @@ def test_crashing_check_is_reported_as_failure(monkeypatch):
     expected = [_stable(r) for k, r in enumerate(baseline.results) if k != index]
     assert others == expected
 
+
+def test_verify_json_matches_the_golden_file(capsys):
+    # every verdict and detail string of seed 0, byte for byte; regenerate
+    # the file only together with a deliberate change of a check
+    from pathlib import Path
+
+    from moyalbench.cli import main
+
+    golden = Path(__file__).parent / "data" / "verify_all_seed0.json"
+    code = main(["verify", "--suite", "all", "--format", "json", "--seed", "0"])
+    assert code == 0
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
