@@ -14,12 +14,15 @@ forms.
 from __future__ import annotations
 
 import math
+import sys
 import threading
+from fractions import Fraction
 
+from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
 from .backend import Q, ZERO, is_rational, qfact, rational_str
-from .errors import AccuracyError, IntegrabilityError
+from .errors import AccuracyError, DomainError, IntegrabilityError
 from .poly import Poly
 from . import rootisolate
 
@@ -33,6 +36,33 @@ def _interval_context() -> MPIntervalContext:
     if ctx is None:
         ctx = _local.iv = MPIntervalContext()
     return ctx
+
+
+def _decayed(x, rate, decay: float) -> float:
+    """x * exp(-rate) for exact rationals x, rate, where decay = exp(-rate).
+
+    The float product is used while decay is a normal float and x converts;
+    otherwise the product is formed in mpmath's exponent range.
+    """
+    if decay >= sys.float_info.min:
+        try:
+            return float(x) * decay
+        except OverflowError:
+            pass
+    return _wide_decayed(x, rate)
+
+
+def _wide_decayed(x, rate) -> float:
+    """x * exp(-rate) formed in mpmath's exponent range, with guard bits for
+    the size of rate; a value no float can hold raises AccuracyError instead
+    of turning into 0 or inf."""
+    prec = 64 + (rate.numerator // rate.denominator).bit_length()
+    scale = libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
+    v = libmp.mpf_mul(libmp.from_rational(x.numerator, x.denominator, prec), scale, prec)
+    out = libmp.to_float(v)
+    if not math.isfinite(out):
+        raise AccuracyError(f"{libmp.to_str(v, 5)} exceeds the float range")
+    return out
 
 
 class ExpPoly:
@@ -141,11 +171,20 @@ class ExpPoly:
         return sum((p(ZERO) for p in self.terms.values()), ZERO)
 
     def __call__(self, mu) -> float:
-        """Float value at mu; polynomial parts evaluate exactly first."""
-        x = Q(mu) if not isinstance(mu, float) else mu
+        """Float value at mu, polynomial parts exact (a float mu is read as
+        the rational it is).  A term whose float product overflows is formed
+        in mpmath's exponent range; a finite one keeps its bytes, even a 0
+        from an underflowed exp (ROADMAP item 5)."""
+        if isinstance(mu, float) and not math.isfinite(mu):
+            raise DomainError(f"mu = {mu} is not a finite number")
+        x = Fraction(mu) if isinstance(mu, float) else Q(mu)
         total = 0.0
         for r, p in self.terms.items():
-            total += float(p(x)) * math.exp(-float(r) * float(x))
+            c = p(x)
+            try:
+                total += float(c) * math.exp(-float(r) * float(x))
+            except OverflowError:
+                total += _wide_decayed(c, r * x)
         return total
 
     def sign_at(self, mu) -> int:

@@ -3,16 +3,17 @@
 Normalization: weight exp(-z) on [0, inf), L_n(0) = 1, orthonormal
 (no extra factors), so   integral L_m L_n e^(-z) dz = delta_mn   exactly.
 
-The standard three-term recurrence builds the polynomials; the
-lower-triangular change-of-basis construction (the self-inverse signed
-binomial matrix A times the 1/n! diagonal applied to the monomial vector)
-is kept as an independent route for cross-checks.
+The closed form builds the polynomials: the coefficient of z^j in L_n is
+(-1)^j C(n, j) / j!, written down for each degree on its own and memoized
+per degree.  The three-term recurrence is kept in the tests as the
+independent oracle for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .backend import Q, ZERO, qbinom, qfact, rational_str
 from .biseries import BiSeries, binom_inverse_power
@@ -22,7 +23,7 @@ from .params import as_lambda, nonneg_int
 from .poly import Poly
 from .quadrature import integrate_decay
 
-_cache: list[Poly] = [Poly([Q(1)]), Poly([Q(1), Q(-1)])]
+_cache: dict[int, Poly] = {}
 
 
 @dataclass(frozen=True)
@@ -35,22 +36,24 @@ class LaguerrePoly:
 
 
 def laguerre(n: int) -> LaguerrePoly:
-    """L_n with exact rational coefficients."""
+    """L_n with exact rational coefficients, memoized per degree.  Degrees
+    are independent, so racing callers at worst build one twice, and all
+    get the one ``setdefault`` stored."""
     if n < 0:
         raise DomainError("Laguerre index must be >= 0")
-    while len(_cache) <= n:
-        m = len(_cache) - 1
-        z = Poly.x()
-        nxt = ((2 * m + 1 - z) * _cache[m] - m * _cache[m - 1]) / Q(m + 1)
-        _cache.append(nxt)
-    return LaguerrePoly(n, _cache[n])
+    poly = _cache.get(n)
+    if poly is None:
+        poly = _cache.setdefault(
+            n, Poly([laguerre_coeff(n, j) for j in range(n + 1)])
+        )
+    return LaguerrePoly(n, poly)
 
 
 def laguerre_coeff(n: int, j: int):
     """Coefficient of z^j in L_n: (-1)^j C(n, j) / j!."""
     if j < 0 or j > n:
         return ZERO
-    return Q(-1) ** j * qbinom(n, j) / qfact(j)
+    return Fraction((-1) ** j * math.comb(n, j), math.factorial(j))
 
 
 def laguerre_eval_sequence(n_max: int, x) -> list:
@@ -77,43 +80,36 @@ def laguerre_eval_sequence(n_max: int, x) -> list:
     return out
 
 
-# -- change-of-basis construction ------------------------------------------
+# -- change of basis -----------------------------------------------------------
 
 def basis_matrix(size: int):
     """Signed binomial matrix A with A[i][j] = (-1)^j C(i, j); A.A = I."""
     return [
-        [Q(-1) ** j * qbinom(i, j) for j in range(size)] for i in range(size)
+        [(-1) ** j * math.comb(i, j) for j in range(size)] for i in range(size)
     ]
 
 
 def matmul(a, b):
     size = len(a)
     return [
-        [sum((a[i][k] * b[k][j] for k in range(size)), ZERO) for j in range(size)]
+        [sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]
         for i in range(size)
     ]
 
 
 def is_identity(m) -> bool:
     return all(
-        c == (Q(1) if i == j else ZERO)
+        c == (1 if i == j else 0)
         for i, row in enumerate(m)
         for j, c in enumerate(row)
     )
 
 
-def laguerre_from_basis(n: int) -> Poly:
-    """Row n of A.D applied to the monomial vector; equals laguerre(n).poly."""
-    return Poly([laguerre_coeff(n, j) for j in range(n + 1)])
-
-
-def monomial_from_laguerre(r: int, size: int) -> Poly:
+def monomial_from_laguerre(r: int) -> Poly:
     """z^r recovered as r! sum_j (-1)^j C(r, j) L_j(z) (the inverse basis map)."""
-    if r >= size:
-        raise ValueError("need size > r")
     out = Poly()
     for j in range(r + 1):
-        out = out + (qfact(r) * Q(-1) ** j * qbinom(r, j)) * laguerre(j).poly
+        out = out + (-1) ** j * math.factorial(r) * math.comb(r, j) * laguerre(j).poly
     return out
 
 

@@ -16,8 +16,7 @@ The deformed products live here:
   operator realizing the equivalence of *_lam with the normal product.
 
 Coefficients are stored internally as Gaussian integers over one common
-positive denominator; the exact rational view is recovered through
-``coefficient``.
+positive denominator.
 
 ``star`` and the pointwise ``*`` share one integer kernel (``_product``;
 ``*`` is its (r, s) = (0, 0) case).  With lam = p/q the (r, s) factor is
@@ -176,17 +175,6 @@ class PhasePoly:
     @property
     def hbar_degree(self) -> int:
         return max((d for _, _, d in self.terms), default=-1)
-
-    def coefficient(self, i: int, j: int) -> Poly:
-        """The hbar-polynomial carried by a^i abar^j, over GaussScalar."""
-        ds = {d: v for (ii, jj, d), v in self.terms.items() if ii == i and jj == j}
-        if not ds:
-            return Poly()
-        out = []
-        for d in range(max(ds) + 1):
-            re, im = ds.get(d, (0, 0))
-            out.append(GaussScalar(Q(re, self.den), Q(im, self.den)))
-        return Poly(out)
 
     def hbar_coefficient(self, k: int) -> "PhasePoly":
         """Coefficient of hbar^k, as an hbar-free PhasePoly."""
@@ -521,10 +509,9 @@ def check_associativity(f: PhasePoly, g: PhasePoly, h: PhasePoly, lam) -> bool:
     return star(star(f, g, lam), h, lam) == star(f, star(g, h, lam), lam)
 
 
-def hamiltonian(omega=Q(1)) -> PhasePoly:
-    """H = omega * a * abar."""
-    w = Q(omega)
-    return PhasePoly({(1, 1, 0): (w.numerator, 0)}, w.denominator)
+def hamiltonian() -> PhasePoly:
+    """H = a * abar, in units of omega."""
+    return PhasePoly({(1, 1, 0): (1, 0)}, 1)
 
 
 def random_phase_poly(

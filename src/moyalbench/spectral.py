@@ -27,16 +27,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 import warnings
 from dataclasses import dataclass
-
-from mpmath import libmp
 
 from .backend import Q, ZERO, qbinom, qfact
 from .biseries import BiSeries
 from .errors import AccuracyError, ConditionalConvergenceWarning, DomainError, PoleError
-from .exppoly import ExpPoly, mu_times
+from .exppoly import ExpPoly, _decayed, mu_times
 from .gauss import GaussScalar
 from .laguerre import laguerre, laguerre_eval_sequence
 from .params import ModelParams, as_lambda, nonneg_int
@@ -209,39 +206,38 @@ class StarExpEval:
     conditional: bool
 
 
-def _denominator(lam_f: float, omega_t: float) -> complex:
-    return 1.0 - lam_f + lam_f * cmath.exp(-1j * omega_t)
+def _denominator(lam_f: float, t: float) -> complex:
+    return 1.0 - lam_f + lam_f * cmath.exp(-1j * t)
 
 
-def star_exp_closed(lam, mu, t: float, omega: float = 1.0) -> StarExpEval:
-    """Closed-form exp_star(-iHt/hbar) at dimensionless energy mu."""
+def star_exp_closed(lam, mu, t: float) -> StarExpEval:
+    """Closed-form exp_star(-iHt/hbar) at dimensionless energy mu; t is in
+    units of 1/omega."""
     lam = as_lambda(lam)
     lam_f, mu_f = float(lam), float(Q(mu))
-    wt = omega * t
-    den = _denominator(lam_f, wt)
+    den = _denominator(lam_f, t)
     if abs(den) < 1e-12:
         raise PoleError(f"singular time: 1-lam+lam e^(-i omega t) = {den}")
     value = (
-        cmath.exp(-1j * lam_f * wt)
+        cmath.exp(-1j * lam_f * t)
         / den
-        * cmath.exp(mu_f * (cmath.exp(-1j * wt) - 1.0) / den)
+        * cmath.exp(mu_f * (cmath.exp(-1j * t) - 1.0) / den)
     )
     return StarExpEval(lam=lam, mu=Q(mu), t=t, value=value, terms=None,
                        conditional=False)
 
 
-def star_exp_normal_closed(mu, t: float, omega: float = 1.0) -> complex:
-    """Normal-order special case, written independently: exp(mu(e^{-iwt}-1))."""
-    return cmath.exp(float(Q(mu)) * (cmath.exp(-1j * omega * t) - 1.0))
+def star_exp_normal_closed(mu, t: float) -> complex:
+    """Normal-order special case, written independently: exp(mu(e^{-it}-1))."""
+    return cmath.exp(float(Q(mu)) * (cmath.exp(-1j * t) - 1.0))
 
 
-def star_exp_series(lam, mu, t: float, terms: int, omega: float = 1.0) -> StarExpEval:
-    """Truncated Fourier-Dirichlet sum  sum_{n<=terms} pi_n(mu) e^{-i(n+lam)wt}."""
+def star_exp_series(lam, mu, t: float, terms: int) -> StarExpEval:
+    """Truncated Fourier-Dirichlet sum  sum_{n<=terms} pi_n(mu) e^{-i(n+lam)t}."""
     lam = as_lambda(lam, hi=Q(1, 2), hi_open=False)
     nonneg_int("terms", terms)
     lam_f, mu_f = float(lam), float(Q(mu))
-    wt = omega * t
-    phase = cmath.exp(-1j * wt)
+    phase = cmath.exp(-1j * t)
     conditional = lam == Q(1, 2)
     total = 0.0 + 0.0j
     if lam == 0:
@@ -259,7 +255,7 @@ def star_exp_series(lam, mu, t: float, terms: int, omega: float = 1.0) -> StarEx
     ratio = -lam_f / one_m
     l_prev, l_cur = 1.0, 1.0 - x0
     power = 1.0
-    rot = cmath.exp(-1j * lam_f * wt)
+    rot = cmath.exp(-1j * lam_f * t)
     for n in range(terms + 1):
         ln = l_prev if n == 0 else l_cur
         total += pref * power * ln * rot
@@ -271,30 +267,29 @@ def star_exp_series(lam, mu, t: float, terms: int, omega: float = 1.0) -> StarEx
                        conditional=conditional)
 
 
-def star_exp_closed_displayed(lam, mu, t: float, omega: float = 1.0) -> complex:
+def star_exp_closed_displayed(lam, mu, t: float) -> complex:
     """The often-quoted closed form with the doubled energy coefficient 2*mu.
 
     Kept only for the discrepancy report; it does not match the series.
     """
     lam_f, mu_f = float(as_lambda(lam)), float(Q(mu))
-    wt = omega * t
-    den = _denominator(lam_f, wt)
+    den = _denominator(lam_f, t)
     if abs(den) < 1e-12:
         raise PoleError("singular time")
     return (
-        cmath.exp(-1j * lam_f * wt)
+        cmath.exp(-1j * lam_f * t)
         / den
-        * cmath.exp(2.0 * mu_f * (cmath.exp(-1j * wt) - 1.0) / den)
+        * cmath.exp(2.0 * mu_f * (cmath.exp(-1j * t) - 1.0) / den)
     )
 
 
-def star_exp_gm_displayed(mu, t: float, omega: float = 1.0) -> complex:
-    """The Groenewold-Moyal display sec(wt/2) exp(2 i mu tan(wt/2)).
+def star_exp_gm_displayed(mu, t: float) -> complex:
+    """The Groenewold-Moyal display sec(t/2) exp(2 i mu tan(t/2)).
 
     Matches the series only up to complex conjugation (a sign convention);
     kept for the discrepancy report.
     """
-    half = omega * t / 2.0
+    half = t / 2.0
     if abs(math.cos(half)) < 1e-12:
         raise PoleError("singular time")
     return (1.0 / math.cos(half)) * cmath.exp(2j * float(Q(mu)) * math.tan(half))
@@ -310,18 +305,18 @@ class RadialPdeReport:
     initial_value_one: bool
 
 
-def verify_radial_pde(omega=Q(1)) -> RadialPdeReport:
+def verify_radial_pde() -> RadialPdeReport:
     """Check the normal-order radial evolution equation against its solution.
 
-    The solution F(s, t) = exp(-s/hbar) exp(w s/hbar), w = e^{-i omega t},
-    never vanishes, so a first-order equation holds iff the polynomial
-    prefactors of F agree.  With hbar d_s log F = w - 1 and
-    i hbar d_t log F = omega w s (the factor i * (-i) collapses exactly):
+    Time is in units of 1/omega.  The solution
+    F(s, t) = exp(-s/hbar) exp(w s/hbar), w = e^{-i t}, never vanishes, so a
+    first-order equation holds iff the polynomial prefactors of F agree.
+    With hbar d_s log F = w - 1 and i hbar d_t log F = w s (the factor
+    i * (-i) collapses exactly):
 
-        i hbar dF/dt = omega s F + omega hbar s dF/ds      holds,
-        i hbar dF/dt = omega s F + omega hbar   dF/ds      leaves a residual.
+        i hbar dF/dt = s F + hbar s dF/ds      holds,
+        i hbar dF/dt = s F + hbar   dF/ds      leaves a residual.
     """
-    omega = Q(omega)
     # exact i * (-i) = 1 for the time-derivative prefactor
     c_t = GaussScalar(0, 1) * GaussScalar(0, -1)
     if c_t != 1:  # pragma: no cover
@@ -330,10 +325,10 @@ def verify_radial_pde(omega=Q(1)) -> RadialPdeReport:
     w = BiSeries.var_x(kx, ky)
     s = BiSeries.var_y(kx, ky)
     one = BiSeries.constant(1, kx, ky)
-    lhs = omega * (w * s)                      # (i hbar dF/dt) / F
+    lhs = w * s                                # (i hbar dF/dt) / F
     ds_log = w - one                           # (hbar dF/ds) / F
-    rhs_good = omega * s + omega * (s * ds_log)
-    rhs_displayed = omega * s + omega * ds_log
+    rhs_good = s + s * ds_log
+    rhs_displayed = s + ds_log
     residual = lhs - rhs_displayed
     # F at t = 0 has w = 1: exp((1-1)s/hbar) = 1
     initial_ok = True
@@ -395,28 +390,6 @@ def energy_identity_gap(lam, mu, n_terms: int) -> float:
     rate = mu / (Q(1) - lam)
     decay = math.exp(-float(rate))
     return abs(_decayed(total, rate, decay) - float(mu))
-
-
-def _decayed(x, rate, decay: float) -> float:
-    """x * exp(-rate) for exact rationals x, rate, where decay = exp(-rate).
-
-    The float product is used while decay is a normal float and x converts;
-    otherwise the product is formed in mpmath's exponent range, with guard
-    bits for the size of rate, and a value no float can hold raises
-    AccuracyError instead of turning into 0 or inf.
-    """
-    if decay >= sys.float_info.min:
-        try:
-            return float(x) * decay
-        except OverflowError:
-            pass
-    prec = 64 + (rate.numerator // rate.denominator).bit_length()
-    scale = libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
-    v = libmp.mpf_mul(libmp.from_rational(x.numerator, x.denominator, prec), scale, prec)
-    out = libmp.to_float(v)
-    if not math.isfinite(out):
-        raise AccuracyError(f"{libmp.to_str(v, 5)} exceeds the float range")
-    return out
 
 
 def projector_negative_witness(n: int, lam):

@@ -184,7 +184,7 @@ def check_basis_matrix() -> CheckResult:
     a = basis_matrix(64)
     ok = is_identity(matmul(a, a))
     mono = all(
-        monomial_from_laguerre(r, 12) == Poly.monomial(r) for r in range(12)
+        monomial_from_laguerre(r) == Poly.monomial(r) for r in range(12)
     )
     return _exact("signed-binomial-self-inverse-64+monomials", ok and mono)
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +154,23 @@ def test_negative_size_is_an_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: n_max must be >= 0")
+
+
+def test_pi_past_the_float_exponent_range_exits_zero(capsys):
+    code, out = run_cli(capsys, "pi", "--lambda", "17/64", "--n", "390",
+                        "--mu", "801")
+    assert code == 0
+    assert out.splitlines()[-1] == "value_at_mu,4.87810307113e-98"
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_table_commands_match_recorded_digests(capsys, case):
+    # digests, not text: the n = 390 projector table alone is 0.86 MB
+    code, out = run_cli(capsys, *case["argv"])
+    assert code == case["exit_code"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["stdout_sha256"]

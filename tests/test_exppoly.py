@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,3 +143,21 @@ def test_interval_context_is_per_thread_and_built_once():
     worker.start()
     worker.join()
     assert seen[0] is not mine
+
+
+def test_value_beyond_the_float_range_is_a_typed_error():
+    from moyalbench.errors import AccuracyError
+
+    # 10^400 e^-1 exceeds every float; 10^400 e^-1000 is a normal one
+    with pytest.raises(AccuracyError):
+        ExpPoly.single(Poly([Q(10) ** 400]), 1)(1)
+    v = ExpPoly.single(Poly([Q(10) ** 400]), 1)(1000)
+    assert v == pytest.approx(10.0 ** (400 - 1000 / math.log(10)), rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_value_at_a_non_finite_float_is_a_typed_error(mu):
+    from moyalbench.errors import DomainError
+
+    with pytest.raises(DomainError):
+        ExpPoly.single(Poly([Q(1), Q(-1)]), 1)(mu)

@@ -1,4 +1,8 @@
+import importlib
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +19,6 @@ from moyalbench.laguerre import (
     is_identity,
     laguerre,
     laguerre_eval_sequence,
-    laguerre_from_basis,
     matmul,
     mixed_orthogonality,
     moment_integral,
@@ -26,19 +29,66 @@ from moyalbench.laguerre import (
 )
 from moyalbench.poly import Poly
 
+# the module, not the package's laguerre()
+laguerre_module = importlib.import_module("moyalbench.laguerre")
+
+
+def recurrence_laguerre(n_max: int) -> list:
+    """[L_0, ..., L_nmax] from the three-term recurrence
+    (m+1) L_{m+1} = (2m+1-z) L_m - m L_{m-1}, an oracle independent of the
+    closed form that ``laguerre`` writes down."""
+    z = Poly.x()
+    out = [Poly([Q(1)]), Poly([Q(1), Q(-1)])]
+    for m in range(1, n_max):
+        out.append(((2 * m + 1 - z) * out[m] - m * out[m - 1]) / Q(m + 1))
+    return out[: n_max + 1]
+
+
+RECURRENCE = recurrence_laguerre(60)
+
 
 def test_first_polynomials():
     assert laguerre(0).poly == Poly([Q(1)])
     assert laguerre(1).poly == Poly([Q(1), Q(-1)])
-    # from the change-of-basis construction: 1 - 2z + z^2/2
-    assert laguerre(2).poly == laguerre_from_basis(2)
+    # from the three-term recurrence: 1 - 2z + z^2/2
+    assert laguerre(2).poly == RECURRENCE[2]
     assert laguerre(2).poly == Poly([Q(1), Q(-2), Q(1, 2)])
 
 
-@pytest.mark.parametrize("n", range(0, 16))
+@pytest.mark.parametrize("n", range(0, 41))
 def test_recurrence_matches_basis_construction(n):
-    assert laguerre(n).poly == laguerre_from_basis(n)
+    assert laguerre(n).poly == RECURRENCE[n]
     assert laguerre(n).poly(Q(0)) == 1
+
+
+@pytest.mark.parametrize("x", [Q(7, 3), Q(-5, 11), Q(801, 17)])
+def test_degree_400_matches_integer_recurrence(x):
+    # laguerre_eval_sequence runs its own integer recurrence on n! q^n L_n(p/q)
+    assert laguerre(400).poly(x) == laguerre_eval_sequence(400, x)[400]
+
+
+def test_memo_is_thread_safe():
+    laguerre_module._cache.clear()
+    degrees = list(range(61))
+
+    def work(seed):
+        order = degrees[:]
+        random.Random(seed).shuffle(order)
+        return [(n, laguerre(n)) for n in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(laguerre_module._cache) == len(degrees)
+    for per_thread in results:
+        for n, lp in per_thread:
+            assert lp.n == n and lp.poly == RECURRENCE[n]
+            # every caller gets the one stored polynomial of its degree
+            assert lp.poly is laguerre_module._cache[n]
 
 
 def test_orthonormality_exact():
@@ -95,7 +145,7 @@ def test_basis_matrix_self_inverse():
 
 def test_basis_round_trip_monomials():
     for r in range(8):
-        assert monomial_from_laguerre(r, 10) == Poly.monomial(r)
+        assert monomial_from_laguerre(r) == Poly.monomial(r)
 
 
 @pytest.mark.parametrize("n,orders", [(0, (8, 8)), (1, (9, 9)), (2, (10, 10)),

@@ -261,3 +261,38 @@ def test_partition_of_unity_where_the_float_sum_overflows():
         partition_of_unity(Q(1, 4), 800)
     r = partition_of_unity(Q(1, 4), 700, n_cap=1200)
     assert r.n_used is not None and r.gap < 1e-6
+
+
+def _projector_oracle(n, lam, mu):
+    """pi_n(mu) at 60 digits from the integer Laguerre recurrence and mpmath."""
+    import mpmath
+
+    from moyalbench.laguerre import laguerre_eval_sequence
+
+    one_m = 1 - lam
+    r = (-lam / one_m) ** n / one_m * laguerre_eval_sequence(n, mu / (lam * one_m))[n]
+    rate = mu / one_m
+    with mpmath.workdps(60):
+        return float(mpmath.mpf(r.numerator) / r.denominator
+                     * mpmath.exp(-mpmath.mpf(rate.numerator) / rate.denominator))
+
+
+def test_projector_value_past_the_float_exponent_range():
+    # the polynomial factor overflows a float and exp(-rate) underflows one,
+    # but their product is a normal float
+    lam, n, mu = Q(17, 64), 390, Q(801)
+    value = projector_closed(n, lam)(mu)
+    assert value == pytest.approx(4.87810307112531e-98, rel=1e-13)
+    assert value == pytest.approx(_projector_oracle(n, lam, mu), rel=1e-13)
+
+
+def test_projector_at_a_float_mu_is_exact_up_to_the_exponential():
+    # float Horner evaluation cancelled here: nan at mu = 1000.0 and a value
+    # of order 1e31 at mu = 300.0
+    proj = projector_closed(400, Q(1, 4))
+    for mu in (300, 700, 1000):
+        expected = _projector_oracle(400, Q(1, 4), Q(mu))
+        assert proj(float(mu)) == proj(mu)
+        assert proj(float(mu)) == pytest.approx(expected, rel=1e-13)
+    # below the float range the value still reads 0.0, never nan
+    assert proj(2000.0) == 0.0
