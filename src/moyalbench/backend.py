@@ -35,6 +35,16 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def content_gcd(den: int, ints) -> int:
+    """gcd(den, *ints), stopping at the first 1: what puts ints/den in lowest terms."""
+    g = den
+    for n in ints:
+        g = math.gcd(g, n)
+        if g == 1:
+            break
+    return g
+
+
 def rational_str(x) -> str:
     """Canonical "p/q" (or "p" when q == 1) form."""
     n, d = x.numerator, x.denominator

@@ -21,9 +21,9 @@ from fractions import Fraction
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
-from .backend import Q, ZERO, is_rational, qfact, rational_str
+from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
-from .poly import Poly
+from .poly import Poly, _homogeneous
 from . import rootisolate
 
 _local = threading.local()
@@ -146,9 +146,6 @@ class ExpPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return ExpPoly([(p / scalar, r) for r, p in self.terms.items()])
-
     def __eq__(self, other):
         if not isinstance(other, ExpPoly):
             return NotImplemented
@@ -172,9 +169,9 @@ class ExpPoly:
 
     def __call__(self, mu) -> float:
         """Float value at mu, polynomial parts exact (a float mu is read as
-        the rational it is).  A term whose float product overflows is formed
-        in mpmath's exponent range; a finite one keeps its bytes, even a 0
-        from an underflowed exp (ROADMAP item 5)."""
+        the rational it is).  A term whose exp is subnormal or whose float
+        product overflows is formed in mpmath's exponent range; the rest keep
+        their bytes, even a 0 from an exp that underflowed (ROADMAP item 3)."""
         if isinstance(mu, float) and not math.isfinite(mu):
             raise DomainError(f"mu = {mu} is not a finite number")
         x = Fraction(mu) if isinstance(mu, float) else Q(mu)
@@ -182,9 +179,13 @@ class ExpPoly:
         for r, p in self.terms.items():
             c = p(x)
             try:
-                total += float(c) * math.exp(-float(r) * float(x))
+                decay = math.exp(-float(r) * float(x))
+                if not 0.0 < decay < sys.float_info.min:
+                    total += float(c) * decay
+                    continue
             except OverflowError:
-                total += _wide_decayed(c, r * x)
+                pass
+            total += _wide_decayed(c, r * x)
         return total
 
     def sign_at(self, mu) -> int:
@@ -198,6 +199,8 @@ class ExpPoly:
         x = Q(mu)
         if x < 0:
             raise ValueError("sign_at is defined on [0, inf)")
+        if len(self.terms) == 1:  # one exact part: its sign, on ints
+            return next(iter(self.terms.values())).sign_at(x)
         # merge by exponent value: at x = 0 every term lands on exp(0) = 1
         # and the value collapses to one exact rational
         by_exp: dict = {}
@@ -207,8 +210,6 @@ class ExpPoly:
         parts = [(c, e) for e, c in by_exp.items() if c]
         if not parts:
             return 0
-        if len(parts) == 1:
-            return 1 if parts[0][0] > 0 else -1
         if all(c > 0 for c, _ in parts):
             return 1
         if all(c < 0 for c, _ in parts):
@@ -287,14 +288,15 @@ class ExpPoly:
 
 
 def exp_integral(f: ExpPoly):
-    """Exact integral of f over [0, inf)."""
+    """Exact integral of f over [0, inf): sum c_k k!/r^(k+1) per rate."""
     total = ZERO
     for r, p in f.terms.items():
         if r <= 0:
             raise IntegrabilityError("nonpositive rate")
-        for k, c in enumerate(p.coeffs):
-            if c:
-                total += c * qfact(k) / r ** (k + 1)
+        s, t = r.numerator, r.denominator
+        # over den * s^(d+1) with r = s/t: sum n_k k! t^(k+1) s^(d-k)
+        weighted = [n * math.factorial(k) for k, n in enumerate(p.nums)]
+        total += Fraction(t * _homogeneous(weighted, t, s), p.den * s ** (p.degree + 1))
     return total
 
 

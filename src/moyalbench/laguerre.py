@@ -31,9 +31,6 @@ class LaguerrePoly:
     n: int
     poly: Poly
 
-    def __call__(self, x):
-        return self.poly(x)
-
 
 def laguerre(n: int) -> LaguerrePoly:
     """L_n with exact rational coefficients, memoized per degree.  Degrees

@@ -35,38 +35,27 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from random import Random
 
-from .backend import Q, ZERO, is_rational, qfact
+from .backend import Q, ZERO, content_gcd, is_rational, qfact
 from .gauss import GaussScalar, format_gauss, parse_gauss
 from .params import as_lambda
 from .poly import Poly
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def _normalize(terms: dict, den: int):
     clean = {k: v for k, v in terms.items() if v[0] or v[1]}
-    if not clean:
-        return {}, 1
-    g = den
-    for re, im in clean.values():
-        g = math.gcd(g, re)
-        g = math.gcd(g, im)
-        if g == 1:
-            break
+    g = content_gcd(den, chain.from_iterable(clean.values()))
     if g > 1:
         clean = {k: (re // g, im // g) for k, (re, im) in clean.items()}
-        den //= g
-    return clean, den
+    return clean, den // g
 
 
 def _scalar_parts(c):
     """(re_num, im_num, den) for an int / rational / GaussScalar."""
     if isinstance(c, GaussScalar):
-        d = _lcm(c.re.denominator, c.im.denominator)
+        d = math.lcm(c.re.denominator, c.im.denominator)
         return (
             c.re.numerator * (d // c.re.denominator),
             c.im.numerator * (d // c.im.denominator),
@@ -112,7 +101,7 @@ class PhasePoly:
                 if not re and not im:
                     continue
                 if cd != den:
-                    new = _lcm(den, cd)
+                    new = math.lcm(den, cd)
                     if new != den:
                         f = new // den
                         acc = {k: (r * f, m * f) for k, (r, m) in acc.items()}
@@ -189,7 +178,7 @@ class PhasePoly:
         other = _as_phase(other)
         if other is NotImplemented:
             return NotImplemented
-        den = _lcm(self.den, other.den)
+        den = math.lcm(self.den, other.den)
         f1, f2 = den // self.den, den // other.den
         acc = {k: (re * f1, im * f1) for k, (re, im) in self.terms.items()}
         for k, (re, im) in other.terms.items():

@@ -1,27 +1,49 @@
-"""Dense univariate polynomials over exact scalars (rational or Gaussian).
+"""Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored by ascending degree with the trailing (leading)
-coefficient nonzero; the zero polynomial is the empty tuple and has degree -1.
-Arithmetic never rounds: whatever scalar type goes in comes out.
+A Poly is int numerators ``nums`` (ascending degree) over one denominator
+``den`` > 0, as FLINT's fmpq_poly, kept canonical (nonzero leading numerator,
+gcd(den, *nums) == 1, zero = ((), 1)).  Arithmetic costs one gcd per result, a
+value one Fraction, a sign none; ``coeffs`` builds Fractions on each read.
 """
 
 from __future__ import annotations
 
-from .backend import Q, ZERO, is_rational
+import math
+from fractions import Fraction
+from itertools import zip_longest
+
+from .backend import Q, ZERO, content_gcd, is_rational
 
 
-def _trim(coeffs):
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
+def _row(nums, den: int) -> "Poly":
+    """The canonical Poly of int numerators over den > 0."""
+    while nums and not nums[-1]:
+        nums = nums[:-1]
+    g = content_gcd(den, nums)
+    p = object.__new__(Poly)
+    # from a list: tuple(generator) resizes, and fills the tuple free lists
+    object.__setattr__(p, "nums", tuple(nums) if g == 1 else tuple([x // g for x in nums]))
+    object.__setattr__(p, "den", den // g)
+    return p
+
+
+def _homogeneous(nums, a: int, b: int) -> int:
+    """sum nums[k] a^k b^(d-k): b^d times the row's value at a/b."""
+    acc, bp = 0, 1
+    for n in reversed(nums):
+        acc = acc * a + n * bp
+        bp *= b
+    return acc
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(list(coeffs)))
+    def __new__(cls, coeffs=()):
+        """From exact rational coefficients by ascending degree."""
+        qs = [c if isinstance(c, Fraction) else Q(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in qs])
+        return _row([c.numerator * (den // c.denominator) for c in qs], den)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -32,45 +54,44 @@ class Poly:
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((Q(0), Q(1)))
+        return _row((0, 1), 1)
 
     @classmethod
     def monomial(cls, k: int, c=Q(1)) -> "Poly":
-        return cls((ZERO,) * k + (c,))
+        return cls((0,) * k + (c,))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, built on each read."""
+        return tuple([Fraction(n, self.den) for n in self.nums])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
+        return not self.nums
 
     @property
     def leading(self):
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __add__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out)
-
-    __radd__ = __add__
+        a, b, den = self.nums, other.nums, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a = [n * (den // self.den) for n in a]
+            b = [n * (den // other.den) for n in b]
+        return _row([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _row([-n for n in self.nums], self.den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -83,79 +104,84 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return Poly()
-            out = [ZERO] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = out[i + j] + ca * cb
-            return Poly(out)
-        return Poly([c * other for c in self.coeffs])
+            a, b = self.nums, other.nums
+            out = [0] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+            return _row(out, self.den * other.den)
+        if is_rational(other):
+            n, d = other.numerator, other.denominator
+            return _row([c * n for c in self.nums], self.den * d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return Poly([c / scalar for c in self.coeffs])
-
-    def __pow__(self, n: int):
+        n, d = scalar.numerator, scalar.denominator
+        if not n:
+            raise ZeroDivisionError("polynomial division by zero")
         if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out, base = Poly.const(Q(1)), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            n, d = -n, -d
+        return _row([c * d for c in self.nums], self.den * n)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if is_rational(other):
-            return self == Poly.const(Q(other))
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        nums = self.nums
+        return _row([k * nums[k] for k in range(1, len(nums))], self.den)
 
     def __call__(self, x):
-        """Horner evaluation; exact for rational x, float for float x."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return ZERO if not isinstance(x, float) else 0.0
-        return acc
+        """Exact value at a rational x; at a float x, Horner over the
+        correctly rounded float(coefficient), as float(Fraction) gives."""
+        nums, den = self.nums, self.den
+        if isinstance(x, float):
+            acc = nums[-1] / den if nums else 0.0
+            for k in range(len(nums) - 2, -1, -1):
+                acc = acc * x + nums[k] / den
+            return acc
+        if not nums:
+            return ZERO
+        b = x.denominator
+        return Fraction(_homogeneous(nums, x.numerator, b), den * b ** (len(nums) - 1))
+
+    def sign_at(self, x) -> int:
+        """Sign of the value at a rational x: -1, 0 or +1, on ints only."""
+        v = _homogeneous(self.nums, x.numerator, x.denominator)
+        return (v > 0) - (v < 0)
 
     def scale_arg(self, c) -> "Poly":
-        """p(c*x) as a new polynomial."""
-        power = Q(1) if is_rational(c) else c
-        out = []
-        for k, a in enumerate(self.coeffs):
-            out.append(a * power)
-            power = power * c
-        return Poly(out)
+        """p(c*x), c = a/b: nums[k] a^k b^(d-k) over den * b^d."""
+        a, b = c.numerator, c.denominator
+        out, ap, bp = list(self.nums), 1, 1
+        for k in range(len(out)):
+            out[k] *= ap
+            out[-1 - k] *= bp
+            ap *= a
+            bp *= b
+        return _row(out, self.den * b ** max(len(out) - 1, 0))
 
     def shift(self, k: int) -> "Poly":
         """p(x) * x^k."""
-        if self.is_zero:
-            return self
-        return Poly((ZERO,) * k + self.coeffs)
+        return _row((0,) * k + self.nums, self.den) if self.nums else self
 
     def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self / self.leading
+        return self / self.leading if self.nums else self
+
+    def primitive(self) -> "Poly":
+        """The int row divided by the gcd of its entries: self times a
+        positive rational, over den 1, with every sign kept."""
+        g = math.gcd(*self.nums)
+        return _row([n // g for n in self.nums], 1) if g else self
 
     def __repr__(self):
         if self.is_zero:
@@ -172,36 +198,37 @@ def _as_poly(x):
         return x
     if is_rational(x):
         return Poly.const(Q(x))
-    try:
-        return Poly.const(x)  # GaussScalar and friends
-    except Exception:
-        return NotImplemented
+    return NotImplemented
 
 
 def divmod_poly(num: Poly, den: Poly):
-    """Exact (quotient, remainder) over the rationals."""
+    """Exact (quotient, remainder) by int pseudo-division m*A = q*B + r of
+    the rows of num = A/da, den = B/db: q db/(m da) and r/(m da).  Each step
+    scales by |lc(B)|/gcd, never negative, so r keeps the remainder's signs."""
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [ZERO] * max(num.degree - den.degree + 1, 0)
-    rem = list(num.coeffs)
-    d, lead = den.degree, den.leading
-    while len(rem) - 1 >= d and any(rem):
-        k = len(rem) - 1
-        if not rem[k]:
-            rem.pop()
+    b, db = den.nums, den.degree
+    lc_abs, s = abs(b[-1]), 1 if b[-1] > 0 else -1
+    r, q, m = list(num.nums), [0] * max(num.degree - db + 1, 0), 1
+    for k in range(len(r) - 1, db - 1, -1):
+        top = r.pop()
+        if not top:
             continue
-        f = rem[k] / lead
-        q[k - d] = f
-        for j, c in enumerate(den.coeffs):
-            rem[k - d + j] = rem[k - d + j] - f * c
-        rem.pop()
-    return Poly(q), Poly(rem)
+        g = math.gcd(top, lc_abs)
+        if lc_abs != g:
+            f = lc_abs // g
+            r, q, m = [x * f for x in r], [x * f for x in q], m * f
+        c = s * top // g
+        q[k - db] = c
+        for j in range(db):
+            r[k - db + j] -= c * b[j]
+    return _row([c * den.den for c in q], m * num.den), _row(r, m * num.den)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals (Euclid with per-step normalization)."""
-    a, b = a.monic() if not a.is_zero else a, b.monic() if not b.is_zero else b
+    """Monic gcd over the rationals (Euclid on primitive int rows)."""
+    a, b = a.primitive(), b.primitive()
     while not b.is_zero:
         _, r = divmod_poly(a, b)
-        a, b = b, r.monic() if not r.is_zero else r
-    return a
+        a, b = b, r.primitive()
+    return a.monic()

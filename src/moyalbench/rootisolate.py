@@ -1,14 +1,16 @@
 """Exact real-root counting and sign decisions for rational polynomials.
 
-Sturm chains count distinct real roots in half-open intervals.  On top of
-that, nonnegativity on [0, inf) is decided exactly: a polynomial changes
-sign only at roots of odd multiplicity, so the decision reduces to locating
-positive roots of the odd-multiplicity part (Yun squarefree decomposition);
-witnesses where the polynomial is negative are produced by bisecting toward
-such a root until a sample lands on the negative side.  No floats anywhere.
+Sturm chains, kept as primitive int rows that are positive multiples of the
+rational elements, count distinct real roots in half-open intervals.
+Nonnegativity on [0, inf) is decided exactly: a polynomial changes sign only
+at roots of odd multiplicity (Yun squarefree decomposition); a witness where
+it is negative comes from bisecting toward the first positive such root
+until a sample lands on the negative side.  No floats anywhere.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .backend import Q, ZERO
 from .errors import AccuracyError
@@ -16,59 +18,43 @@ from .poly import Poly, divmod_poly, poly_gcd
 
 
 def sturm_chain(p: Poly):
-    chain = [p, p.derivative()]
+    """The Sturm chain of p as primitive int rows, each a positive multiple
+    of the rational element p, p', -rem(p, p'), ..."""
+    chain = [p.primitive(), p.derivative().primitive()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         _, r = divmod_poly(chain[-2], chain[-1])
         if r.is_zero:
             break
-        chain.append(-r)
+        chain.append(-r.primitive())
     return [q for q in chain if not q.is_zero]
 
 
 def _variations(chain, x):
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [s for s in (q.sign_at(x) for q in chain) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def count_roots(p: Poly, a, b, chain=None) -> int:
+def count_roots(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in (a, b]."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
-    chain = chain or sturm_chain(p)
+    chain = sturm_chain(p)
     return _variations(chain, a) - _variations(chain, b)
 
 
 def cauchy_bound(p: Poly):
     """All real roots lie strictly inside (-B, B)."""
-    lead = p.leading
-    m = max((abs(c / lead) for c in p.coeffs[:-1]), default=ZERO)
-    return Q(1) + m
-
-
-def squarefree_part(p: Poly) -> Poly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    q, _ = divmod_poly(p, g)
-    return q.monic()
+    lead = abs(p.nums[-1])
+    return Fraction(lead + max((abs(n) for n in p.nums[:-1]), default=0), lead)
 
 
 def squarefree_decomposition(p: Poly):
-    """Yun's algorithm: [(factor, multiplicity)] with p ~ prod factor^mult.
-
-    Factors are monic, squarefree, pairwise coprime; constant factors are
-    dropped (the overall scalar is not tracked).
-    """
+    """Yun's algorithm: [(factor, multiplicity)] with p ~ prod factor^mult;
+    factors are monic, squarefree and pairwise coprime, constants dropped."""
     if p.is_zero or p.degree == 0:
         return []
     p = p.monic()
     g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return [(p, 1)]
     b, _ = divmod_poly(p, g)
     c, _ = divmod_poly(p.derivative(), g)
     d = c - b.derivative()
@@ -86,10 +72,8 @@ def squarefree_decomposition(p: Poly):
 
 
 def odd_multiplicity_part(p: Poly) -> Poly:
-    """Monic product of the squarefree factors of odd multiplicity.
-
-    Its real roots are exactly the points where p changes sign.
-    """
+    """Monic product of the squarefree factors of odd multiplicity: its
+    real roots are exactly the points where p changes sign."""
     out = Poly.const(Q(1))
     for factor, mult in squarefree_decomposition(p):
         if mult % 2 == 1:
@@ -97,39 +81,33 @@ def odd_multiplicity_part(p: Poly) -> Poly:
     return out
 
 
-def isolate_roots(q: Poly, lo, hi):
-    """Disjoint rational intervals (a, b], one distinct root of q in each."""
-    chain = sturm_chain(q)
-    total = count_roots(q, lo, hi, chain)
-    out = []
-    stack = [(lo, hi, total)]
+def isolate_roots(chain, lo, hi):
+    """Disjoint rational intervals (a, b], one distinct root of the chain's
+    polynomial in each, yielded left to right by a depth-first bisection that
+    splits nothing to the right of where its caller stops."""
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
-        a, b, n = stack.pop()
-        if n == 0:
+        a, b, va, vb = stack.pop()
+        if va == vb:
             continue
-        if n == 1:
-            out.append((a, b))
+        if va - vb == 1:
+            yield a, b
             continue
         mid = (a + b) / 2
-        left = count_roots(q, a, mid, chain)
-        stack.append((a, mid, left))
-        stack.append((mid, b, n - left))
-    out.sort()
-    return out
+        vm = _variations(chain, mid)
+        stack.append((mid, b, vm, vb))
+        stack.append((a, mid, va, vm))
 
 
-def _negative_sample_near(p: Poly, odd: Poly, a, b, max_iter: int = 256):
-    """p changes sign at the single root of odd inside (a, b]; return a
-    rational point where p < 0 by shrinking the bracket around that root."""
-    chain = sturm_chain(odd)
+def _negative_sample_near(p: Poly, chain, a, b, max_iter: int = 256):
+    """p changes sign at the single root of the chain's polynomial inside
+    (a, b]; return a rational point where p < 0 by shrinking the bracket."""
     for _ in range(max_iter):
-        for x in (a, b, b + (b - a)):
-            if p(x) < 0:
-                return x
         mid = (a + b) / 2
-        if p(mid) < 0:
-            return mid
-        if count_roots(odd, a, mid, chain) > 0:
+        for x in (a, b, b + (b - a), mid):
+            if p.sign_at(x) < 0:
+                return x
+        if _variations(chain, a) > _variations(chain, mid):
             b = mid
         else:
             a = mid
@@ -144,23 +122,20 @@ def nonneg_on_nonneg(p: Poly):
     """
     if p.is_zero:
         return True, None
-    if p(ZERO) < 0:
+    if p.nums[0] < 0:
         return False, ZERO
     if p.degree == 0:
         return True, None
-    if p.leading < 0:
+    if p.nums[-1] < 0:
         return False, cauchy_bound(p)  # beyond every root, sign = leading
     odd = odd_multiplicity_part(p)
     if odd.degree <= 0:
         return True, None
-    bound = cauchy_bound(odd)
-    if count_roots(odd, ZERO, bound) == 0:
-        return True, None
-    for a, b in isolate_roots(odd, ZERO, bound):
-        w = _negative_sample_near(p, odd, a, b)
-        if w is not None and w >= 0:
-            return False, w
-    return True, None  # pragma: no cover - a sign change always yields a witness
+    chain = sturm_chain(odd)
+    first = next(isolate_roots(chain, ZERO, cauchy_bound(odd)), None)
+    if first is None:
+        return True, None  # no positive root of odd: p never changes sign
+    return False, _negative_sample_near(p, chain, *first)
 
 
 def find_negative_point(p: Poly):

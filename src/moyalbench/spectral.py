@@ -400,7 +400,7 @@ def projector_negative_witness(n: int, lam):
     if witness is not None and witness == 0:
         # want a strictly positive witness; nudge into the negative region
         for cand in (Q(1, 10 ** k) for k in range(1, 12)):
-            if poly(cand) < 0:
+            if poly.sign_at(cand) < 0:
                 return cand
         return None
     return witness

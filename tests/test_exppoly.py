@@ -161,3 +161,22 @@ def test_value_at_a_non_finite_float_is_a_typed_error(mu):
 
     with pytest.raises(DomainError):
         ExpPoly.single(Poly([Q(1), Q(-1)]), 1)(mu)
+
+
+def test_subnormal_exp_keeps_the_digits_of_the_term():
+    import mpmath
+
+    from moyalbench.spectral import projector_closed
+
+    # exp(-r mu) is about 1.1e-322, a subnormal with three significant
+    # digits; the float product with the 1.6e296 polynomial part kept only
+    # those and read 1.84127e-26
+    form = projector_closed(381, Q(10, 41)).form
+    mu = Q(1121, 2)
+    (rate, poly), = form.terms.items()
+    assert 0.0 < math.exp(-float(rate * mu)) < 2.3e-308
+    with mpmath.workprec(300):
+        c, e = poly(mu), rate * mu
+        ref = mpmath.mpf(c.numerator) / c.denominator * mpmath.exp(-mpmath.mpf(e.numerator) / e.denominator)
+        assert form(mu) == float(ref)
+    assert f"{form(mu):.11e}" == "1.83782170856e-26"
