@@ -15,27 +15,14 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from fractions import Fraction
 
 from mpmath import libmp
-from mpmath.ctx_iv import MPIntervalContext
 
 from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
 from .poly import Poly, _homogeneous
 from . import rootisolate
-
-_local = threading.local()
-
-
-def _interval_context() -> MPIntervalContext:
-    """This thread's own interval context, built once: sign_at sets its
-    precision without touching mpmath's shared ``iv``."""
-    ctx = getattr(_local, "iv", None)
-    if ctx is None:
-        ctx = _local.iv = MPIntervalContext()
-    return ctx
 
 
 def _decayed(x, rate, decay: float) -> float:
@@ -63,6 +50,24 @@ def _wide_decayed(x, rate) -> float:
     if not math.isfinite(out):
         raise AccuracyError(f"{libmp.to_str(v, 5)} exceeds the float range")
     return out
+
+
+def _bound_sign(parts, prec: int, lower: bool) -> int:
+    """Sign of a lower (or upper) bound of sum n exp(num/den) over parts, on
+    ints.  Each exp is rounded at prec bits the way that keeps n * exp on the
+    bound's side; a term under 2^floor, 2*prec bits below the largest, counts
+    as -2^floor (or +2^floor), so no shift grows with the exponents' spread."""
+    terms = []
+    for n, num, den in parts:
+        rnd = "f" if (n > 0) == lower else "c"
+        m = libmp.mpf_exp(libmp.from_rational(num, den, prec, rnd), prec, rnd)
+        terms.append((n * m[1], m[2]))  # exp > 0: m = (0, man, exp, bc)
+    floor = max(e + v.bit_length() for v, e in terms) - 2 * prec
+    kept = [(v, e) for v, e in terms if e + v.bit_length() > floor]
+    base = min([floor] + [e for _, e in kept])
+    total = sum(v << (e - base) for v, e in kept)
+    total += (-1 if lower else 1) * (len(terms) - len(kept)) << (floor - base)
+    return (total > 0) - (total < 0)
 
 
 class ExpPoly:
@@ -105,15 +110,8 @@ class ExpPoly:
         return not self.terms
 
     @property
-    def rates(self):
-        return sorted(self.terms)
-
-    @property
     def is_single_rate(self) -> bool:
         return len(self.terms) == 1
-
-    def poly_factor(self, rate) -> Poly:
-        return self.terms.get(Q(rate), Poly())
 
     def __add__(self, other):
         if not isinstance(other, ExpPoly):
@@ -193,40 +191,41 @@ class ExpPoly:
 
         The values exp(-r*mu) for distinct positive r*mu are linearly
         independent over the rationals, so the value is zero iff every
-        polynomial factor vanishes at mu; otherwise outward-rounded interval
-        evaluation terminates at some precision.
+        polynomial factor vanishes at mu.  Otherwise the parts, exact ints
+        over one denominator, are summed against outward-rounded bounds of
+        each exp until a bounding sum decides the sign.  A point a/b can lie
+        within about 2^-bits(b) of a root, so the bounds start at
+        64 + bits(b) bits and double up to max(4096, start).
         """
         x = Q(mu)
         if x < 0:
-            raise ValueError("sign_at is defined on [0, inf)")
+            raise DomainError("sign_at is defined on [0, inf)")
         if len(self.terms) == 1:  # one exact part: its sign, on ints
             return next(iter(self.terms.values())).sign_at(x)
-        # merge by exponent value: at x = 0 every term lands on exp(0) = 1
-        # and the value collapses to one exact rational
-        by_exp: dict = {}
-        for r, p in self.terms.items():
-            e = r * x
-            by_exp[e] = by_exp.get(e, ZERO) + p(x)
-        parts = [(c, e) for e, c in by_exp.items() if c]
+        if not x:  # every term lands on exp(0) = 1: one exact rational
+            v = self.at_zero()
+            return (v > 0) - (v < 0)
+        a, b = x.numerator, x.denominator
+        # p_r(a/b) = h_r / (den_r b^deg_r), as ints over one common denominator;
+        # distinct rates keep distinct exponents r*x, so no parts merge
+        rows = [(r, p, p.den * b ** p.degree) for r, p in self.terms.items()]
+        common = math.lcm(*[d for _, _, d in rows])
+        parts = [(n, -r.numerator * a, r.denominator * b) for r, p, d in rows
+                 if (n := _homogeneous(p.nums, a, b) * (common // d))]
         if not parts:
             return 0
-        if all(c > 0 for c, _ in parts):
-            return 1
-        if all(c < 0 for c, _ in parts):
-            return -1
-        ctx = _interval_context()
-        for prec in (64, 128, 256, 512, 1024, 2048, 4096):
-            ctx.prec = prec
-            iv = ctx.mpf(0)
-            for c, e in parts:
-                coeff = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-                expo = ctx.exp(-ctx.mpf(e.numerator) / ctx.mpf(e.denominator))
-                iv += coeff * expo
-            if iv.b < 0:
-                return -1
-            if iv.a > 0:
+        if len({n > 0 for n, _, _ in parts}) == 1:  # one sign throughout
+            return 1 if parts[0][0] > 0 else -1
+        prec = 64 + b.bit_length()
+        top = max(4096, prec)
+        while True:
+            if _bound_sign(parts, prec, lower=True) > 0:
                 return 1
-        raise AccuracyError("sign did not resolve at 4096 bits")  # pragma: no cover
+            if _bound_sign(parts, prec, lower=False) < 0:
+                return -1
+            if prec >= top:
+                raise AccuracyError(f"sign did not resolve at {top} bits")  # pragma: no cover
+            prec = min(2 * prec, top)
 
     def nonneg_on_nonneg(self):
         """Exact verdict when decidable: (True|False|None, witness).

@@ -124,8 +124,8 @@ def finite_support_bound(p, lam):
     """
     lam = as_lambda(lam, lo_open=True)
     form = _form_of(p)
-    if form.is_single_rate and form.rates[0] == Q(1) / lam:
-        return form.poly_factor(form.rates[0]).degree
+    if form.is_single_rate and Q(1) / lam in form.terms:
+        return form.terms[Q(1) / lam].degree
     return None
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError
 
 _MIN_RATE_T = 50.0
 
@@ -35,9 +35,9 @@ def integrate_decay(
 ) -> QuadResult:
     """Integrate f over [0, inf) assuming |f| <~ exp(-decay_rate * mu) tails."""
     if tol <= 0:
-        raise ValueError("tolerance must be positive")
+        raise DomainError("tolerance must be positive")
     if decay_rate <= 0 and t_max is None:
-        raise ValueError("need a positive decay_rate or an explicit t_max")
+        raise DomainError("need a positive decay_rate or an explicit t_max")
     T = t_max if t_max is not None else max(_MIN_RATE_T / decay_rate, 1.0)
 
     n = start_panels

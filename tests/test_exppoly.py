@@ -114,8 +114,6 @@ class _NoSharedIntervals:
 def test_sign_at_leaves_the_shared_interval_context_alone(monkeypatch):
     import mpmath
 
-    from moyalbench.exppoly import _interval_context
-
     # e^-1 - c e^-2 with c within 2^-97 of e: the sign needs >= 128 bits
     with mpmath.workprec(200):
         man, exp = mpmath.mpf(mpmath.e).man_exp  # e = man * 2^exp
@@ -128,21 +126,46 @@ def test_sign_at_leaves_the_shared_interval_context_alone(monkeypatch):
     assert (Q(-1) * g).sign_at(Q(3, 7)) == -1
     assert ExpPoly([(Poly([Q(1)]), 1), (Poly([-below]), 2)]).sign_at(Q(1)) == 1
     assert ExpPoly([(Poly([Q(1)]), 1), (Poly([-above]), 2)]).sign_at(Q(1)) == -1
-    assert _interval_context().prec >= 128
 
 
-def test_interval_context_is_per_thread_and_built_once():
+def test_threads_on_near_root_points_return_the_serial_signs():
+    import random
+    import sys
     import threading
 
-    from moyalbench.exppoly import _interval_context
+    from moyalbench.spectral import projector_closed
 
-    mine = _interval_context()
-    assert _interval_context() is mine
-    seen = []
-    worker = threading.Thread(target=lambda: seen.append(_interval_context()))
-    worker.start()
-    worker.join()
-    assert seen[0] is not mine
+    # pi_2^(17/40) - pi_2^(23/48) changes sign; points within 2^-300 of the
+    # change need up to 365 bits, a precision each call picks for itself
+    form = projector_closed(2, Q(17, 40)).form - projector_closed(2, Q(23, 48)).form
+    s0, lo, hi = form.sign_at(0), Q(0), Q(1)
+    while form.sign_at(hi) == s0:
+        lo, hi = hi, 2 * hi
+    points = [lo, hi]
+    while hi - lo > Q(1, 2**300):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if form.sign_at(mid) == s0 else (lo, mid)
+        points.append(mid)
+    serial = {x: form.sign_at(x) for x in points}
+    assert set(serial.values()) == {-1, 1}
+    results = [None] * 8
+
+    def worker(k):
+        mine = points[:]
+        random.Random(k).shuffle(mine)
+        results[k] = {x: form.sign_at(x) for x in mine}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r == serial for r in results)
 
 
 def test_value_beyond_the_float_range_is_a_typed_error():

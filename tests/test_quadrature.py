@@ -2,7 +2,10 @@ import math
 
 import pytest
 
-from moyalbench.errors import AccuracyError
+from moyalbench.backend import Q
+from moyalbench.errors import AccuracyError, MoyalBenchError
+from moyalbench.exppoly import ExpPoly
+from moyalbench.poly import Poly
 from moyalbench.quadrature import integrate_decay
 
 
@@ -47,3 +50,12 @@ def test_nan_integrand_fails_on_first_grid():
     with pytest.raises(AccuracyError):
         integrate_decay(f)
     assert len(calls) <= 17
+
+
+def test_range_errors_are_typed():
+    with pytest.raises(MoyalBenchError):
+        ExpPoly([(Poly([Q(1)]), 1), (Poly([Q(-1)]), 2)]).sign_at(Q(-1, 3))
+    with pytest.raises(MoyalBenchError):
+        integrate_decay(lambda z: math.exp(-z), tol=0.0)
+    with pytest.raises(MoyalBenchError):
+        integrate_decay(lambda z: math.exp(-z), decay_rate=-1.0)
