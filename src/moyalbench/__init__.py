@@ -21,7 +21,6 @@ from .errors import (
 from .exppoly import ExpPoly, exp_integral, mu_times
 from .gauss import GaussScalar
 from .laguerre import (
-    LaguerrePoly,
     basis_matrix,
     binomial_tail_identity,
     gamma_moment,

@@ -4,26 +4,43 @@ A BiSeries keeps the coefficients c[i][j] of x^i y^j for i <= kx, j <= ky
 and discards everything above; binary operations propagate orders as the
 min over operands.  Below the truncation orders the arithmetic is exact, so
 two convergent expansions agree iff all retained coefficients match.
+
+The coefficients live in a real, hbar-free PhasePoly (x -> a, y -> abar),
+so sums and products run on phase's integer kernel; each result is cut back
+to its orders.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .backend import Q, ZERO, qbinom, qfact, rational_str
+from .params import nonneg_int
+from .phase import PhasePoly
+
+
+def _series(poly: PhasePoly, kx: int, ky: int) -> "BiSeries":
+    """The series of poly's terms with i <= kx and j <= ky."""
+    terms = poly.terms
+    if any(i > kx or j > ky for i, j, _ in terms):
+        poly = PhasePoly(
+            {k: v for k, v in terms.items() if k[0] <= kx and k[1] <= ky}, poly.den
+        )
+    out = object.__new__(BiSeries)
+    object.__setattr__(out, "poly", poly)
+    object.__setattr__(out, "kx", kx)
+    object.__setattr__(out, "ky", ky)
+    return out
 
 
 class BiSeries:
-    __slots__ = ("coeffs", "kx", "ky")
+    __slots__ = ("poly", "kx", "ky")
 
-    def __init__(self, coeffs, kx: int, ky: int):
-        if kx < 0 or ky < 0:
-            raise ValueError("truncation orders must be nonnegative")
-        clean = {}
-        for (i, j), c in coeffs.items():
-            if i <= kx and j <= ky and c:
-                clean[(i, j)] = Q(c)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "kx", kx)
-        object.__setattr__(self, "ky", ky)
+    def __new__(cls, coeffs, kx: int, ky: int):
+        """From {(i, j): rational}; terms above the orders are dropped."""
+        nonneg_int("kx", kx)
+        nonneg_int("ky", ky)
+        return _series(PhasePoly.build(coeffs), kx, ky)
 
     def __setattr__(self, *_):
         raise AttributeError("BiSeries is immutable")
@@ -44,49 +61,47 @@ class BiSeries:
     def var_y(cls, kx: int, ky: int) -> "BiSeries":
         return cls.monomial(0, 1, Q(1), kx, ky)
 
+    @property
+    def coeffs(self) -> dict:
+        """{(i, j): c} for the nonzero coefficients, built on each read."""
+        den = self.poly.den
+        return {
+            (i, j): Fraction(re, den) for (i, j, _), (re, _im) in self.poly.terms.items()
+        }
+
     def coeff(self, i: int, j: int):
-        return self.coeffs.get((i, j), ZERO)
+        v = self.poly.terms.get((i, j, 0))
+        return ZERO if v is None else Fraction(v[0], self.poly.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.poly.terms
 
-    def _orders_with(self, other):
-        return min(self.kx, other.kx), min(self.ky, other.ky)
+    def _operand(self, other):
+        """other's PhasePoly and the orders of the result."""
+        if isinstance(other, BiSeries):
+            return other.poly, min(self.kx, other.kx), min(self.ky, other.ky)
+        return PhasePoly.scalar(Q(other)), self.kx, self.ky
 
     def __add__(self, other):
-        other = _coerce(other, self.kx, self.ky)
-        kx, ky = self._orders_with(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, ZERO) + c
-        return BiSeries(out, kx, ky)
+        poly, kx, ky = self._operand(other)
+        return _series(self.poly + poly, kx, ky)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BiSeries({k: -c for k, c in self.coeffs.items()}, self.kx, self.ky)
+        return _series(-self.poly, self.kx, self.ky)
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.kx, self.ky))
+        poly, kx, ky = self._operand(other)
+        return _series(self.poly - poly, kx, ky)
 
     def __rsub__(self, other):
-        return _coerce(other, self.kx, self.ky) - self
+        return -self + other
 
     def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            return BiSeries(
-                {k: c * other for k, c in self.coeffs.items()}, self.kx, self.ky
-            )
-        kx, ky = self._orders_with(other)
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if i <= kx and j <= ky:
-                    key = (i, j)
-                    out[key] = out.get(key, ZERO) + c1 * c2
-        return BiSeries(out, kx, ky)
+        poly, kx, ky = self._operand(other)
+        return _series(self.poly * poly, kx, ky)
 
     __rmul__ = __mul__
 
@@ -105,14 +120,10 @@ class BiSeries:
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return (
-            self.kx == other.kx
-            and self.ky == other.ky
-            and self.coeffs == other.coeffs
-        )
+        return self.kx == other.kx and self.ky == other.ky and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.kx, self.ky, tuple(sorted(self.coeffs.items()))))
+        return hash((self.kx, self.ky, self.poly))
 
     def exp(self) -> "BiSeries":
         """exp(s) for a series with zero constant term (nilpotent truncation)."""
@@ -151,12 +162,6 @@ class BiSeries:
             for (i, j), c in sorted(self.coeffs.items())
         ]
         return f"BiSeries({' + '.join(bits)}; kx={self.kx}, ky={self.ky})"
-
-
-def _coerce(x, kx, ky):
-    if isinstance(x, BiSeries):
-        return x
-    return BiSeries.constant(Q(x), kx, ky)
 
 
 def binom_inverse_power(m: int, kx: int, ky: int) -> BiSeries:

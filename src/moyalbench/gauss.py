@@ -1,4 +1,9 @@
-"""Gaussian rationals: exact complex numbers with rational real/imag parts."""
+"""Gaussian rationals: exact complex numbers with rational real/imag parts.
+
+A GaussScalar is an input/output value: PhasePoly takes coefficients in
+this form and prints and serializes them this way, while its arithmetic
+runs on Gaussian integers over one denominator.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from .backend import Q, is_rational, rational_str
 
 
 class GaussScalar:
-    """Immutable a + b*i with exact rational a, b.  All field ops are exact."""
+    """Immutable a + b*i with exact rational a, b."""
 
     __slots__ = ("re", "im")
 
@@ -16,78 +21,6 @@ class GaussScalar:
 
     def __setattr__(self, *_):
         raise AttributeError("GaussScalar is immutable")
-
-    @classmethod
-    def _coerce(cls, x):
-        if isinstance(x, GaussScalar):
-            return x
-        if is_rational(x):
-            return cls(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussScalar(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussScalar(-self.re, -self.im)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussScalar(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if not self.im and not o.im:
-            return GaussScalar(self.re * o.re)
-        return GaussScalar(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if not n:
-            raise ZeroDivisionError("division by zero GaussScalar")
-        return GaussScalar(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def conj(self) -> "GaussScalar":
-        return GaussScalar(self.re, -self.im)
-
-    def abs2(self):
-        """|x|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         if isinstance(other, GaussScalar):
@@ -101,17 +34,11 @@ class GaussScalar:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return f"GaussScalar({self})"
 
     def __str__(self):
         return format_gauss(self)
-
-
-I = GaussScalar(0, 1)
 
 
 def format_gauss(x: GaussScalar) -> str:

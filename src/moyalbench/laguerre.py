@@ -26,13 +26,7 @@ from .quadrature import integrate_decay
 _cache: dict[int, Poly] = {}
 
 
-@dataclass(frozen=True)
-class LaguerrePoly:
-    n: int
-    poly: Poly
-
-
-def laguerre(n: int) -> LaguerrePoly:
+def laguerre(n: int) -> Poly:
     """L_n with exact rational coefficients, memoized per degree.  Degrees
     are independent, so racing callers at worst build one twice, and all
     get the one ``setdefault`` stored."""
@@ -43,7 +37,7 @@ def laguerre(n: int) -> LaguerrePoly:
         poly = _cache.setdefault(
             n, Poly([laguerre_coeff(n, j) for j in range(n + 1)])
         )
-    return LaguerrePoly(n, poly)
+    return poly
 
 
 def laguerre_coeff(n: int, j: int):
@@ -104,9 +98,10 @@ def is_identity(m) -> bool:
 
 def monomial_from_laguerre(r: int) -> Poly:
     """z^r recovered as r! sum_j (-1)^j C(r, j) L_j(z) (the inverse basis map)."""
+    nonneg_int("r", r)
     out = Poly()
     for j in range(r + 1):
-        out = out + (-1) ** j * math.factorial(r) * math.comb(r, j) * laguerre(j).poly
+        out = out + (-1) ** j * math.factorial(r) * math.comb(r, j) * laguerre(j)
     return out
 
 
@@ -121,7 +116,7 @@ def moment_integral(k: int, n: int):
     if k < 0 or n < 0:
         raise DomainError("indices must be >= 0")
     closed = Q(-1) ** n * qbinom(k, n) * qfact(k) if k >= n else ZERO
-    value = exp_integral(ExpPoly.single(laguerre(n).poly.shift(k), 1))
+    value = exp_integral(ExpPoly.single(laguerre(n).shift(k), 1))
     if value != closed:  # pragma: no cover - internal consistency
         raise AssertionError(f"moment_integral mismatch at (k={k}, n={n})")
     return value
@@ -133,7 +128,7 @@ def mixed_orthogonality(m: int, n: int, lam):
     Equals C(m,n) lam^m ((1-lam)/lam)^n for m >= n and 0 otherwise.
     """
     lam = as_lambda(lam, lo_open=True)
-    integrand = laguerre(m).poly.scale_arg(Q(1) - lam) * laguerre(n).poly
+    integrand = laguerre(m).scale_arg(Q(1) - lam) * laguerre(n)
     value = exp_integral(ExpPoly.single(integrand, 1))
     if m >= n:
         closed = qbinom(m, n) * lam ** (m - n) * (Q(1) - lam) ** n
@@ -190,6 +185,7 @@ def verify_projector_series_identity(
     n: int, k_lam: int, k_z: int
 ) -> SeriesIdentityReport:
     """Expand both sides to orders (k_lam, k_z) and compare all coefficients."""
+    nonneg_int("n", n)
     if k_lam < n or k_z < n:
         raise DomainError("truncation orders must be >= n")
     lhs = projector_identity_lhs(n, k_lam, k_z)
@@ -209,6 +205,8 @@ def binomial_tail_identity(n: int, terms: int):
     partial = sum_{k<=terms}, remainder = (1/2)^{n+terms} sum_{j<=n} C(n+terms+1, j),
     and total = partial + remainder is exactly 2 (telescoping).
     """
+    nonneg_int("n", n)
+    nonneg_int("terms", terms)
     half = Q(1, 2)
     partial = sum((half ** (n + k) * qbinom(n + k, k) for k in range(terms + 1)), ZERO)
     remainder = half ** (n + terms) * sum(
@@ -219,6 +217,7 @@ def binomial_tail_identity(n: int, terms: int):
 
 def generating_function_check(order: int) -> bool:
     """sum_k x^k (-1)^k L_k(z)  ==  (1/(1+x)) exp(z x/(1+x)) through x-order K."""
+    nonneg_int("order", order)
     kx = ky = order
     lhs = BiSeries.constant(0, kx, ky)
     for k in range(order + 1):
@@ -272,6 +271,7 @@ def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
     Non-integer exponents are integrated through z = u^2 (removes the branch
     point at 0); that needs p > -1/2.
     """
+    nonneg_int("n", n)
     p = Q(p)
     if p <= Q(-1, 2) and p.denominator != 1:
         raise DomainError("quadrature route needs p > -1/2")
@@ -304,12 +304,12 @@ def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
     pf = float(p)
     if p.denominator == 1:
         kk = int(p)
-        f = lambda z: z**kk * float(ln.poly(z)) * math.exp(-z)
+        f = lambda z: z**kk * float(ln(z)) * math.exp(-z)
         res = integrate_decay(f, tol=tol, t_max=60.0 + 5.0 * n)
     else:
         def f(u):
             z = u * u
-            return 2.0 * u ** (2.0 * pf + 1.0) * float(ln.poly(z)) * math.exp(-z)
+            return 2.0 * u ** (2.0 * pf + 1.0) * float(ln(z)) * math.exp(-z)
 
         res = integrate_decay(f, tol=tol, t_max=math.sqrt(60.0 + 5.0 * n))
     diff = abs(res.value - formula_value)

@@ -38,9 +38,9 @@ import math
 from itertools import chain
 from random import Random
 
-from .backend import Q, ZERO, content_gcd, is_rational, qfact
+from .backend import Q, content_gcd, is_rational, qfact
 from .gauss import GaussScalar, format_gauss, parse_gauss
-from .params import as_lambda
+from .params import as_lambda, nonneg_int
 from .poly import Poly
 
 
@@ -87,6 +87,7 @@ class PhasePoly:
         acc: dict = {}
         den = 1
         for key, coeff in mapping.items():
+            nonneg_int("exponent", min(key))
             if len(key) == 2:
                 i, j = key
                 d0 = 0
@@ -251,20 +252,6 @@ class PhasePoly:
     @property
     def is_radial(self) -> bool:
         return all(i == j for i, j, _ in self.terms)
-
-    def radial_series(self, kx: int = 32, ky: int = 32):
-        """For radial real elements: the exact polynomial in (s, hbar) with
-        s = a*abar, returned as a BiSeries keyed (s-power, hbar-power)."""
-        from .biseries import BiSeries
-
-        coeffs = {}
-        for (i, j, d), (re, im) in self.terms.items():
-            if i != j:
-                raise ValueError("not a radial element")
-            if im:
-                raise ValueError("not a real radial element")
-            coeffs[(i, d)] = coeffs.get((i, d), ZERO) + Q(re, self.den)
-        return BiSeries(coeffs, kx, ky)
 
     # -- serialization ---------------------------------------------------------
 

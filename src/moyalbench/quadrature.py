@@ -30,7 +30,6 @@ def integrate_decay(
     tol: float = 1e-10,
     decay_rate: float = 1.0,
     t_max: float | None = None,
-    start_panels: int = 16,
     max_doublings: int = 22,
 ) -> QuadResult:
     """Integrate f over [0, inf) assuming |f| <~ exp(-decay_rate * mu) tails."""
@@ -40,7 +39,7 @@ def integrate_decay(
         raise DomainError("need a positive decay_rate or an explicit t_max")
     T = t_max if t_max is not None else max(_MIN_RATE_T / decay_rate, 1.0)
 
-    n = start_panels
+    n = 16
     h = T / n
     ends = f(0.0) + f(T)
     odd = sum(f((2 * k + 1) * h) for k in range(n // 2))

@@ -34,9 +34,9 @@ from .backend import Q, ZERO, qbinom, qfact
 from .biseries import BiSeries
 from .errors import AccuracyError, ConditionalConvergenceWarning, DomainError, PoleError
 from .exppoly import ExpPoly, _decayed, mu_times
-from .gauss import GaussScalar
 from .laguerre import laguerre, laguerre_eval_sequence
 from .params import ModelParams, as_lambda, nonneg_int
+from .phase import PhasePoly
 from .poly import Poly
 from .rootisolate import find_negative_point
 
@@ -73,7 +73,7 @@ def projector_closed(n: int, lam) -> Projector:
         form = ExpPoly.single(Poly.monomial(n, Q(1) / qfact(n)), 1)
         return Projector(n=n, lam=lam, form=form)
     one_m = Q(1) - lam
-    scaled = laguerre(n).poly.scale_arg(Q(1) / (lam * one_m))
+    scaled = laguerre(n).scale_arg(Q(1) / (lam * one_m))
     pref = (Q(-1) * lam / one_m) ** n / one_m
     return Projector(n=n, lam=lam, form=ExpPoly.single(scaled * pref, Q(1) / one_m))
 
@@ -115,7 +115,7 @@ def projector_series_partial(n: int, lam, terms: int) -> Poly:
     inv = Q(1) / lam
     for k in range(terms + 1):
         c = sign * lam ** (n + k) * qbinom(n + k, k)
-        out = out + laguerre(n + k).poly.scale_arg(inv) * c
+        out = out + laguerre(n + k).scale_arg(inv) * c
     return out
 
 
@@ -168,30 +168,30 @@ def radial_star_apply(f: ExpPoly, lam) -> ExpPoly:
     return out
 
 
-def radial_star_on_polynomial(g: Poly, lam, orders=(40, 4)) -> BiSeries:
-    """(a abar) *_lam g(a abar) for polynomial g, as a polynomial in (s, hbar):
+def radial_star_on_polynomial(g: Poly, lam) -> PhasePoly:
+    """(a abar) *_lam g(a abar) for polynomial g, as a radial PhasePoly:
 
-        s g + hbar (1-2 lam) s g' - hbar^2 lam(1-lam)(g' + s g'').
+        s g + hbar (1-2 lam) s g' - hbar^2 lam(1-lam)(g' + s g''),
 
-    Keys are (s-power, hbar-power).  This is the exact radial reduction the
-    phase-space star product must reproduce on radial polynomials.
+    with s^k hbar^d the term (a abar)^k hbar^d.  This is the exact radial
+    reduction the phase-space star product must reproduce on radial
+    polynomials.
     """
     lam = as_lambda(lam)
-    kx, ky = orders
     g1, g2 = g.derivative(), g.derivative().derivative()
     coeffs = {}
 
     def put(poly, s_shift, hpow, scale):
         for k, c in enumerate(poly.coeffs):
             if c:
-                key = (k + s_shift, hpow)
+                key = (k + s_shift, k + s_shift, hpow)
                 coeffs[key] = coeffs.get(key, ZERO) + c * scale
 
     put(g, 1, 0, Q(1))
     put(g1, 1, 1, Q(1) - 2 * lam)
     put(g1, 0, 2, -lam * (Q(1) - lam))
     put(g2, 1, 2, -lam * (Q(1) - lam))
-    return BiSeries(coeffs, kx, ky)
+    return PhasePoly.build(coeffs)
 
 
 # -- star exponential ---------------------------------------------------------
@@ -317,10 +317,6 @@ def verify_radial_pde() -> RadialPdeReport:
         i hbar dF/dt = s F + hbar s dF/ds      holds,
         i hbar dF/dt = s F + hbar   dF/ds      leaves a residual.
     """
-    # exact i * (-i) = 1 for the time-derivative prefactor
-    c_t = GaussScalar(0, 1) * GaussScalar(0, -1)
-    if c_t != 1:  # pragma: no cover
-        raise AssertionError("imaginary units failed to cancel")
     kx = ky = 4
     w = BiSeries.var_x(kx, ky)
     s = BiSeries.var_y(kx, ky)

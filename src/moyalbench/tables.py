@@ -46,8 +46,7 @@ def fund_table(k_max: int, n_max: int):
 
 def laguerre_table(n: int):
     header = ["degree", "coefficient"]
-    poly = laguerre(n).poly
-    rows = [[str(j), rational_str(c)] for j, c in enumerate(poly.coeffs)]
+    rows = [[str(j), rational_str(c)] for j, c in enumerate(laguerre(n).coeffs)]
     return header, rows
 
 

@@ -114,10 +114,9 @@ def star_square_cross_check(k: int, lam) -> StarSquareReport:
     """
     lam = as_lambda(lam, lo_open=True)
     hh = star(hamiltonian(), hamiltonian(), lam)
-    series = hh.radial_series(8, 8)  # keys: (s-power, hbar-power)
     coeffs = [ZERO, ZERO, ZERO]
-    for (i, d), c in series.coeffs.items():
-        coeffs[i] += c  # hbar -> 1 in dimensionless mode
+    for (i, _, _), (re, _) in hh.terms.items():
+        coeffs[i] += Q(re, hh.den)  # (a abar)^i hbar^d, with hbar -> 1 (dimensionless)
     quadratic = Poly(coeffs)
     form = basic_distribution(k, lam).form
     integral_value = exp_integral(form * quadratic)
@@ -146,6 +145,7 @@ class SelectionVerdict:
 
 def selection_inequality(k: int, lam) -> SelectionVerdict:
     """Strict test  k lam (1-lam) < (k+1) lam^2, with boundary equality flagged."""
+    nonneg_int("k", k)
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     qv = k * lam * (Q(1) - lam)
     cv = (k + 1) * lam**2
@@ -190,12 +190,13 @@ class ScanResult:
 
 def default_lambda_grid(max_denominator: int = 64) -> list:
     """All reduced rationals in (0, 1/2] with denominator <= max_denominator."""
-    grid = {Q(1, 2)}
-    for q in range(2, max_denominator + 1):
-        for p in range(1, q // 2 + 1):
-            if math.gcd(p, q) == 1:
-                grid.add(Q(p, q))
-    return sorted(grid)
+    nonneg_int("max_denominator", max_denominator)
+    return sorted(
+        Q(p, q)
+        for q in range(2, max_denominator + 1)
+        for p in range(1, q // 2 + 1)
+        if math.gcd(p, q) == 1
+    )
 
 
 def scan_lambda(grid, k_max: int) -> ScanResult:
@@ -264,6 +265,7 @@ def gm_asymptotics(k_max: int) -> list:
 
 def uncertainty_gap(lam, k: int) -> float:
     """classical std - quantum std at level-count parameter k (float)."""
+    nonneg_int("k", k)
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     lf = float(lam)
     return math.sqrt(lf * lf * (k + 1)) - math.sqrt(k * lf * (1 - lf))

@@ -1,8 +1,25 @@
+"""BiSeries on phase's integer kernel against a naive reference.
+
+The reference is the Fraction-dict BiSeries the kernel replaced: one
+Fraction per coefficient, sums and products as dict loops that skip every
+exponent above the orders.  It shares none of the kernel's tricks (one
+denominator, flat exponent keys, the cut after each result).
+"""
+
+import importlib
+from fractions import Fraction
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moyalbench.backend import Q
+from moyalbench.backend import Q, ZERO, qbinom, qfact, rational_str
 from moyalbench.biseries import BiSeries, binom_inverse_power
+from moyalbench.errors import DomainError
+from moyalbench.laguerre import projector_identity_lhs, projector_identity_rhs
+
+# the module, not the package's laguerre()
+laguerre_module = importlib.import_module("moyalbench.laguerre")
 
 coeff = st.integers(-4, 4).map(Q)
 
@@ -66,6 +83,291 @@ def test_exp_requires_zero_constant():
         BiSeries.constant(1, 4, 4).exp()
 
 
+def test_negative_exponents_rejected():
+    # the old Fraction-dict series kept them as Laurent terms
+    with pytest.raises(DomainError, match="exponent must be >= 0"):
+        BiSeries({(-1, 0): 1, (0, 0): 2}, 2, 2)
+
+
 def test_inverse_requires_unit():
     with pytest.raises(ValueError):
         BiSeries.var_x(4, 4).inverse()
+
+
+# -- the naive reference -------------------------------------------------------
+
+
+class RefBiSeries:
+    __slots__ = ("coeffs", "kx", "ky")
+
+    def __init__(self, coeffs, kx: int, ky: int):
+        if kx < 0 or ky < 0:
+            raise ValueError("truncation orders must be nonnegative")
+        clean = {}
+        for (i, j), c in coeffs.items():
+            if i <= kx and j <= ky and c:
+                clean[(i, j)] = Q(c)
+        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "kx", kx)
+        object.__setattr__(self, "ky", ky)
+
+    def __setattr__(self, *_):
+        raise AttributeError("BiSeries is immutable")
+
+    @classmethod
+    def constant(cls, c, kx: int, ky: int) -> "RefBiSeries":
+        return cls({(0, 0): Q(c)}, kx, ky)
+
+    @classmethod
+    def monomial(cls, i: int, j: int, c, kx: int, ky: int) -> "RefBiSeries":
+        return cls({(i, j): Q(c)}, kx, ky)
+
+    @classmethod
+    def var_x(cls, kx: int, ky: int) -> "RefBiSeries":
+        return cls.monomial(1, 0, Q(1), kx, ky)
+
+    @classmethod
+    def var_y(cls, kx: int, ky: int) -> "RefBiSeries":
+        return cls.monomial(0, 1, Q(1), kx, ky)
+
+    def coeff(self, i: int, j: int):
+        return self.coeffs.get((i, j), ZERO)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _orders_with(self, other):
+        return min(self.kx, other.kx), min(self.ky, other.ky)
+
+    def __add__(self, other):
+        other = _ref_coerce(other, self.kx, self.ky)
+        kx, ky = self._orders_with(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, ZERO) + c
+        return RefBiSeries(out, kx, ky)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefBiSeries({k: -c for k, c in self.coeffs.items()}, self.kx, self.ky)
+
+    def __sub__(self, other):
+        return self + (-_ref_coerce(other, self.kx, self.ky))
+
+    def __rsub__(self, other):
+        return _ref_coerce(other, self.kx, self.ky) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, RefBiSeries):
+            return RefBiSeries(
+                {k: c * other for k, c in self.coeffs.items()}, self.kx, self.ky
+            )
+        kx, ky = self._orders_with(other)
+        out = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                i, j = i1 + i2, j1 + j2
+                if i <= kx and j <= ky:
+                    key = (i, j)
+                    out[key] = out.get(key, ZERO) + c1 * c2
+        return RefBiSeries(out, kx, ky)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("use inverse() for negative powers")
+        out = RefBiSeries.constant(Q(1), self.kx, self.ky)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, RefBiSeries):
+            return NotImplemented
+        return (
+            self.kx == other.kx
+            and self.ky == other.ky
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.kx, self.ky, tuple(sorted(self.coeffs.items()))))
+
+    def exp(self) -> "RefBiSeries":
+        """exp(s) for a series with zero constant term (nilpotent truncation)."""
+        if self.coeff(0, 0):
+            raise ValueError("exp needs a zero constant term")
+        out = RefBiSeries.constant(Q(1), self.kx, self.ky)
+        term = RefBiSeries.constant(Q(1), self.kx, self.ky)
+        bound = self.kx + self.ky
+        for m in range(1, bound + 1):
+            term = term * self
+            if term.is_zero:
+                break
+            out = out + term * (Q(1) / qfact(m))
+        return out
+
+    def inverse(self) -> "RefBiSeries":
+        """1/s when the constant term is a nonzero rational."""
+        c = self.coeff(0, 0)
+        if not c:
+            raise ValueError("series with zero constant term is not invertible")
+        t = self * (Q(1) / c) - RefBiSeries.constant(Q(1), self.kx, self.ky)
+        out = RefBiSeries.constant(Q(1), self.kx, self.ky)
+        term = RefBiSeries.constant(Q(1), self.kx, self.ky)
+        for m in range(1, self.kx + self.ky + 1):
+            term = term * t
+            if term.is_zero:
+                break
+            out = out + term * Q(-1) ** m
+        return out * (Q(1) / c)
+
+    def __repr__(self):
+        if self.is_zero:
+            return f"BiSeries(0; kx={self.kx}, ky={self.ky})"
+        bits = [
+            f"({rational_str(c)})x^{i}y^{j}"
+            for (i, j), c in sorted(self.coeffs.items())
+        ]
+        return f"BiSeries({' + '.join(bits)}; kx={self.kx}, ky={self.ky})"
+
+
+def _ref_coerce(x, kx, ky):
+    if isinstance(x, RefBiSeries):
+        return x
+    return RefBiSeries.constant(Q(x), kx, ky)
+
+
+def ref_binom_inverse_power(m: int, kx: int, ky: int) -> RefBiSeries:
+    """(1-x)^(-m) expanded by the negative binomial series, m >= 0."""
+    if m == 0:
+        return RefBiSeries.constant(Q(1), kx, ky)
+    return RefBiSeries(
+        {(i, 0): qbinom(m - 1 + i, i) for i in range(kx + 1)}, kx, ky
+    )
+
+
+# -- the differential tests ------------------------------------------------------
+
+ORDERS = [(0, 0), (0, 5), (6, 2), (12, 12)]
+# (largest |numerator|, largest denominator) of the drawn coefficients
+SMALL, BIG = (9, 6), (10**30, 2**64)
+
+
+def _draw(rng, kx, ky, dense, size):
+    """The same coefficients as a BiSeries and a RefBiSeries.
+
+    Keys reach one past each order, so construction has terms to drop; a
+    sparse draw keeps three keys, and one drawn key is set to an exact 0.
+    """
+    top, den = size
+    keys = [(i, j) for i in range(kx + 2) for j in range(ky + 2)]
+    if not dense:
+        keys = rng.sample(keys, 3)
+    coeffs = {k: Fraction(rng.randint(-top, top), rng.randint(1, den)) for k in keys}
+    coeffs[rng.choice(keys)] = 0
+    return BiSeries(coeffs, kx, ky), RefBiSeries(coeffs, kx, ky)
+
+
+def _same(new, ref):
+    assert isinstance(new, BiSeries)
+    assert (new.kx, new.ky) == (ref.kx, ref.ky)
+    assert new.coeffs == ref.coeffs
+    assert new.is_zero == ref.is_zero
+    assert repr(new) == repr(ref)
+    for i in range(new.kx + 2):
+        for j in range(new.ky + 2):
+            assert new.coeff(i, j) == ref.coeff(i, j)
+
+
+def _unit(pair):
+    """The pair with its constant term moved to 3/7 (invertible)."""
+    new, ref = pair
+    c = new.coeff(0, 0)
+    return new - c + Q(3, 7), ref - c + Q(3, 7)
+
+
+def _nilpotent(pair):
+    """The pair with its constant term removed (exp is defined)."""
+    new, ref = pair
+    c = new.coeff(0, 0)
+    return new - c, ref - c
+
+
+def _ring_ops(x, y):
+    (a, ra), (b, rb) = x, y
+    scalar = Q(-5, 3)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(-a, -ra)
+    _same(a + scalar, ra + scalar)
+    _same(scalar + a, scalar + ra)
+    _same(a - scalar, ra - scalar)
+    _same(scalar - a, scalar - ra)
+    _same(a * scalar, ra * scalar)
+    _same(scalar * a, scalar * ra)
+    _same(a * 0, ra * 0)
+    _same(a * b, ra * rb)
+    _same(b * a, rb * ra)
+    assert (a == b) == (ra == rb)
+    assert a == BiSeries(ra.coeffs, ra.kx, ra.ky)
+    assert a - a == BiSeries({}, a.kx, a.ky)
+
+
+@pytest.mark.parametrize("orders", ORDERS)
+@pytest.mark.parametrize("dense", [True, False])
+def test_ring_ops_match_reference(orders, dense):
+    rng = Random(f"biseries-ring-{orders}-{dense}")
+    size = SMALL if dense and orders == (12, 12) else BIG
+    x = _draw(rng, *orders, dense, size)
+    y = _draw(rng, *orders, dense, size)
+    _same(*x)
+    _ring_ops(x, y)
+    for n in range(4 if orders != (12, 12) else 3):
+        _same(x[0] ** n, x[1] ** n)
+
+
+@pytest.mark.parametrize("left, right", [
+    ((0, 0), (0, 5)), ((0, 5), (6, 2)), ((6, 2), (12, 12)), ((12, 12), (0, 5)),
+    ((3, 9), (7, 1)),
+])
+def test_operands_of_different_orders(left, right):
+    rng = Random(f"biseries-mixed-{left}-{right}")
+    for dense in (True, False):
+        x = _draw(rng, *left, dense, BIG if dense else SMALL)
+        y = _draw(rng, *right, not dense, SMALL if dense else BIG)
+        _ring_ops(x, y)
+        _ring_ops(y, x)
+
+
+@pytest.mark.parametrize("orders", ORDERS)
+@pytest.mark.parametrize("dense", [True, False])
+def test_exp_and_inverse_match_reference(orders, dense):
+    rng = Random(f"biseries-exp-{orders}-{dense}")
+    size = BIG if orders != (12, 12) or not dense else SMALL
+    x = _draw(rng, *orders, dense, size)
+    new, ref = _nilpotent(x)
+    _same(new.exp(), ref.exp())
+    new, ref = _unit(x)
+    _same(new.inverse(), ref.inverse())
+    assert new * new.inverse() == BiSeries.constant(1, *orders)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_projector_identity_sides_match_reference(n, monkeypatch):
+    lhs, rhs = projector_identity_lhs(n, 12, 12), projector_identity_rhs(n, 12, 12)
+    monkeypatch.setattr(laguerre_module, "BiSeries", RefBiSeries)
+    monkeypatch.setattr(laguerre_module, "binom_inverse_power", ref_binom_inverse_power)
+    ref_lhs = projector_identity_lhs(n, 12, 12)
+    ref_rhs = projector_identity_rhs(n, 12, 12)
+    assert isinstance(ref_rhs, RefBiSeries)
+    _same(lhs, ref_lhs)
+    _same(rhs, ref_rhs)
+    assert lhs == rhs

@@ -1,40 +1,12 @@
 from hypothesis import given, strategies as st
 
 from moyalbench.backend import Q
-from moyalbench.gauss import GaussScalar, I, format_gauss, parse_gauss
+from moyalbench.gauss import GaussScalar, format_gauss, parse_gauss
 
 rationals = st.builds(
     Q, st.integers(-50, 50), st.integers(1, 20)
 )
 gauss = st.builds(GaussScalar, rationals, rationals)
-
-
-def test_imaginary_unit():
-    assert I * I == -1
-    assert I.conj() == -I
-    assert (1 + I) * (1 - I) == 2
-
-
-def test_division_exact():
-    x = GaussScalar(Q(1, 2), Q(3, 4))
-    y = GaussScalar(Q(-2), Q(1, 3))
-    assert (x / y) * y == x
-
-
-@given(gauss)
-def test_conj_involution(x):
-    assert x.conj().conj() == x
-
-
-@given(gauss)
-def test_abs2_nonnegative(x):
-    assert x.abs2() >= 0
-    assert x.abs2() == (x * x.conj()).re
-
-
-@given(gauss, gauss, gauss)
-def test_distributivity(x, y, z):
-    assert x * (y + z) == x * y + x * z
 
 
 @given(gauss)
@@ -46,7 +18,7 @@ def test_string_forms():
     assert format_gauss(GaussScalar(0, 1)) == "i"
     assert format_gauss(GaussScalar(0, -1)) == "-i"
     assert format_gauss(GaussScalar(Q(1, 2), Q(-1, 3))) == "1/2-1/3i"
-    assert parse_gauss("-i") == -I
+    assert parse_gauss("-i") == GaussScalar(0, -1)
     assert parse_gauss("2/3") == GaussScalar(Q(2, 3))
 
 

@@ -48,23 +48,23 @@ RECURRENCE = recurrence_laguerre(60)
 
 
 def test_first_polynomials():
-    assert laguerre(0).poly == Poly([Q(1)])
-    assert laguerre(1).poly == Poly([Q(1), Q(-1)])
+    assert laguerre(0) == Poly([Q(1)])
+    assert laguerre(1) == Poly([Q(1), Q(-1)])
     # from the three-term recurrence: 1 - 2z + z^2/2
-    assert laguerre(2).poly == RECURRENCE[2]
-    assert laguerre(2).poly == Poly([Q(1), Q(-2), Q(1, 2)])
+    assert laguerre(2) == RECURRENCE[2]
+    assert laguerre(2) == Poly([Q(1), Q(-2), Q(1, 2)])
 
 
 @pytest.mark.parametrize("n", range(0, 41))
 def test_recurrence_matches_basis_construction(n):
-    assert laguerre(n).poly == RECURRENCE[n]
-    assert laguerre(n).poly(Q(0)) == 1
+    assert laguerre(n) == RECURRENCE[n]
+    assert laguerre(n)(Q(0)) == 1
 
 
 @pytest.mark.parametrize("x", [Q(7, 3), Q(-5, 11), Q(801, 17)])
 def test_degree_400_matches_integer_recurrence(x):
     # laguerre_eval_sequence runs its own integer recurrence on n! q^n L_n(p/q)
-    assert laguerre(400).poly(x) == laguerre_eval_sequence(400, x)[400]
+    assert laguerre(400)(x) == laguerre_eval_sequence(400, x)[400]
 
 
 def test_memo_is_thread_safe():
@@ -86,15 +86,15 @@ def test_memo_is_thread_safe():
     assert len(laguerre_module._cache) == len(degrees)
     for per_thread in results:
         for n, lp in per_thread:
-            assert lp.n == n and lp.poly == RECURRENCE[n]
+            assert lp == RECURRENCE[n]
             # every caller gets the one stored polynomial of its degree
-            assert lp.poly is laguerre_module._cache[n]
+            assert lp is laguerre_module._cache[n]
 
 
 def test_orthonormality_exact():
     for m in range(16):
         for n in range(16):
-            v = exp_integral(ExpPoly.single(laguerre(m).poly * laguerre(n).poly, 1))
+            v = exp_integral(ExpPoly.single(laguerre(m) * laguerre(n), 1))
             assert v == (1 if m == n else 0)
 
 
@@ -102,7 +102,7 @@ def test_orthonormality_exact():
 def test_eval_sequence_matches_polynomials(x):
     seq = laguerre_eval_sequence(20, x)
     for n, v in enumerate(seq):
-        assert v == laguerre(n).poly(x)
+        assert v == laguerre(n)(x)
 
 
 def test_moment_examples():

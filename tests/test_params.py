@@ -2,7 +2,15 @@ import pytest
 
 from moyalbench.backend import Q
 from moyalbench.errors import DomainError
-from moyalbench.laguerre import laguerre_eval_sequence
+from moyalbench.biseries import BiSeries
+from moyalbench.laguerre import (
+    binomial_tail_identity,
+    gamma_moment,
+    generating_function_check,
+    laguerre_eval_sequence,
+    monomial_from_laguerre,
+    verify_projector_series_identity,
+)
 from moyalbench.observables import (
     basic_distribution,
     basis_inversion,
@@ -19,7 +27,13 @@ from moyalbench.spectral import (
     spectrum,
     star_exp_series,
 )
-from moyalbench.uncertainty import gm_asymptotics, scan_lambda
+from moyalbench.uncertainty import (
+    default_lambda_grid,
+    gm_asymptotics,
+    scan_lambda,
+    selection_inequality,
+    uncertainty_gap,
+)
 
 
 def test_as_lambda_strings_and_bounds():
@@ -67,6 +81,17 @@ def test_nonneg_int():
     lambda: negativity_search(Q(1, 4), 1, -1),
     lambda: binomial_weights(-1, Q(1, 2)),
     lambda: gm_asymptotics(-1),
+    lambda: verify_projector_series_identity(-1, 2, 2),
+    lambda: binomial_tail_identity(-1, 5),
+    lambda: binomial_tail_identity(2, -3),
+    lambda: selection_inequality(-1, Q(1, 4)),
+    lambda: uncertainty_gap(Q(1, 4), -1),
+    lambda: gamma_moment(1, -1),
+    lambda: monomial_from_laguerre(-1),
+    lambda: BiSeries({}, -1, 2),
+    lambda: BiSeries.constant(1, 2, -1),
+    lambda: generating_function_check(-1),
+    lambda: default_lambda_grid(-1),
 ])
 def test_negative_sizes_rejected(call):
     with pytest.raises(DomainError, match="must be >= 0"):

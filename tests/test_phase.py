@@ -147,6 +147,12 @@ def test_lambda_domain():
         star(A, AB, Q(-1, 4))
 
 
+def test_negative_exponents_rejected():
+    for key in ((-1, 0), (0, -2), (1, 1, -1)):
+        with pytest.raises(DomainError, match="exponent must be >= 0"):
+            PhasePoly.build({key: 1})
+
+
 def test_json_round_trip():
     rng = Random(41)
     f = random_phase_poly(rng, gauss=True)
@@ -154,10 +160,9 @@ def test_json_round_trip():
     assert PhasePoly.from_json_obj(s.to_json_obj()) == s
 
 
-def test_radial_series_guards():
-    with pytest.raises(ValueError):
-        A.radial_series()
+def test_hamiltonian_star_square_terms_at_half():
+    # at lam = 1/2: s^2 with coefficient 1 and hbar^2 with -1/4, s = a abar
     h2 = star(hamiltonian(), hamiltonian(), Q(1, 2))
-    series = h2.radial_series(8, 8)
-    assert series.coeff(2, 0) == 1
-    assert series.coeff(0, 2) == Q(-1, 4)
+    assert h2.is_radial
+    assert Q(h2.terms[(2, 2, 0)][0], h2.den) == 1
+    assert Q(h2.terms[(0, 0, 2)][0], h2.den) == Q(-1, 4)

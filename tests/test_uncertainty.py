@@ -97,6 +97,9 @@ def test_grid_contents():
     assert Q(1, 2) in grid and Q(3, 8) in grid and Q(1, 7) in grid
     assert all(0 < x <= Q(1, 2) for x in grid)
     assert grid == sorted(set(grid))
+    # no reduced p/q in (0, 1/2] has q <= 1
+    assert default_lambda_grid(1) == []
+    assert default_lambda_grid(2) == [Q(1, 2)]
 
 
 def test_scan_examples():
