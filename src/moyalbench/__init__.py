@@ -68,7 +68,6 @@ from .spectral import (
     projector_closed,
     projector_negative_witness,
     projector_series_eval,
-    projector_series_partial,
     radial_star_apply,
     spectrum,
     star_exp_closed,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: verify, pi, spectrum, weights, moments, duality, scan, starexp,
-export.  Rationals are passed as "p/q" strings; results are printed as text,
-CSV, or JSON (see --format/--out).  Every command is a thin wrapper over the
-library; no computation lives here.
+Subcommands: verify, and the table commands pi, spectrum, weights, moments,
+duality, scan, starexp, export.  Rationals are passed as "p/q" strings;
+tables are printed as CSV or JSON (see --format/--out).  Each table command
+registers its `tables` builder with set_defaults, and `main` renders what
+the builder returns; no computation lives here.
 """
 
 from __future__ import annotations
@@ -11,27 +12,78 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from .backend import Q, rational_str
-from .errors import ConditionalConvergenceWarning, MoyalBenchError
-from . import spectral as spec
+from .errors import DomainError, MoyalBenchError
+from .params import nonneg_int
 from . import tables
-from .exppoly import exp_integral
 from .verify import SUITES, run_suite
 
 
-def _lam_arg(s: str):
-    return Q(s)
+# `export --what NAME`, and the direct command NAME where there is one: the
+# builder, then the flags it reads (as dests) in its argument order.
+EXPORTS = {
+    "fund": (tables.fund_table, "k_max", "n_max"),
+    "weights": (tables.weights_table, "lam", "k"),
+    "duality": (tables.duality_table, "lam", "n_max"),
+    "scan": (tables.scan_table, "k_max", "denominator_max"),
+    "spectrum": (tables.spectrum_table, "lam", "n_max"),
+    "laguerre": (tables.laguerre_table, "n"),
+}
+# dest: option, type, export default.  A table that reads a flag without a
+# default requires it.
+_FLAGS = {
+    "lam": ("--lambda", Q, None),
+    "n": ("--n", int, None),
+    "k": ("--k", int, None),
+    "k_max": ("--k-max", int, 20),
+    "n_max": ("--n-max", int, 20),
+    "denominator_max": ("--denominator-max", int, 64),
+}
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _reads(builder, *dests):
+    """A table command's entry: `builder` called on the parsed `dests`."""
+    return lambda args: (*builder(*(getattr(args, d) for d in dests)), None)
+
+
+def _export(args):
+    if args.what not in EXPORTS:
+        raise DomainError(
+            f"unknown table {args.what!r}; expected one of {sorted(EXPORTS)}"
+        )
+    builder, *dests = EXPORTS[args.what]
+    if any(getattr(args, d) is None for d in dests):
+        needs = [_FLAGS[d][0] for d in dests if _FLAGS[d][2] is None]
+        raise MoyalBenchError(f"{args.what} needs {' and '.join(needs)}")
+    header, rows = builder(*(getattr(args, d) for d in dests))
+    meta = {"what": args.what}
+    if args.lam is not None:
+        meta["lambda"] = rational_str(args.lam)
+    return header, rows, meta
+
+
+def _table_args(p: argparse.ArgumentParser, table):
+    """The flags every table command shares, and its entry `table(args)`,
+    which gives (header, rows, JSON meta or None)."""
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument(
         "--float-prec", type=int, default=tables.DEFAULT_FLOAT_PREC,
         help="significant digits for floats",
     )
+    p.set_defaults(table=table)
+
+
+def _direct(sub, name: str, summary: str, **defaults):
+    """Export table `name` as its own command; `defaults` override by dest."""
+    p = sub.add_parser(name, help=summary)
+    for d in EXPORTS[name][1:]:
+        option, typ, default = _FLAGS[d]
+        default = defaults.get(d, default)
+        p.add_argument(option, dest=d, type=typ, default=default,
+                       required=default is None)
+    _table_args(p, _reads(*EXPORTS[name]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,181 +101,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("pi", help="spectral projector (closed form / series)")
-    p.add_argument("--lambda", dest="lam", type=_lam_arg, required=True)
+    p.add_argument("--lambda", dest="lam", type=Q, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", type=_lam_arg, default=None)
+    p.add_argument("--mu", type=Q, default=None)
     p.add_argument("--series", action="store_true")
     p.add_argument("--terms", type=int, default=60)
-    _add_common(p)
+    _table_args(p, _reads(tables.pi_table, "lam", "n", "mu", "series",
+                          "terms", "float_prec"))
 
-    p = sub.add_parser("spectrum", help="energy levels (n + lambda)")
-    p.add_argument("--lambda", dest="lam", type=_lam_arg, required=True)
-    p.add_argument("--n-max", type=int, default=10)
-    _add_common(p)
-
-    p = sub.add_parser("weights", help="binomial level weights of p_k")
-    p.add_argument("--lambda", dest="lam", type=_lam_arg, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _direct(sub, "spectrum", "energy levels (n + lambda)", n_max=10)
+    _direct(sub, "weights", "binomial level weights of p_k")
 
     p = sub.add_parser("moments", help="classical vs quantum moments of p_k")
-    p.add_argument("--lambda", dest="lam", type=_lam_arg, required=True)
+    p.add_argument("--lambda", dest="lam", type=Q, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p)
+    _table_args(p, _reads(tables.moments_table, "lam", "k", "float_prec"))
 
-    p = sub.add_parser("duality", help="projector pairing matrix")
-    p.add_argument("--lambda", dest="lam", type=_lam_arg, required=True)
-    p.add_argument("--n-max", type=int, default=8)
-    _add_common(p)
-
-    p = sub.add_parser("scan", help="selection-inequality scan over lambda")
-    p.add_argument("--k-max", type=int, default=100)
-    p.add_argument("--denominator-max", type=int, default=64)
-    _add_common(p)
+    _direct(sub, "duality", "projector pairing matrix", n_max=8)
+    _direct(sub, "scan", "selection-inequality scan over lambda", k_max=100)
 
     p = sub.add_parser("starexp", help="star exponential, closed vs series")
-    p.add_argument("--lambda", dest="lam", type=_lam_arg, required=True)
-    p.add_argument("--mu", type=_lam_arg, required=True)
+    p.add_argument("--lambda", dest="lam", type=Q, required=True)
+    p.add_argument("--mu", type=Q, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--terms", type=int, default=200)
-    _add_common(p)
+    _table_args(p, _reads(tables.starexp_table, "lam", "mu", "t", "terms",
+                          "float_prec"))
 
     p = sub.add_parser("export", help="write a table (fund|weights|duality|"
                                       "scan|spectrum|laguerre)")
     p.add_argument("--what", required=True)
-    p.add_argument("--lambda", dest="lam", type=_lam_arg, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=20)
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--denominator-max", type=int, default=64)
-    _add_common(p)
+    for d, (option, typ, default) in _FLAGS.items():
+        p.add_argument(option, dest=d, type=typ, default=default)
+    _table_args(p, _export)
     return ap
-
-
-def _emit(args, header, rows, meta=None):
-    if args.format == "json":
-        text = tables.render_json(header, rows, meta)
-    else:
-        text = tables.render_csv(header, rows)
-    tables.write_output(text, args.out)
-
-
-def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, seed=args.seed)
-    if args.format == "json":
-        text = json.dumps(report.to_json_obj(), sort_keys=True, indent=2) + "\n"
-        tables.write_output(text, args.out)
-    else:
-        text = "\n".join(report.human_lines()) + "\n"
-        tables.write_output(text, args.out)
-    return report.exit_code
-
-
-def _cmd_pi(args) -> int:
-    proj = spec.projector_closed(args.n, args.lam)
-    header = ["quantity", "value"]
-    rows = [["n", str(args.n)], ["lambda", rational_str(args.lam)]]
-    for t in proj.form.to_json_obj():
-        rows.append(["rate", t["rate"]])
-        rows.append(["coeffs", " ".join(t["coeffs"])])
-    rows.append(["integral", rational_str(exp_integral(proj.form))])
-    if args.mu is not None:
-        rows.append(["value_at_mu", tables.format_float(proj(args.mu),
-                                                        args.float_prec)])
-        if args.series:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConditionalConvergenceWarning)
-                sv = spec.projector_series_eval(args.n, args.lam, args.terms,
-                                                args.mu)
-            rows.append(["series_terms", str(args.terms)])
-            rows.append(["series_value", tables.format_float(float(sv),
-                                                             args.float_prec)])
-            rows.append(
-                ["series_minus_closed",
-                 tables.format_float(float(sv) - proj(args.mu),
-                                     args.float_prec)]
-            )
-            if args.lam == Q(1, 2):
-                rows.append(["conditional_convergence", "true"])
-    _emit(args, header, rows)
-    return 0
-
-
-def _cmd_starexp(args) -> int:
-    closed = spec.star_exp_closed(args.lam, args.mu, args.t)
-    series = spec.star_exp_series(args.lam, args.mu, args.t, args.terms)
-    header = ["quantity", "value"]
-    rows = [
-        ["lambda", rational_str(args.lam)],
-        ["mu", rational_str(args.mu)],
-        ["t", tables.format_float(args.t, args.float_prec)],
-        ["closed", tables.format_complex(closed.value, args.float_prec)],
-        ["series", tables.format_complex(series.value, args.float_prec)],
-        ["terms", str(args.terms)],
-        ["abs_difference",
-         tables.format_float(abs(closed.value - series.value),
-                             args.float_prec)],
-        ["conditional_convergence", str(series.conditional).lower()],
-    ]
-    _emit(args, header, rows)
-    return 0
-
-
-def _cmd_export(args) -> int:
-    params = {
-        "k_max": args.k_max,
-        "n_max": args.n_max,
-        "max_denominator": args.denominator_max,
-        "lam": args.lam,
-        "k": args.k,
-        "n": args.n,
-    }
-    if args.what in ("weights",) and (args.lam is None or args.k is None):
-        raise MoyalBenchError("weights needs --lambda and --k")
-    if args.what in ("duality", "spectrum") and args.lam is None:
-        raise MoyalBenchError(f"{args.what} needs --lambda")
-    if args.what == "laguerre" and args.n is None:
-        raise MoyalBenchError("laguerre needs --n")
-    header, rows = tables.build_table(args.what, params)
-    meta = {"what": args.what}
-    if args.lam is not None:
-        meta["lambda"] = rational_str(args.lam)
-    _emit(args, header, rows, meta)
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "pi":
-            return _cmd_pi(args)
-        if args.command == "spectrum":
-            _emit(args, *tables.spectrum_table(args.lam, args.n_max))
-            return 0
-        if args.command == "weights":
-            _emit(args, *tables.weights_table(args.lam, args.k))
-            return 0
-        if args.command == "moments":
-            _emit(args, *tables.moments_table(args.lam, args.k,
-                                              args.float_prec))
-            return 0
-        if args.command == "duality":
-            _emit(args, *tables.duality_table(args.lam, args.n_max))
-            return 0
-        if args.command == "scan":
-            _emit(args, *tables.scan_table(args.k_max, args.denominator_max))
-            return 0
-        if args.command == "starexp":
-            return _cmd_starexp(args)
-        if args.command == "export":
-            return _cmd_export(args)
+            report = run_suite(args.suite, seed=args.seed)
+            if args.format == "json":
+                text = json.dumps(report.to_json_obj(), sort_keys=True,
+                                  indent=2) + "\n"
+            else:
+                text = "\n".join(report.human_lines()) + "\n"
+            tables.write_output(text, args.out)
+            return report.exit_code
+        nonneg_int("--float-prec", args.float_prec)
+        header, rows, meta = args.table(args)
+        if args.format == "json":
+            text = tables.render_json(header, rows, meta)
+        else:
+            text = tables.render_csv(header, rows)
+        tables.write_output(text, args.out)
+        return 0
     except MoyalBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -45,7 +45,12 @@ from .poly import Poly
 
 
 def _normalize(terms: dict, den: int):
-    clean = {k: v for k, v in terms.items() if v[0] or v[1]}
+    clean = {}
+    for k, v in terms.items():
+        if v[0] or v[1]:
+            if k[0] < 0 or k[1] < 0 or k[2] < 0:
+                nonneg_int("exponent", min(k))
+            clean[k] = v
     g = content_gcd(den, chain.from_iterable(clean.values()))
     if g > 1:
         clean = {k: (re // g, im // g) for k, (re, im) in clean.items()}

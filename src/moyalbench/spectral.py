@@ -93,32 +93,6 @@ def projector_poly_values(lam, mu, n_max: int) -> list:
     return out
 
 
-def projector_series_partial(n: int, lam, terms: int) -> Poly:
-    """Partial sum of the lam-power series for pi_n, as an exact polynomial:
-
-        (-1)^n sum_{k<=terms} lam^{n+k} C(n+k, k) L_{n+k}(mu/lam).
-
-    Converges pointwise to the closed form for lam < 1/2; at lam = 1/2 the
-    convergence is conditional and slow (a warning reminds callers).
-    """
-    lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
-    nonneg_int("n", n)
-    nonneg_int("terms", terms)
-    if lam == Q(1, 2):
-        warnings.warn(
-            "series for lam = 1/2 converges only conditionally",
-            ConditionalConvergenceWarning,
-            stacklevel=2,
-        )
-    out = Poly()
-    sign = Q(-1) ** n
-    inv = Q(1) / lam
-    for k in range(terms + 1):
-        c = sign * lam ** (n + k) * qbinom(n + k, k)
-        out = out + laguerre(n + k).scale_arg(inv) * c
-    return out
-
-
 def projector_series_eval(n: int, lam, terms: int, mu):
     """Exact value of the K-term partial series at rational mu."""
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
@@ -210,10 +184,16 @@ def _denominator(lam_f: float, t: float) -> complex:
     return 1.0 - lam_f + lam_f * cmath.exp(-1j * t)
 
 
+def _finite_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
+
+
 def star_exp_closed(lam, mu, t: float) -> StarExpEval:
     """Closed-form exp_star(-iHt/hbar) at dimensionless energy mu; t is in
     units of 1/omega."""
     lam = as_lambda(lam)
+    _finite_time(t)
     lam_f, mu_f = float(lam), float(Q(mu))
     den = _denominator(lam_f, t)
     if abs(den) < 1e-12:
@@ -236,6 +216,7 @@ def star_exp_series(lam, mu, t: float, terms: int) -> StarExpEval:
     """Truncated Fourier-Dirichlet sum  sum_{n<=terms} pi_n(mu) e^{-i(n+lam)t}."""
     lam = as_lambda(lam, hi=Q(1, 2), hi_open=False)
     nonneg_int("terms", terms)
+    _finite_time(t)
     lam_f, mu_f = float(lam), float(Q(mu))
     phase = cmath.exp(-1j * t)
     conditional = lam == Q(1, 2)
@@ -302,7 +283,6 @@ class RadialPdeReport:
     corrected_residual_zero: bool
     displayed_residual_zero: bool
     displayed_residual: str
-    initial_value_one: bool
 
 
 def verify_radial_pde() -> RadialPdeReport:
@@ -326,13 +306,10 @@ def verify_radial_pde() -> RadialPdeReport:
     rhs_good = s + s * ds_log
     rhs_displayed = s + ds_log
     residual = lhs - rhs_displayed
-    # F at t = 0 has w = 1: exp((1-1)s/hbar) = 1
-    initial_ok = True
     return RadialPdeReport(
         corrected_residual_zero=(lhs == rhs_good),
         displayed_residual_zero=residual.is_zero,
         displayed_residual=repr(residual),
-        initial_value_one=initial_ok,
     )
 
 

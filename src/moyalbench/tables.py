@@ -1,8 +1,9 @@
 """Table builders and deterministic CSV/JSON writers for the CLI.
 
-Exact rationals cross the boundary as "p/q" strings; floats are rendered
-with a fixed number of significant digits (default 12).  Output is
-bit-stable for fixed inputs: sorted keys, "\\n" newlines, UTF-8.
+Every builder returns (header, rows), rows being lists of strings.  Exact
+rationals cross the boundary as "p/q" strings; floats are rendered with a
+fixed number of significant digits (default 12).  Output is bit-stable for
+fixed inputs: sorted keys, "\\n" newlines, UTF-8.
 """
 
 from __future__ import annotations
@@ -10,10 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import warnings
 
-from .backend import rational_str
-from .errors import DomainError
-from .params import ModelParams
+from .backend import Q, rational_str
+from .errors import ConditionalConvergenceWarning, DomainError
+from .exppoly import exp_integral
+from .params import nonneg_int
 from .laguerre import laguerre, moment_integral
 from . import observables as obs
 from . import spectral as spec
@@ -34,13 +37,13 @@ def format_complex(z: complex, prec: int = DEFAULT_FLOAT_PREC) -> str:
 
 def fund_table(k_max: int, n_max: int):
     """Moment table: entry (k, n) = integral z^k L_n e^(-z) dz as "p/q"."""
+    nonneg_int("k_max", k_max)
+    nonneg_int("n_max", n_max)
     header = ["k\\n"] + [str(n) for n in range(n_max + 1)]
-    rows = []
-    for k in range(k_max + 1):
-        rows.append(
-            [str(k)]
-            + [rational_str(moment_integral(k, n)) for n in range(n_max + 1)]
-        )
+    rows = [
+        [str(k)] + [rational_str(moment_integral(k, n)) for n in range(n_max + 1)]
+        for k in range(k_max + 1)
+    ]
     return header, rows
 
 
@@ -66,29 +69,25 @@ def duality_table(lam, n_max: int):
     return header, rows
 
 
-def spectrum_table(lam, n_max: int, params: ModelParams = ModelParams()):
+def spectrum_table(lam, n_max: int):
     header = ["n", "energy"]
-    rows = [
-        [str(e.n), rational_str(e.energy)]
-        for e in spec.spectrum(lam, n_max, params)
-    ]
+    rows = [[str(e.n), rational_str(e.energy)] for e in spec.spectrum(lam, n_max)]
     return header, rows
 
 
 def scan_table(k_max: int, max_denominator: int = 64):
     header = ["lambda", "first_fail_k", "predicted_k", "matches", "boundary"]
     res = unc.scan_lambda(unc.default_lambda_grid(max_denominator), k_max)
-    rows = []
-    for e in res.entries:
-        rows.append(
-            [
-                rational_str(e.lam),
-                "" if e.first_fail_k is None else str(e.first_fail_k),
-                "" if e.predicted_k is None else str(e.predicted_k),
-                str(e.matches_prediction).lower(),
-                str(e.boundary_at_fail).lower(),
-            ]
-        )
+    rows = [
+        [
+            rational_str(e.lam),
+            "" if e.first_fail_k is None else str(e.first_fail_k),
+            "" if e.predicted_k is None else str(e.predicted_k),
+            str(e.matches_prediction).lower(),
+            str(e.boundary_at_fail).lower(),
+        ]
+        for e in res.entries
+    ]
     return header, rows
 
 
@@ -108,22 +107,52 @@ def moments_table(lam, k: int, prec: int = DEFAULT_FLOAT_PREC):
     return header, rows
 
 
-_BUILDERS = {
-    "fund": lambda args: fund_table(args["k_max"], args["n_max"]),
-    "weights": lambda args: weights_table(args["lam"], args["k"]),
-    "duality": lambda args: duality_table(args["lam"], args["n_max"]),
-    "scan": lambda args: scan_table(args["k_max"], args["max_denominator"]),
-    "spectrum": lambda args: spectrum_table(args["lam"], args["n_max"]),
-    "laguerre": lambda args: laguerre_table(args["n"]),
-}
+def pi_table(lam, n: int, mu, series: bool, terms: int,
+             prec: int = DEFAULT_FLOAT_PREC):
+    """The closed form of pi_n; with mu its value there, and with series
+    also the terms-term lam-series at mu and its distance to the closed form."""
+    if series and mu is None:
+        raise DomainError("--series needs --mu")
+    proj = spec.projector_closed(n, lam)
+    header = ["quantity", "value"]
+    rows = [["n", str(n)], ["lambda", rational_str(lam)]]
+    for t in proj.form.to_json_obj():
+        rows.append(["rate", t["rate"]])
+        rows.append(["coeffs", " ".join(t["coeffs"])])
+    rows.append(["integral", rational_str(exp_integral(proj.form))])
+    if mu is None:
+        return header, rows
+    closed = proj(mu)
+    rows.append(["value_at_mu", format_float(closed, prec)])
+    if series:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditionalConvergenceWarning)
+            sv = float(spec.projector_series_eval(n, lam, terms, mu))
+        rows.append(["series_terms", str(terms)])
+        rows.append(["series_value", format_float(sv, prec)])
+        rows.append(["series_minus_closed", format_float(sv - closed, prec)])
+        if lam == Q(1, 2):
+            rows.append(["conditional_convergence", "true"])
+    return header, rows
 
 
-def build_table(what: str, args: dict):
-    if what not in _BUILDERS:
-        raise DomainError(
-            f"unknown table {what!r}; expected one of {sorted(_BUILDERS)}"
-        )
-    return _BUILDERS[what](args)
+def starexp_table(lam, mu, t: float, terms: int, prec: int = DEFAULT_FLOAT_PREC):
+    """The star exponential at mu and time t: closed form against the
+    terms-term Fourier-Dirichlet sum."""
+    closed = spec.star_exp_closed(lam, mu, t).value
+    series = spec.star_exp_series(lam, mu, t, terms)
+    header = ["quantity", "value"]
+    rows = [
+        ["lambda", rational_str(lam)],
+        ["mu", rational_str(mu)],
+        ["t", format_float(t, prec)],
+        ["closed", format_complex(closed, prec)],
+        ["series", format_complex(series.value, prec)],
+        ["terms", str(terms)],
+        ["abs_difference", format_float(abs(closed - series.value), prec)],
+        ["conditional_convergence", str(series.conditional).lower()],
+    ]
+    return header, rows
 
 
 def render_csv(header, rows) -> str:

@@ -447,8 +447,7 @@ def check_gm_sign_convention() -> CheckResult:
 
 def check_radial_pde_erratum() -> CheckResult:
     rep = spec.verify_radial_pde()
-    ok = (rep.corrected_residual_zero and not rep.displayed_residual_zero
-          and rep.initial_value_one)
+    ok = rep.corrected_residual_zero and not rep.displayed_residual_zero
     return CheckResult(
         name="radial-evolution-equation-missing-factor",
         suite="errata",

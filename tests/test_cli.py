@@ -156,11 +156,55 @@ def test_negative_size_is_an_error(capsys):
     assert captured.err.startswith("error: n_max must be >= 0")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["export", "--what", "weights", "--lambda", "1/4"],
+     "weights needs --lambda and --k\n"),
+    (["export", "--what", "nope"],
+     "unknown table 'nope'; expected one of ['duality', 'fund', 'laguerre', "
+     "'scan', 'spectrum', 'weights']\n"),
+    (["export", "--what", "fund", "--k-max", "-1"], "k_max must be >= 0"),
+    (["export", "--what", "fund", "--n-max", "-2"], "n_max must be >= 0"),
+    (["moments", "--lambda", "1/3", "--k", "2", "--float-prec", "-1"],
+     "--float-prec must be >= 0"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--series"], "--series needs --mu"),
+    (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "inf"],
+     "t must be finite"),
+], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
+        "float-prec", "pi-series", "starexp-t"])
+def test_invalid_input_is_an_error_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_float_prec_zero_still_prints(capsys):
+    code, out = run_cli(capsys, "moments", "--lambda", "1/2", "--k", "2",
+                        "--float-prec", "0")
+    assert code == 0
+    assert out.splitlines()[4] == "classical_std,,0.9"
+
+
 def test_pi_past_the_float_exponent_range_exits_zero(capsys):
     code, out = run_cli(capsys, "pi", "--lambda", "17/64", "--n", "390",
                         "--mu", "801")
     assert code == 0
     assert out.splitlines()[-1] == "value_at_mu,4.87810307113e-98"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lambda", "2/7", "--n-max", "6"],
+    ["weights", "--lambda", "1/4", "--k", "5"],
+    ["duality", "--lambda", "1/3", "--n-max", "4"],
+    ["scan", "--k-max", "30", "--denominator-max", "12"],
+], ids=lambda a: a[0])
+def test_direct_table_command_matches_export(capsys, argv):
+    code, direct = run_cli(capsys, *argv)
+    assert code == 0
+    code, exported = run_cli(capsys, "export", "--what", *argv)
+    assert code == 0
+    assert direct == exported
 
 
 GOLDEN = json.loads(

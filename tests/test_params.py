@@ -23,10 +23,10 @@ from moyalbench.params import ModelParams, as_lambda, nonneg_int
 from moyalbench.spectral import (
     projector_poly_values,
     projector_series_eval,
-    projector_series_partial,
     spectrum,
     star_exp_series,
 )
+from moyalbench.tables import fund_table
 from moyalbench.uncertainty import (
     default_lambda_grid,
     gm_asymptotics,
@@ -72,8 +72,6 @@ def test_nonneg_int():
     lambda: scan_lambda([Q(1, 4)], -1),
     lambda: star_exp_series(Q(1, 4), 1, 1.0, terms=-1),
     lambda: projector_poly_values(Q(1, 4), 1, -1),
-    lambda: projector_series_partial(-1, Q(1, 4), 5),
-    lambda: projector_series_partial(1, Q(1, 4), -1),
     lambda: projector_series_eval(-1, Q(1, 4), 5, 1),
     lambda: projector_series_eval(1, Q(1, 4), -1, 1),
     lambda: fourier_laguerre(basic_distribution(2, Q(1, 4)), Q(1, 4), -1),
@@ -92,6 +90,8 @@ def test_nonneg_int():
     lambda: BiSeries.constant(1, 2, -1),
     lambda: generating_function_check(-1),
     lambda: default_lambda_grid(-1),
+    lambda: fund_table(-1, 2),
+    lambda: fund_table(2, -1),
 ])
 def test_negative_sizes_rejected(call):
     with pytest.raises(DomainError, match="must be >= 0"):

@@ -153,6 +153,14 @@ def test_negative_exponents_rejected():
             PhasePoly.build({key: 1})
 
 
+def test_negative_exponent_keys_rejected_by_the_constructor():
+    for key in ((-1, 0, 0), (0, -2, 0), (1, 1, -1)):
+        with pytest.raises(DomainError, match="exponent must be >= 0"):
+            PhasePoly({key: (1, 0)})
+    # a zero coefficient is dropped before its key is looked at
+    assert PhasePoly({(-1, 0, 0): (0, 0)}) == PhasePoly.zero()
+
+
 def test_json_round_trip():
     rng = Random(41)
     f = random_phase_poly(rng, gauss=True)

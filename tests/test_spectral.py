@@ -21,7 +21,6 @@ from moyalbench.spectral import (
     projector_negative_witness,
     projector_poly_values,
     projector_series_eval,
-    projector_series_partial,
     radial_star_apply,
     radial_star_on_polynomial,
     spectrum,
@@ -99,10 +98,27 @@ def test_series_converges_to_closed():
     assert abs(float(v1) - float(Q(-4, 9))) < 1e-10
 
 
-def test_series_partial_is_polynomial():
-    p = projector_series_partial(0, Q(1, 4), 12)
-    assert isinstance(p, Poly)
-    assert abs(float(p(Q(1))) - projector_closed(0, Q(1, 4))(Q(1))) < 1e-4
+def series_partial_reference(n: int, lam, terms: int) -> Poly:
+    """The K-term lam-series of pi_n as one exact polynomial in mu:
+
+        (-1)^n sum_{k<=K} lam^{n+k} C(n+k, k) L_{n+k}(mu/lam).
+    """
+    out = Poly()
+    for k in range(terms + 1):
+        c = (-1) ** n * lam ** (n + k) * math.comb(n + k, k)
+        out = out + laguerre(n + k).scale_arg(1 / lam) * c
+    return out
+
+
+@pytest.mark.parametrize("lam", [Q(1, 4), Q(1, 3), Q(1, 2)])
+def test_series_eval_is_the_partial_sum_polynomial(lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionalConvergenceWarning)
+        for n in range(4):
+            for terms in range(21):
+                ref = series_partial_reference(n, lam, terms)
+                for mu in (Q(0), Q(1, 3), Q(2)):
+                    assert projector_series_eval(n, lam, terms, mu) == ref(mu)
 
 
 def test_series_conditional_warning_and_domain():
@@ -192,11 +208,18 @@ def test_displayed_forms_disagree_with_series():
         assert abs(disp - corr) > 1e-3
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_star_exponential_rejects_a_non_finite_time(t):
+    with pytest.raises(DomainError, match="t must be finite"):
+        star_exp_closed(Q(1, 4), Q(1), t)
+    with pytest.raises(DomainError, match="t must be finite"):
+        star_exp_series(Q(1, 4), Q(1), t, 20)
+
+
 def test_radial_pde_report():
     rep = verify_radial_pde()
     assert rep.corrected_residual_zero
     assert not rep.displayed_residual_zero
-    assert rep.initial_value_one
 
 
 def test_partition_of_unity():
