@@ -19,7 +19,6 @@ from .errors import (
     PoleError,
 )
 from .exppoly import ExpPoly, exp_integral, mu_times
-from .gauss import GaussScalar
 from .laguerre import (
     basis_matrix,
     binomial_tail_identity,

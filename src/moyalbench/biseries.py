@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .backend import Q, ZERO, qbinom, qfact, rational_str
+from .errors import DomainError
 from .params import nonneg_int
 from .phase import PhasePoly
 
@@ -78,10 +79,11 @@ class BiSeries:
         return not self.poly.terms
 
     def _operand(self, other):
-        """other's PhasePoly and the orders of the result."""
+        """other's PhasePoly, or a rational for PhasePoly's scalar operators,
+        and the orders of the result."""
         if isinstance(other, BiSeries):
             return other.poly, min(self.kx, other.kx), min(self.ky, other.ky)
-        return PhasePoly.scalar(Q(other)), self.kx, self.ky
+        return Q(other), self.kx, self.ky
 
     def __add__(self, other):
         poly, kx, ky = self._operand(other)
@@ -107,7 +109,7 @@ class BiSeries:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("use inverse() for negative powers")
+            raise DomainError("use inverse() for negative powers")
         out = BiSeries.constant(Q(1), self.kx, self.ky)
         base = self
         while n:
@@ -128,7 +130,7 @@ class BiSeries:
     def exp(self) -> "BiSeries":
         """exp(s) for a series with zero constant term (nilpotent truncation)."""
         if self.coeff(0, 0):
-            raise ValueError("exp needs a zero constant term")
+            raise DomainError("exp needs a zero constant term")
         out = BiSeries.constant(Q(1), self.kx, self.ky)
         term = BiSeries.constant(Q(1), self.kx, self.ky)
         bound = self.kx + self.ky
@@ -143,7 +145,7 @@ class BiSeries:
         """1/s when the constant term is a nonzero rational."""
         c = self.coeff(0, 0)
         if not c:
-            raise ValueError("series with zero constant term is not invertible")
+            raise DomainError("series with zero constant term is not invertible")
         t = self * (Q(1) / c) - BiSeries.constant(Q(1), self.kx, self.ky)
         out = BiSeries.constant(Q(1), self.kx, self.ky)
         term = BiSeries.constant(Q(1), self.kx, self.ky)

@@ -15,8 +15,8 @@ The deformed products live here:
 * ``apply_equivalence_map``: exp(lam*hbar*d_a*d_abar), the transition
   operator realizing the equivalence of *_lam with the normal product.
 
-Coefficients are stored internally as Gaussian integers over one common
-positive denominator.
+Coefficients are stored as Gaussian integers over one common positive
+denominator, and are read and printed as strings by ``gauss``.
 
 ``star`` and the pointwise ``*`` share one integer kernel (``_product``;
 ``*`` is its (r, s) = (0, 0) case).  With lam = p/q the (r, s) factor is
@@ -39,9 +39,9 @@ from itertools import chain
 from random import Random
 
 from .backend import Q, content_gcd, is_rational, qfact
-from .gauss import GaussScalar, format_gauss, parse_gauss
+from .errors import DomainError
+from .gauss import format_gauss, parse_gauss
 from .params import as_lambda, nonneg_int
-from .poly import Poly
 
 
 def _normalize(terms: dict, den: int):
@@ -57,17 +57,17 @@ def _normalize(terms: dict, den: int):
     return clean, den // g
 
 
-def _scalar_parts(c):
-    """(re_num, im_num, den) for an int / rational / GaussScalar."""
-    if isinstance(c, GaussScalar):
-        d = math.lcm(c.re.denominator, c.im.denominator)
-        return (
-            c.re.numerator * (d // c.re.denominator),
-            c.im.numerator * (d // c.im.denominator),
-            d,
-        )
-    q = Q(c)
-    return q.numerator, 0, q.denominator
+def _from_parts(parts: list) -> "PhasePoly":
+    """The sum of (key, re, im, den) parts, (re + im*i)/den at each key,
+    over the one lcm of their denominators."""
+    den = math.lcm(*(d for _, _, _, d in parts))
+    acc: dict = {}
+    for key, re, im, d in parts:
+        nonneg_int("exponent", min(key))
+        f = den // d
+        r0, m0 = acc.get(key, (0, 0))
+        acc[key] = (r0 + re * f, m0 + im * f)
+    return PhasePoly(acc, den)
 
 
 class PhasePoly:
@@ -75,7 +75,7 @@ class PhasePoly:
 
     def __init__(self, terms=None, den: int = 1):
         if den <= 0:
-            raise ValueError("denominator must be positive")
+            raise DomainError("denominator must be positive")
         terms, den = _normalize(dict(terms or {}), den)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "den", den)
@@ -87,37 +87,13 @@ class PhasePoly:
 
     @classmethod
     def build(cls, mapping) -> "PhasePoly":
-        """From {(i, j): coeff} or {(i, j, d): coeff}; coeff may be a scalar,
-        a GaussScalar, or an hbar-polynomial given as a Poly/coefficient list."""
-        acc: dict = {}
-        den = 1
-        for key, coeff in mapping.items():
-            nonneg_int("exponent", min(key))
-            if len(key) == 2:
-                i, j = key
-                d0 = 0
-            else:
-                i, j, d0 = key
-            if isinstance(coeff, Poly):
-                coeff = list(coeff.coeffs)
-            if not isinstance(coeff, (list, tuple)):
-                coeff = [coeff]
-            for dd, c in enumerate(coeff):
-                re, im, cd = _scalar_parts(c)
-                if not re and not im:
-                    continue
-                if cd != den:
-                    new = math.lcm(den, cd)
-                    if new != den:
-                        f = new // den
-                        acc = {k: (r * f, m * f) for k, (r, m) in acc.items()}
-                        den = new
-                    re *= den // cd
-                    im *= den // cd
-                k = (i, j, d0 + dd)
-                r0, m0 = acc.get(k, (0, 0))
-                acc[k] = (r0 + re, m0 + im)
-        return cls(acc, den)
+        """From {(i, j): c} or {(i, j, d): c} with rational c."""
+        parts = []
+        for key, c in mapping.items():
+            q = Q(c)
+            parts.append((key if len(key) == 3 else (*key, 0), q.numerator, 0,
+                          q.denominator))
+        return _from_parts(parts)
 
     @classmethod
     def zero(cls) -> "PhasePoly":
@@ -212,21 +188,16 @@ class PhasePoly:
         """Pointwise (commutative, hbar -> 0 limit) product or scalar scale."""
         if isinstance(other, PhasePoly):
             return _product(self, other, 0, 1, 0, 0)
-        re, im, cd = _scalar_parts(other)
-        acc = {}
-        for k, (r, m) in self.terms.items():
-            if im:
-                acc[k] = (r * re - m * im, r * im + m * re)
-            else:
-                acc[k] = (r * re, m * re)
-        return PhasePoly(acc, self.den * cd)
+        c = Q(other)
+        n = c.numerator
+        acc = {k: (re * n, im * n) for k, (re, im) in self.terms.items()}
+        return PhasePoly(acc, self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        nonneg_int("power", n)
         out, base = PhasePoly.one(), self
-        if n < 0:
-            raise ValueError("negative power")
         while n:
             if n & 1:
                 out = out * base
@@ -262,20 +233,17 @@ class PhasePoly:
 
     def to_json_obj(self):
         by_ij: dict = {}
-        for (i, j, d), (re, im) in self.terms.items():
-            by_ij.setdefault((i, j), {})[d] = GaussScalar(
-                Q(re, self.den), Q(im, self.den)
-            )
+        for (i, j, d), v in self.terms.items():
+            by_ij.setdefault((i, j), {})[d] = v
         out = []
-        for (i, j) in sorted(by_ij):
-            ds = by_ij[(i, j)]
-            top = max(ds)
+        for (i, j), ds in sorted(by_ij.items()):
             out.append(
                 {
                     "a": i,
                     "abar": j,
                     "coeff": [
-                        format_gauss(ds.get(d, GaussScalar(0))) for d in range(top + 1)
+                        format_gauss(*ds.get(d, (0, 0)), self.den)
+                        for d in range(max(ds) + 1)
                     ],
                 }
             )
@@ -283,30 +251,29 @@ class PhasePoly:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoly":
-        mapping = {}
-        for t in obj["terms"]:
-            mapping[(t["a"], t["abar"])] = [parse_gauss(s) for s in t["coeff"]]
-        return cls.build(mapping)
+        return _from_parts([
+            ((t["a"], t["abar"], d), *parse_gauss(s))
+            for t in obj["terms"]
+            for d, s in enumerate(t["coeff"])
+        ])
 
     def __repr__(self):
         if self.is_zero:
             return "PhasePoly(0)"
         bits = []
-        for (i, j, d) in sorted(self.terms):
-            re, im = self.terms[(i, j, d)]
-            c = GaussScalar(Q(re, self.den), Q(im, self.den))
+        for (i, j, d), (re, im) in sorted(self.terms.items()):
             mono = "".join(
                 [f"a^{i}" if i else "", f"ab^{j}" if j else "", f"h^{d}" if d else ""]
             )
-            bits.append(f"({format_gauss(c)}){mono}")
+            bits.append(f"({format_gauss(re, im, self.den)}){mono}")
         return "PhasePoly(" + " + ".join(bits) + ")"
 
 
 def _as_phase(x):
     if isinstance(x, PhasePoly):
         return x
-    if is_rational(x) or isinstance(x, GaussScalar):
-        return PhasePoly.build({(0, 0): x})
+    if is_rational(x):
+        return PhasePoly.scalar(x)
     return NotImplemented
 
 

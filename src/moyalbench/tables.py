@@ -14,7 +14,7 @@ import json
 import warnings
 
 from .backend import Q, rational_str
-from .errors import ConditionalConvergenceWarning, DomainError
+from .errors import ConditionalConvergenceWarning, DomainError, MoyalBenchError
 from .exppoly import exp_integral
 from .params import nonneg_int
 from .laguerre import laguerre, moment_integral
@@ -174,5 +174,8 @@ def write_output(text: str, path: str | None):
     if path is None:
         print(text, end="")
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise MoyalBenchError(f"cannot write {path}: {exc.strerror}") from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from random import Random
 
 from .backend import Q, rational_str
-from .errors import ConditionalConvergenceWarning
+from .errors import ConditionalConvergenceWarning, DomainError
 from .exppoly import ExpPoly, exp_integral
 from .laguerre import (
     basis_matrix,
@@ -129,6 +129,11 @@ def _numeric(name, ok: bool, tol: float, detail: str = "") -> CheckResult:
     return CheckResult(name=name, suite="numeric",
                        status=NUMERIC_PASS if ok else FAIL,
                        detail=detail, tolerance=tol)
+
+
+def _erratum(name, ok: bool, detail: str) -> CheckResult:
+    return CheckResult(name=name, suite="errata",
+                       status=ERRATUM if ok else FAIL, detail=detail)
 
 
 # -- exact checks ---------------------------------------------------------------
@@ -416,15 +421,10 @@ def check_starexp_displayed_forms() -> CheckResult:
         deltas.append((abs(displayed - s), abs(corrected - s)))
     mismatch = all(d > 1e-2 for d, _ in deltas)
     match = all(c < 1e-8 for _, c in deltas)
-    status = ERRATUM if (mismatch and match) else FAIL
-    return CheckResult(
-        name="starexp-doubled-coefficient-display",
-        suite="errata",
-        status=status,
-        detail=(
-            "displayed exponent 2*mu deviates from the series by "
-            f"{deltas[0][0]:.2e}; mu-coefficient form agrees to {deltas[0][1]:.1e}"
-        ),
+    return _erratum(
+        "starexp-doubled-coefficient-display", mismatch and match,
+        "displayed exponent 2*mu deviates from the series by "
+        f"{deltas[0][0]:.2e}; mu-coefficient form agrees to {deltas[0][1]:.1e}",
     )
 
 
@@ -436,24 +436,20 @@ def check_gm_sign_convention() -> CheckResult:
             corr = spec.star_exp_closed(Q(1, 2), mu, wt).value
             ok &= abs(disp - corr.conjugate()) < 1e-12
             ok &= abs(disp - corr) > 1e-3
-    return CheckResult(
-        name="gm-starexp-sign-convention",
-        suite="errata",
-        status=ERRATUM if ok else FAIL,
-        detail="displayed sec*exp(+2 i mu tan) is the complex conjugate of the "
-               "series value (time-reversed phase convention)",
+    return _erratum(
+        "gm-starexp-sign-convention", ok,
+        "displayed sec*exp(+2 i mu tan) is the complex conjugate of the "
+        "series value (time-reversed phase convention)",
     )
 
 
 def check_radial_pde_erratum() -> CheckResult:
     rep = spec.verify_radial_pde()
     ok = rep.corrected_residual_zero and not rep.displayed_residual_zero
-    return CheckResult(
-        name="radial-evolution-equation-missing-factor",
-        suite="errata",
-        status=ERRATUM if ok else FAIL,
-        detail="solution satisfies the equation with the extra radial factor s; "
-               "as displayed the residual is omega*(w-1)(s-1)*F",
+    return _erratum(
+        "radial-evolution-equation-missing-factor", ok,
+        "solution satisfies the equation with the extra radial factor s; "
+        "as displayed the residual is omega*(w-1)(s-1)*F",
     )
 
 
@@ -498,7 +494,7 @@ def run_suite(suite: str = "all", seed: int = 0) -> SuiteReport:
     """Run a suite; a check that raises becomes a failed result of the list
     it came from, detailed as "<ExceptionType>: <message>"."""
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+        raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")
 
     def check_algebra_properties_seeded() -> CheckResult:
         return check_algebra_properties(seed)

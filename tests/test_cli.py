@@ -169,8 +169,12 @@ def test_negative_size_is_an_error(capsys):
     (["pi", "--lambda", "1/4", "--n", "2", "--series"], "--series needs --mu"),
     (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "inf"],
      "t must be finite"),
+    (["spectrum", "--lambda", "1/2", "--out", "/dev/null/x.csv"],
+     "cannot write /dev/null/x.csv: "),
+    (["verify", "--suite", "errata", "--out", "/dev/null/x.json"],
+     "cannot write /dev/null/x.json: "),
 ], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
-        "float-prec", "pi-series", "starexp-t"])
+        "float-prec", "pi-series", "starexp-t", "table-out", "verify-out"])
 def test_invalid_input_is_an_error_line(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()

@@ -27,6 +27,8 @@ from moyalbench.spectral import (
     star_exp_series,
 )
 from moyalbench.tables import fund_table
+from moyalbench.verify import run_suite
+from moyalbench.phase import PhasePoly
 from moyalbench.uncertainty import (
     default_lambda_grid,
     gm_asymptotics,
@@ -95,4 +97,19 @@ def test_nonneg_int():
 ])
 def test_negative_sizes_rejected(call):
     with pytest.raises(DomainError, match="must be >= 0"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PhasePoly.a() ** -1, "power must be >= 0"),
+    (lambda: BiSeries.var_x(2, 2) ** -1, "use inverse"),
+    (lambda: PhasePoly({(1, 0, 0): (1, 0)}, 0), "denominator must be positive"),
+    (lambda: PhasePoly({(1, 0, 0): (1, 0)}, -2), "denominator must be positive"),
+    (lambda: BiSeries.constant(1, 4, 4).exp(), "exp needs a zero constant term"),
+    (lambda: BiSeries.var_x(4, 4).inverse(), "not invertible"),
+    (lambda: run_suite("nope"), "unknown suite 'nope'"),
+], ids=["phase-pow", "biseries-pow", "den-0", "den-negative", "exp", "inverse",
+        "suite"])
+def test_invalid_arguments_are_domain_errors(call, message):
+    with pytest.raises(DomainError, match=message):
         call()

@@ -1,10 +1,11 @@
+import json
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from moyalbench.backend import Q
 from moyalbench.errors import DomainError
-from moyalbench.gauss import GaussScalar
 from moyalbench.phase import (
     PhasePoly,
     apply_equivalence_map,
@@ -47,7 +48,7 @@ def test_holomorphic_commutator_is_hbar(lam):
 
 
 def test_position_momentum_commutator():
-    i_hbar = PhasePoly.build({(0, 0, 1): GaussScalar(0, 1)})
+    i_hbar = PhasePoly({(0, 0, 1): (0, 1)})
     for lam in LAMBDAS:
         assert star_commutator(PhasePoly.position(), PhasePoly.momentum(),
                                lam) == i_hbar
@@ -168,9 +169,69 @@ def test_json_round_trip():
     assert PhasePoly.from_json_obj(s.to_json_obj()) == s
 
 
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+        max_size=8,
+    ),
+    st.integers(1, 36),
+)
+def test_json_round_trip_property(terms, den):
+    f = PhasePoly(terms, den)
+    text = json.dumps(f.to_json_obj())
+    assert PhasePoly.from_json_obj(json.loads(text)) == f
+
+
 def test_hamiltonian_star_square_terms_at_half():
     # at lam = 1/2: s^2 with coefficient 1 and hbar^2 with -1/4, s = a abar
     h2 = star(hamiltonian(), hamiltonian(), Q(1, 2))
     assert h2.is_radial
     assert Q(h2.terms[(2, 2, 0)][0], h2.den) == 1
     assert Q(h2.terms[(0, 0, 2)][0], h2.den) == Q(-1, 4)
+
+
+# to_json_obj() and repr() of seeded Gaussian polynomials, pinned as literals:
+# den > 1, imaginary parts 0 and +-1, and hbar-coefficient lists with a gap
+PINNED = [
+    (
+        lambda: random_phase_poly(Random(2024), 2, gauss=True) * Q(5, 6),
+        '{"terms": [{"a": 0, "abar": 0, "coeff": ["-5/3i"]}, {"a": 0, "abar": 1, '
+        '"coeff": ["5/3+5/6i"]}, {"a": 0, "abar": 2, "coeff": ["-5/6-5/3i"]}, '
+        '{"a": 1, "abar": 0, "coeff": ["5/3"]}, {"a": 1, "abar": 1, "coeff": '
+        '["5/2+5/3i"]}, {"a": 2, "abar": 0, "coeff": ["5/2-5/6i"]}]}',
+        "PhasePoly((-5/3i) + (5/3+5/6i)ab^1 + (-5/6-5/3i)ab^2 + (5/3)a^1 + "
+        "(5/2+5/3i)a^1ab^1 + (5/2-5/6i)a^2)",
+    ),
+    (
+        lambda: PhasePoly({(1, 1, 0): (3, 1), (1, 1, 2): (0, -1),
+                           (0, 1, 1): (-2, 0), (2, 0, 0): (1, -5)}, 4),
+        '{"terms": [{"a": 0, "abar": 1, "coeff": ["0", "-1/2"]}, {"a": 1, "abar": 1, '
+        '"coeff": ["3/4+1/4i", "0", "-1/4i"]}, {"a": 2, "abar": 0, "coeff": '
+        '["1/4-5/4i"]}]}',
+        "PhasePoly((-1/2)ab^1h^1 + (3/4+1/4i)a^1ab^1 + (-1/4i)a^1ab^1h^2 + "
+        "(1/4-5/4i)a^2)",
+    ),
+    (
+        lambda: star(random_phase_poly(Random(7), 2, gauss=True),
+                     PhasePoly.momentum(), Q(1, 3)),
+        '{"terms": [{"a": 0, "abar": 0, "coeff": ["0", "-4/3+2i"]}, {"a": 0, "abar": 1, '
+        '"coeff": ["2-i", "8/3-4i"]}, {"a": 0, "abar": 2, "coeff": ["-2"]}, {"a": 0, '
+        '"abar": 3, "coeff": ["3-3i"]}, {"a": 1, "abar": 0, "coeff": ["-2+i", '
+        '"13/3+1/3i"]}, {"a": 1, "abar": 1, "coeff": ["1+3i"]}, {"a": 1, "abar": 2, '
+        '"coeff": ["-2"]}, {"a": 2, "abar": 0, "coeff": ["1-3i"]}, {"a": 2, "abar": 1, '
+        '"coeff": ["2+4i"]}, {"a": 3, "abar": 0, "coeff": ["-3-i"]}]}',
+        "PhasePoly((-4/3+2i)h^1 + (2-i)ab^1 + (8/3-4i)ab^1h^1 + (-2)ab^2 + (3-3i)ab^3 + "
+        "(-2+i)a^1 + (13/3+1/3i)a^1h^1 + (1+3i)a^1ab^1 + (-2)a^1ab^2 + (1-3i)a^2 + "
+        "(2+4i)a^2ab^1 + (-3-i)a^3)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, json_text, text", PINNED,
+                         ids=["seeded-den-6", "hbar-gaps", "star-momentum"])
+def test_pinned_json_and_repr(make, json_text, text):
+    f = make()
+    assert json.dumps(f.to_json_obj(), sort_keys=True) == json_text
+    assert repr(f) == text
+    assert PhasePoly.from_json_obj(json.loads(json_text)) == f
