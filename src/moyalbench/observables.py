@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend import Q, ZERO, qbinom, qfact
+from .backend import Q, ZERO, qfact
 from .errors import DomainError
 from .exppoly import ExpPoly, exp_integral
 from .params import as_lambda, nonneg_int
@@ -73,11 +73,27 @@ def basic_distribution(k: int, lam):
     )
 
 
-def binomial_weights(k: int, lam) -> list:
-    """Closed-form coefficients C(k,n) lam^n (1-lam)^{k-n}, n = 0..k."""
+def binomial_weight_ints(k: int, lam) -> tuple:
+    """The binomial weights as ints over one denominator: for lam = p/q,
+    (C(k,n) p^n (q-p)^{k-n} for n = 0..k, q^k)."""
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("k", k)
-    return [qbinom(k, n) * lam**n * (Q(1) - lam) ** (k - n) for n in range(k + 1)]
+    p, q = lam.numerator, lam.denominator
+    rest = [1]  # (q-p)^m, m = 0..k
+    for _ in range(k):
+        rest.append(rest[-1] * (q - p))
+    nums = []
+    c = 1  # C(k,n) p^n
+    for n in range(k + 1):
+        nums.append(c * rest[k - n])
+        c = c * (k - n) // (n + 1) * p
+    return nums, q**k
+
+
+def binomial_weights(k: int, lam) -> list:
+    """Closed-form coefficients C(k,n) lam^n (1-lam)^{k-n}, n = 0..k."""
+    nums, den = binomial_weight_ints(k, lam)
+    return [Q(w, den) for w in nums]
 
 
 @dataclass(frozen=True)
@@ -228,8 +244,7 @@ def basis_inversion(lam, size: int) -> BasisInversion:
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("size", size)
     n1 = size + 1
-    m = [[qbinom(k, n) * lam**n * (Q(1) - lam) ** (k - n) if n <= k else ZERO
-          for n in range(n1)] for k in range(n1)]
+    m = [binomial_weights(k, lam) + [ZERO] * (size - k) for k in range(n1)]
     inv = [[ZERO] * n1 for _ in range(n1)]
     for j in range(n1):
         inv[j][j] = Q(1) / m[j][j]

@@ -29,6 +29,8 @@ def as_lambda(x, *, lo=Q(0), hi=ONE, lo_open=False, hi_open=True):
 
 def nonneg_int(name: str, value: int) -> int:
     """Validate a size or count argument: it must be an integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise DomainError(f"{name} must be >= 0, got {value}")
     return value

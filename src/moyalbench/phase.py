@@ -57,13 +57,21 @@ def _normalize(terms: dict, den: int):
     return clean, den // g
 
 
+def _field(obj: dict, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise DomainError(f"PhasePoly JSON: missing key {key!r}") from None
+
+
 def _from_parts(parts: list) -> "PhasePoly":
     """The sum of (key, re, im, den) parts, (re + im*i)/den at each key,
     over the one lcm of their denominators."""
     den = math.lcm(*(d for _, _, _, d in parts))
     acc: dict = {}
     for key, re, im, d in parts:
-        nonneg_int("exponent", min(key))
+        for e in key:
+            nonneg_int("exponent", e)
         f = den // d
         r0, m0 = acc.get(key, (0, 0))
         acc[key] = (r0 + re * f, m0 + im * f)
@@ -252,9 +260,9 @@ class PhasePoly:
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoly":
         return _from_parts([
-            ((t["a"], t["abar"], d), *parse_gauss(s))
-            for t in obj["terms"]
-            for d, s in enumerate(t["coeff"])
+            ((_field(t, "a"), _field(t, "abar"), d), *parse_gauss(s))
+            for t in _field(obj, "terms")
+            for d, s in enumerate(_field(t, "coeff"))
         ])
 
     def __repr__(self):

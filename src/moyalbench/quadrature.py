@@ -42,8 +42,9 @@ def integrate_decay(
     n = 16
     h = T / n
     ends = f(0.0) + f(T)
-    odd = sum(f((2 * k + 1) * h) for k in range(n // 2))
-    even = sum(f(2 * k * h) for k in range(1, n // 2))
+    # int * h is the same float as (2k+1) * h, with no generator frame per point
+    odd = sum(map(f, map(h.__mul__, range(1, n, 2))))
+    even = sum(map(f, map(h.__mul__, range(2, n, 2))))
     estimate = h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
 
     for _ in range(max_doublings):
@@ -51,7 +52,7 @@ def integrate_decay(
             raise AccuracyError(f"integrand not finite: {estimate} on {n} panels")
         n *= 2
         h = T / n
-        new_odd = sum(f((2 * k + 1) * h) for k in range(n // 2))
+        new_odd = sum(map(f, map(h.__mul__, range(1, n, 2))))
         # old odd+even interior points all become even points of the finer grid
         even = even + odd
         odd = new_odd

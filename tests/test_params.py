@@ -67,6 +67,13 @@ def test_nonneg_int():
         nonneg_int("n", -1)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.0, Q(3), "3"],
+                         ids=["True", "False", "float", "Fraction", "str"])
+def test_nonneg_int_rejects_non_integers(value):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        nonneg_int("n", value)
+
+
 @pytest.mark.parametrize("call", [
     lambda: spectrum(Q(1, 4), -3),
     lambda: laguerre_eval_sequence(-2, Q(1, 2)),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moyalbench.backend import Q
-from moyalbench.errors import DomainError
+from moyalbench.errors import DomainError, MoyalBenchError
 from moyalbench.phase import (
     PhasePoly,
     apply_equivalence_map,
@@ -160,6 +160,31 @@ def test_negative_exponent_keys_rejected_by_the_constructor():
             PhasePoly({key: (1, 0)})
     # a zero coefficient is dropped before its key is looked at
     assert PhasePoly({(-1, 0, 0): (0, 0)}) == PhasePoly.zero()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PhasePoly.from_json_obj(
+        {"terms": [{"a": 1.5, "abar": 0, "coeff": ["1"]}]}),
+    lambda: PhasePoly.from_json_obj(
+        {"terms": [{"a": 0, "abar": "2", "coeff": ["1"]}]}),
+    lambda: PhasePoly.build({(True, 0): 1}),
+    lambda: PhasePoly.build({(2, 0, 0.5): 1}),
+], ids=["json-float", "json-string", "build-bool", "build-float-hbar"])
+def test_non_integer_exponents_rejected(make):
+    # min((1.5, 0, 0)) is 0: every component of the key is checked
+    with pytest.raises(DomainError, match="exponent must be an integer"):
+        make()
+
+
+@pytest.mark.parametrize("obj, key", [
+    ({}, "terms"),
+    ({"terms": [{"abar": 0, "coeff": ["1"]}]}, "a"),
+    ({"terms": [{"a": 0, "coeff": ["1"]}]}, "abar"),
+    ({"terms": [{"a": 0, "abar": 1}]}, "coeff"),
+], ids=["terms", "a", "abar", "coeff"])
+def test_json_missing_key_is_a_typed_error(obj, key):
+    with pytest.raises(MoyalBenchError, match=f"missing key '{key}'"):
+        PhasePoly.from_json_obj(obj)
 
 
 def test_json_round_trip():

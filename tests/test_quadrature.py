@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -59,3 +60,39 @@ def test_range_errors_are_typed():
         integrate_decay(lambda z: math.exp(-z), tol=0.0)
     with pytest.raises(MoyalBenchError):
         integrate_decay(lambda z: math.exp(-z), decay_rate=-1.0)
+
+
+LAGUERRE = importlib.import_module("moyalbench.laguerre")
+VERIFY = importlib.import_module("moyalbench.verify")
+
+# (float.hex(value), float.hex(est_error), panels) of every integrate_decay
+# call, recorded before the odd/even sums were rebuilt: the raw-Simpson
+# sums must stay bit for bit.
+PINNED_RUNS = [
+    (VERIFY.check_gamma_quadrature, [
+        ("-0x1.c5bf8ae68fb23p-2", "0x1.a3def76800000p-25", 1048576),
+        ("-0x1.c5bf891b4ef6ap-2", "0x1.9100000000000p-46", 64),
+    ]),
+    (lambda: LAGUERRE.gamma_moment(3, 2), [
+        ("0x1.1ffffffff3caap+4", "0x1.6d8ec00000000p-29", 8192),
+    ]),
+    (lambda: LAGUERRE.gamma_moment(Q(5, 2), 1), [
+        ("-0x1.09de3a560044ap+3", "0x1.b128000000000p-36", 64),
+    ]),
+]
+
+
+@pytest.mark.parametrize("call, expected", PINNED_RUNS, ids=[
+    "check_gamma_quadrature", "gamma_moment(3, 2)", "gamma_moment(5/2, 1)"])
+def test_simpson_sums_are_pinned_bit_for_bit(monkeypatch, call, expected):
+    runs = []
+
+    def recording(*args, **kwargs):
+        res = integrate_decay(*args, **kwargs)
+        runs.append((float.hex(res.value), float.hex(res.est_error), res.panels))
+        return res
+
+    monkeypatch.setattr(LAGUERRE, "integrate_decay", recording)
+    monkeypatch.setattr(VERIFY, "integrate_decay", recording)
+    call()
+    assert runs == expected
