@@ -2,11 +2,11 @@
 ints over q^k for lam = p/q.  The rational code they replaced is kept here,
 verbatim, as the reference they must reproduce exactly."""
 
-import importlib
 import math
 
 import pytest
 
+from moyalbench import observables as obs, uncertainty as unc
 from moyalbench.backend import Q, ZERO, qbinom
 from moyalbench.params import as_lambda, nonneg_int
 from moyalbench.uncertainty import (
@@ -16,9 +16,6 @@ from moyalbench.uncertainty import (
     default_lambda_grid,
     threshold_k,
 )
-
-obs = importlib.import_module("moyalbench.observables")
-unc = importlib.import_module("moyalbench.uncertainty")
 
 
 # -- the reference: rational sums, one Fraction per operation -----------------
