@@ -17,14 +17,14 @@ from fractions import Fraction
 from .backend import Q, ZERO, qbinom, qfact, rational_str
 from .errors import DomainError
 from .params import nonneg_int
-from .phase import PhasePoly
+from .phase import PhasePoly, _poly
 
 
 def _series(poly: PhasePoly, kx: int, ky: int) -> "BiSeries":
     """The series of poly's terms with i <= kx and j <= ky."""
     terms = poly.terms
     if any(i > kx or j > ky for i, j, _ in terms):
-        poly = PhasePoly(
+        poly = _poly(
             {k: v for k, v in terms.items() if k[0] <= kx and k[1] <= ky}, poly.den
         )
     out = object.__new__(BiSeries)

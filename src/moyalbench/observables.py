@@ -17,6 +17,7 @@ every single-level coefficient vector as a signed combination of the p_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .backend import Q, ZERO, qfact
@@ -237,6 +238,10 @@ class BasisInversion:
 def basis_inversion(lam, size: int) -> BasisInversion:
     """Invert M[k][n] = C(k,n) lam^n (1-lam)^{k-n} exactly (lower triangular).
 
+    Row k of M is (lam x + 1 - lam)^k, so expanding x^i = ((y - 1 + lam)/lam)^i
+    gives inv[i][j] = C(i,j) (lam - 1)^(i-j) / lam^i; ``identity_ok`` checks it
+    against M built from ``binomial_weights``.
+
     Column n of the inverse gives the unique combination of basic
     distributions whose coefficient vector is the n-th unit vector; for
     size >= 2 these combinations necessarily carry negative entries.
@@ -244,15 +249,13 @@ def basis_inversion(lam, size: int) -> BasisInversion:
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("size", size)
     n1 = size + 1
+    p, q = lam.numerator, lam.denominator
     m = [binomial_weights(k, lam) + [ZERO] * (size - k) for k in range(n1)]
-    inv = [[ZERO] * n1 for _ in range(n1)]
-    for j in range(n1):
-        inv[j][j] = Q(1) / m[j][j]
-        for i in range(j + 1, n1):
-            acc = ZERO
-            for t in range(j, i):
-                acc += m[i][t] * inv[t][j]
-            inv[i][j] = -acc / m[i][i]
+    inv = [
+        [Q(math.comb(i, j) * (p - q) ** (i - j) * q**j, p**i) for j in range(i + 1)]
+        + [ZERO] * (size - i)
+        for i in range(n1)
+    ]
     prod_ok = all(
         sum((m[i][t] * inv[t][j] for t in range(n1)), ZERO)
         == (Q(1) if i == j else ZERO)

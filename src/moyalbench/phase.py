@@ -38,23 +38,23 @@ import math
 from itertools import chain
 from random import Random
 
-from .backend import Q, content_gcd, is_rational, qfact
+from .backend import Q, content_gcd, is_rational
 from .errors import DomainError
 from .gauss import format_gauss, parse_gauss
 from .params import as_lambda, nonneg_int
 
 
-def _normalize(terms: dict, den: int):
-    clean = {}
-    for k, v in terms.items():
-        if v[0] or v[1]:
-            if k[0] < 0 or k[1] < 0 or k[2] < 0:
-                nonneg_int("exponent", min(k))
-            clean[k] = v
+def _poly(terms: dict, den: int) -> "PhasePoly":
+    """The canonical PhasePoly of trusted parts (int pairs at keys of
+    nonnegative ints, over an int den > 0): every arithmetic result."""
+    clean = {k: v for k, v in terms.items() if v[0] or v[1]}
     g = content_gcd(den, chain.from_iterable(clean.values()))
     if g > 1:
         clean = {k: (re // g, im // g) for k, (re, im) in clean.items()}
-    return clean, den // g
+    out = object.__new__(PhasePoly)
+    object.__setattr__(out, "terms", clean)
+    object.__setattr__(out, "den", den // g)
+    return out
 
 
 def _field(obj: dict, key: str):
@@ -70,8 +70,6 @@ def _from_parts(parts: list) -> "PhasePoly":
     den = math.lcm(*(d for _, _, _, d in parts))
     acc: dict = {}
     for key, re, im, d in parts:
-        for e in key:
-            nonneg_int("exponent", e)
         f = den // d
         r0, m0 = acc.get(key, (0, 0))
         acc[key] = (r0 + re * f, m0 + im * f)
@@ -81,12 +79,22 @@ def _from_parts(parts: list) -> "PhasePoly":
 class PhasePoly:
     __slots__ = ("terms", "den")
 
-    def __init__(self, terms=None, den: int = 1):
-        if den <= 0:
-            raise DomainError("denominator must be positive")
-        terms, den = _normalize(dict(terms or {}), den)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "den", den)
+    def __new__(cls, terms=None, den: int = 1):
+        """From {(i, j, d): (re, im)}: (re + im*i)/den times a^i abar^j hbar^d,
+        with int parts, nonnegative int exponents and an int den > 0.  A zero
+        coefficient is dropped before its key is looked at."""
+        if type(den) is not int or den <= 0:
+            raise DomainError(f"denominator must be positive and an integer, got {den!r}")
+        terms = dict(terms or {})
+        for key, v in terms.items():
+            if not (type(v) is tuple and len(v) == 2 and all(type(x) is int for x in v)):
+                raise DomainError(f"coefficient must be a pair of ints (re, im), got {v!r}")
+            if v[0] or v[1]:
+                if not (type(key) is tuple and len(key) == 3):
+                    raise DomainError(f"exponent key must be (i, j, d), got {key!r}")
+                for e in key:
+                    nonneg_int("exponent", e)
+        return _poly(terms, den)
 
     def __setattr__(self, *_):
         raise AttributeError("PhasePoly is immutable")
@@ -160,7 +168,7 @@ class PhasePoly:
         sub = {
             (i, j, 0): v for (i, j, d), v in self.terms.items() if d == k
         }
-        return PhasePoly(sub, self.den)
+        return _poly(sub, self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -174,14 +182,12 @@ class PhasePoly:
         for k, (re, im) in other.terms.items():
             r0, m0 = acc.get(k, (0, 0))
             acc[k] = (r0 + re * f2, m0 + im * f2)
-        return PhasePoly(acc, den)
+        return _poly(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PhasePoly(
-            {k: (-re, -im) for k, (re, im) in self.terms.items()}, self.den
-        )
+        return _poly({k: (-re, -im) for k, (re, im) in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         other = _as_phase(other)
@@ -199,7 +205,7 @@ class PhasePoly:
         c = Q(other)
         n = c.numerator
         acc = {k: (re * n, im * n) for k, (re, im) in self.terms.items()}
-        return PhasePoly(acc, self.den * c.denominator)
+        return _poly(acc, self.den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -226,10 +232,12 @@ class PhasePoly:
         return bool(self.terms)
 
     def diff_a(self) -> "PhasePoly":
-        return PhasePoly(_diff_a(self.terms), self.den)
+        return _poly({(i - 1, j, d): (i * re, i * im)
+                      for (i, j, d), (re, im) in self.terms.items() if i}, self.den)
 
     def diff_abar(self) -> "PhasePoly":
-        return PhasePoly(_diff_abar(self.terms), self.den)
+        return _poly({(i, j - 1, d): (j * re, j * im)
+                      for (i, j, d), (re, im) in self.terms.items() if j}, self.den)
 
     # -- radial view ---------------------------------------------------------
 
@@ -283,22 +291,6 @@ def _as_phase(x):
     if is_rational(x):
         return PhasePoly.scalar(x)
     return NotImplemented
-
-
-def _diff_a(terms: dict) -> dict:
-    return {
-        (i - 1, j, d): (i * re, i * im)
-        for (i, j, d), (re, im) in terms.items()
-        if i
-    }
-
-
-def _diff_abar(terms: dict) -> dict:
-    return {
-        (i, j - 1, d): (j * re, j * im)
-        for (i, j, d), (re, im) in terms.items()
-        if j
-    }
 
 
 @functools.lru_cache(maxsize=64)
@@ -368,7 +360,7 @@ def _product(f: "PhasePoly", g: "PhasePoly", p: int, q: int, r_max: int, s_max: 
     alone is the pointwise product.
     """
     if not f.terms or not g.terms:
-        return PhasePoly()
+        return _poly({}, 1)
     I = f.deg_a + g.deg_a + 1
     J = f.deg_abar + g.deg_abar + 1
     IJ = I * J
@@ -409,7 +401,7 @@ def _product(f: "PhasePoly", g: "PhasePoly", p: int, q: int, r_max: int, s_max: 
             d, rem = divmod(k, IJ)
             i, j = divmod(rem, J)
             terms[(i, j, d)] = _unpacked(v, width)
-    return PhasePoly(terms, f.den * g.den * q**T)
+    return _poly(terms, f.den * g.den * q**T)
 
 
 def star(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:
@@ -426,25 +418,26 @@ def star_commutator(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:
 
 
 def apply_equivalence_map(f: PhasePoly, lam, inverse: bool = False) -> PhasePoly:
-    """exp(+-lam * hbar * d_a d_abar) applied to f (finite exact expansion)."""
+    """exp(+-lam * hbar * d_a d_abar) applied to f (finite exact expansion).
+
+    Order m sends a^i abar^j hbar^d to C(i,m) C(j,m) m! lam^m a^(i-m) abar^(j-m)
+    hbar^(d+m); for lam = +-p/q that is an int weight over f.den q^top.  It
+    shares no code with ``star``, so ``check_equivalence`` has two sides.
+    """
     lam = as_lambda(lam)
+    p, q = lam.numerator, lam.denominator
     if inverse:
-        lam = -lam
-    m_max = min(f.deg_a, f.deg_abar)
-    out = f
-    cur = f.terms
-    den = f.den
-    for m in range(1, m_max + 1):
-        cur = _diff_a(_diff_abar(cur))
-        if not cur:
-            break
-        c = lam**m / qfact(m)
-        shifted = {
-            (i, j, d + m): (re * c.numerator, im * c.numerator)
-            for (i, j, d), (re, im) in cur.items()
-        }
-        out = out + PhasePoly(shifted, den * c.denominator)
-    return out
+        p = -p
+    top = max(min(f.deg_a, f.deg_abar), 0)
+    powers = [p**m * q ** (top - m) for m in range(top + 1)]
+    acc: dict = {}
+    for (i, j, d), (re, im) in f.terms.items():
+        for m in range(min(i, j) + 1):
+            w = math.comb(i, m) * math.comb(j, m) * math.factorial(m) * powers[m]
+            key = (i - m, j - m, d + m)
+            r0, m0 = acc.get(key, (0, 0))
+            acc[key] = (r0 + re * w, m0 + im * w)
+    return _poly(acc, f.den * q**top)
 
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:

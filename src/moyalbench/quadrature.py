@@ -5,6 +5,8 @@ below ~2e-22 relative), and doubles the panel count until two successive
 composite estimates differ by less than the tolerance.  Function values are
 reused across doublings, so the total cost is ~2x the final grid.  A
 composite estimate that is not finite stops the refinement at once.
+Points are summed by ``math.fsum``, correctly rounded and so the same bits
+on every CPython (the builtin ``sum`` of floats changed in 3.12).
 """
 
 from __future__ import annotations
@@ -25,6 +27,15 @@ class QuadResult:
     t_max: float
 
 
+def _fsum(values, n: int) -> float:
+    """math.fsum, which raises where a plain sum gives inf or nan (as does an
+    integrand that overflows or is undefined): a non-finite integrand."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        raise AccuracyError(f"integrand not finite: {exc} on {n} panels") from exc
+
+
 def integrate_decay(
     f,
     tol: float = 1e-10,
@@ -43,8 +54,8 @@ def integrate_decay(
     h = T / n
     ends = f(0.0) + f(T)
     # int * h is the same float as (2k+1) * h, with no generator frame per point
-    odd = sum(map(f, map(h.__mul__, range(1, n, 2))))
-    even = sum(map(f, map(h.__mul__, range(2, n, 2))))
+    odd = _fsum(map(f, map(h.__mul__, range(1, n, 2))), n)
+    even = _fsum(map(f, map(h.__mul__, range(2, n, 2))), n)
     estimate = h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
 
     for _ in range(max_doublings):
@@ -52,7 +63,7 @@ def integrate_decay(
             raise AccuracyError(f"integrand not finite: {estimate} on {n} panels")
         n *= 2
         h = T / n
-        new_odd = sum(map(f, map(h.__mul__, range(1, n, 2))))
+        new_odd = _fsum(map(f, map(h.__mul__, range(1, n, 2))), n)
         # old odd+even interior points all become even points of the finer grid
         even = even + odd
         odd = new_odd

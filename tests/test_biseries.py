@@ -6,7 +6,6 @@ exponent above the orders.  It shares none of the kernel's tricks (one
 denominator, flat exponent keys, the cut after each result).
 """
 
-import importlib
 from fractions import Fraction
 from random import Random
 
@@ -16,10 +15,8 @@ from hypothesis import given, settings, strategies as st
 from moyalbench.backend import Q, ZERO, qbinom, qfact, rational_str
 from moyalbench.biseries import BiSeries, binom_inverse_power
 from moyalbench.errors import DomainError
+import moyalbench.laguerre as laguerre_module
 from moyalbench.laguerre import projector_identity_lhs, projector_identity_rhs
-
-# the module, not the package's laguerre()
-laguerre_module = importlib.import_module("moyalbench.laguerre")
 
 coeff = st.integers(-4, 4).map(Q)
 

@@ -1,4 +1,3 @@
-import importlib
 import math
 import random
 import sys
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from moyalbench.backend import Q
 from moyalbench.errors import DomainError
 from moyalbench.exppoly import ExpPoly, exp_integral
+import moyalbench.laguerre as laguerre_module
 from moyalbench.laguerre import (
     basis_matrix,
     binomial_tail_identity,
@@ -29,8 +29,6 @@ from moyalbench.laguerre import (
 )
 from moyalbench.poly import Poly
 
-# the module, not the package's laguerre()
-laguerre_module = importlib.import_module("moyalbench.laguerre")
 
 
 def recurrence_laguerre(n_max: int) -> list:

@@ -1,6 +1,6 @@
 import pytest
 
-from moyalbench.backend import Q, rational_str
+from moyalbench.backend import Q, ZERO, rational_str
 from moyalbench.errors import DomainError
 from moyalbench.exppoly import ExpPoly, exp_integral, mu_times
 from moyalbench.observables import (
@@ -169,6 +169,28 @@ def test_basis_inversion_example():
 
 def test_basis_inversion_large():
     assert basis_inversion(Q(1, 3), 16).identity_ok
+
+
+def triangular_solve(m):
+    """The forward substitution the closed-form inverse replaced, verbatim."""
+    n1 = len(m)
+    inv = [[ZERO] * n1 for _ in range(n1)]
+    for j in range(n1):
+        inv[j][j] = Q(1) / m[j][j]
+        for i in range(j + 1, n1):
+            acc = ZERO
+            for t in range(j, i):
+                acc += m[i][t] * inv[t][j]
+            inv[i][j] = -acc / m[i][i]
+    return tuple(tuple(r) for r in inv)
+
+
+@pytest.mark.parametrize("lam", [Q(1, 3), Q(1, 2), Q(17, 64), Q(3, 4)])
+def test_basis_inverse_matches_the_triangular_solve(lam):
+    for size in range(17):
+        b = basis_inversion(lam, size)
+        assert b.inverse == triangular_solve(b.matrix)
+        assert b.identity_ok
 
 
 def test_basis_inversion_domain():

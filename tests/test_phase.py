@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from moyalbench.backend import Q
+from moyalbench.backend import Q, qfact
 from moyalbench.errors import DomainError, MoyalBenchError
 from moyalbench.phase import (
     PhasePoly,
@@ -162,6 +162,20 @@ def test_negative_exponent_keys_rejected_by_the_constructor():
     assert PhasePoly({(-1, 0, 0): (0, 0)}) == PhasePoly.zero()
 
 
+@pytest.mark.parametrize("terms, den, message", [
+    ({(1.5, 0, 0): (1, 0)}, 1, "exponent must be an integer"),
+    ({(True, 0, 0): (1, 0)}, 1, "exponent must be an integer"),
+    ({(1, 0): (1, 0)}, 1, "exponent key must be"),
+    ({(1, 0, 0): (1.0, 0)}, 1, "coefficient must be a pair of ints"),
+    ({(1, 0, 0): (1, 0)}, 1.5, "denominator must be positive and an integer"),
+    ({(1, 0, 0): 1}, 1, "coefficient must be a pair of ints"),
+], ids=["float-exponent", "bool-exponent", "short-key", "float-coefficient",
+        "float-den", "bare-int-coefficient"])
+def test_constructor_rejects_malformed_parts(terms, den, message):
+    with pytest.raises(DomainError, match=message):
+        PhasePoly(terms, den)
+
+
 @pytest.mark.parametrize("make", [
     lambda: PhasePoly.from_json_obj(
         {"terms": [{"a": 1.5, "abar": 0, "coeff": ["1"]}]}),
@@ -260,3 +274,53 @@ def test_pinned_json_and_repr(make, json_text, text):
     assert json.dumps(f.to_json_obj(), sort_keys=True) == json_text
     assert repr(f) == text
     assert PhasePoly.from_json_obj(json.loads(json_text)) == f
+
+
+def reference_equivalence_map(f, lam, inverse=False):
+    """The order-by-order loop that ``apply_equivalence_map`` replaced: one
+    derivative pair, one Fraction lam^m/m! and one sum per order.  Only the
+    two derivative helpers it called are written out as one comprehension."""
+    if inverse:
+        lam = -lam
+    m_max = min(f.deg_a, f.deg_abar)
+    out = f
+    cur = f.terms
+    den = f.den
+    for m in range(1, m_max + 1):
+        cur = {
+            (i - 1, j - 1, d): (i * j * re, i * j * im)
+            for (i, j, d), (re, im) in cur.items()
+            if i and j
+        }
+        if not cur:
+            break
+        c = lam**m / qfact(m)
+        shifted = {
+            (i, j, d + m): (re * c.numerator, im * c.numerator)
+            for (i, j, d), (re, im) in cur.items()
+        }
+        out = out + PhasePoly(shifted, den * c.denominator)
+    return out
+
+
+def equivalence_inputs():
+    """Seeded polynomials of total degree 2-8, real and Gaussian, with hbar
+    terms, at lam in {0, 1/4, 1/2, 37/64, 63/64}, in both directions."""
+    rng = Random(1606)
+    cases = []
+    for deg in range(2, 9):
+        for gauss in (False, True):
+            f = random_phase_poly(rng, deg, gauss=gauss)
+            f = f + HB * random_phase_poly(rng, deg - 1, gauss=gauss) * Q(2, 3)
+            f = f + HB * HB * random_phase_poly(rng, deg - 2, gauss=gauss) * Q(-5, 7)
+            for lam in (Q(0), Q(1, 4), Q(1, 2), Q(37, 64), Q(63, 64)):
+                for inverse in (False, True):
+                    cases.append((f, lam, inverse))
+    return cases
+
+
+@pytest.mark.parametrize("f, lam, inverse", equivalence_inputs())
+def test_equivalence_map_matches_the_order_by_order_loop(f, lam, inverse):
+    got = apply_equivalence_map(f, lam, inverse=inverse)
+    want = reference_equivalence_map(f, lam, inverse=inverse)
+    assert got.den == want.den and got.terms == want.terms
