@@ -18,13 +18,19 @@ BACKEND = "fraction"
 def Q(numerator=0, denominator=None):
     """Build an exact rational.  Accepts ints, rationals, and "p/q" strings.
 
-    Floats are rejected: they would smuggle rounding into exact identities.
+    Floats are rejected: they would smuggle rounding into exact identities,
+    and a zero denominator raises DomainError.
     """
     if isinstance(numerator, float) or isinstance(denominator, float):
         raise TypeError("exact rationals cannot be built from floats")
     if isinstance(numerator, str):
         numerator = numerator.strip().removeprefix("+")
-    return Fraction(numerator, denominator)
+    try:
+        return Fraction(numerator, denominator)
+    except ZeroDivisionError:
+        from .errors import DomainError  # `import moyalbench` loads only this module
+        args = repr(numerator) if denominator is None else f"{numerator!r}, {denominator!r}"
+        raise DomainError(f"Q({args}) has a zero denominator") from None
 
 
 ZERO = Q(0)

@@ -15,9 +15,8 @@ import sys
 
 from .backend import Q, rational_str
 from .errors import DomainError, MoyalBenchError
-from .params import nonneg_int
+from .params import SUITES, nonneg_int
 from . import tables
-from .verify import SUITES, run_suite
 
 
 # `export --what NAME`, and the direct command NAME where there is one: the
@@ -141,6 +140,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            from .verify import run_suite
             report = run_suite(args.suite, seed=args.seed)
             if args.format == "json":
                 text = json.dumps(report.to_json_obj(), sort_keys=True,

@@ -17,8 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-from mpmath import libmp
-
 from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
 from .poly import Poly, _homogeneous
@@ -43,6 +41,7 @@ def _wide_decayed(x, rate) -> float:
     """x * exp(-rate) formed in mpmath's exponent range, with guard bits for
     the size of rate; a value no float can hold raises AccuracyError instead
     of turning into 0 or inf."""
+    from mpmath import libmp
     prec = 64 + (rate.numerator // rate.denominator).bit_length()
     scale = libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
     v = libmp.mpf_mul(libmp.from_rational(x.numerator, x.denominator, prec), scale, prec)
@@ -57,6 +56,7 @@ def _bound_sign(parts, prec: int, lower: bool) -> int:
     ints.  Each exp is rounded at prec bits the way that keeps n * exp on the
     bound's side; a term under 2^floor, 2*prec bits below the largest, counts
     as -2^floor (or +2^floor), so no shift grows with the exponents' spread."""
+    from mpmath import libmp
     terms = []
     for n, num, den in parts:
         rnd = "f" if (n > 0) == lower else "c"

@@ -1,4 +1,5 @@
-"""Parameter validation: lambda ranges, sizes, and oscillator constants."""
+"""Parameter validation: lambda ranges, sizes, verify suites, and oscillator
+constants."""
 
 from __future__ import annotations
 
@@ -25,6 +26,10 @@ def as_lambda(x, *, lo=Q(0), hi=ONE, lo_open=False, hi_open=True):
             f"{rational_str(hi)}{right}"
         )
     return v
+
+
+# The suites `verify.run_suite` runs; `cli` offers them without importing verify.
+SUITES = ("all", "exact", "numeric", "errata")
 
 
 def nonneg_int(name: str, value: int) -> int:

@@ -106,6 +106,8 @@ class PhasePoly:
         """From {(i, j): c} or {(i, j, d): c} with rational c."""
         parts = []
         for key, c in mapping.items():
+            if not (type(key) is tuple and len(key) in (2, 3)):
+                raise DomainError(f"exponent key must be (i, j) or (i, j, d), got {key!r}")
             q = Q(c)
             parts.append((key if len(key) == 3 else (*key, 0), q.numerator, 0,
                           q.denominator))

@@ -4,6 +4,9 @@ Every builder returns (header, rows), rows being lists of strings.  Exact
 rationals cross the boundary as "p/q" strings; floats are rendered with a
 fixed number of significant digits (default 12).  Output is bit-stable for
 fixed inputs: sorted keys, "\\n" newlines, UTF-8.
+
+Each builder imports the modules it computes with, so a command loads only
+what its own table needs; a new builder does the same.
 """
 
 from __future__ import annotations
@@ -15,12 +18,7 @@ import warnings
 
 from .backend import Q, rational_str
 from .errors import ConditionalConvergenceWarning, DomainError, MoyalBenchError
-from .exppoly import exp_integral
 from .params import nonneg_int
-from .laguerre import laguerre, moment_integral
-from . import observables as obs
-from . import spectral as spec
-from . import uncertainty as unc
 
 DEFAULT_FLOAT_PREC = 12
 
@@ -37,6 +35,7 @@ def format_complex(z: complex, prec: int = DEFAULT_FLOAT_PREC) -> str:
 
 def fund_table(k_max: int, n_max: int):
     """Moment table: entry (k, n) = integral z^k L_n e^(-z) dz as "p/q"."""
+    from .laguerre import moment_integral
     nonneg_int("k_max", k_max)
     nonneg_int("n_max", n_max)
     header = ["k\\n"] + [str(n) for n in range(n_max + 1)]
@@ -48,21 +47,24 @@ def fund_table(k_max: int, n_max: int):
 
 
 def laguerre_table(n: int):
+    from .laguerre import laguerre
     header = ["degree", "coefficient"]
     rows = [[str(j), rational_str(c)] for j, c in enumerate(laguerre(n).coeffs)]
     return header, rows
 
 
 def weights_table(lam, k: int):
+    from .observables import binomial_weights
     header = ["n", "weight"]
-    w = obs.binomial_weights(k, lam)
+    w = binomial_weights(k, lam)
     rows = [[str(n), rational_str(c)] for n, c in enumerate(w)]
     return header, rows
 
 
 def duality_table(lam, n_max: int):
+    from .observables import duality_gram
     header = ["n\\m"] + [str(m) for m in range(n_max + 1)]
-    gram = obs.duality_gram(n_max, lam)
+    gram = duality_gram(n_max, lam)
     rows = [
         [str(n)] + [rational_str(c) for c in row] for n, row in enumerate(gram)
     ]
@@ -70,14 +72,16 @@ def duality_table(lam, n_max: int):
 
 
 def spectrum_table(lam, n_max: int):
+    from .spectral import spectrum
     header = ["n", "energy"]
-    rows = [[str(e.n), rational_str(e.energy)] for e in spec.spectrum(lam, n_max)]
+    rows = [[str(e.n), rational_str(e.energy)] for e in spectrum(lam, n_max)]
     return header, rows
 
 
 def scan_table(k_max: int, max_denominator: int = 64):
+    from .uncertainty import default_lambda_grid, scan_lambda
     header = ["lambda", "first_fail_k", "predicted_k", "matches", "boundary"]
-    res = unc.scan_lambda(unc.default_lambda_grid(max_denominator), k_max)
+    res = scan_lambda(default_lambda_grid(max_denominator), k_max)
     rows = [
         [
             rational_str(e.lam),
@@ -92,7 +96,8 @@ def scan_table(k_max: int, max_denominator: int = 64):
 
 
 def moments_table(lam, k: int, prec: int = DEFAULT_FLOAT_PREC):
-    rep = unc.moment_report(k, lam)
+    from .uncertainty import moment_report
+    rep = moment_report(k, lam)
     header = ["quantity", "exact", "float"]
     rows = [
         ["classical_mean", rational_str(rep.classical_mean), ""],
@@ -111,9 +116,11 @@ def pi_table(lam, n: int, mu, series: bool, terms: int,
              prec: int = DEFAULT_FLOAT_PREC):
     """The closed form of pi_n; with mu its value there, and with series
     also the terms-term lam-series at mu and its distance to the closed form."""
+    from .exppoly import exp_integral
+    from .spectral import projector_closed, projector_series_eval
     if series and mu is None:
         raise DomainError("--series needs --mu")
-    proj = spec.projector_closed(n, lam)
+    proj = projector_closed(n, lam)
     header = ["quantity", "value"]
     rows = [["n", str(n)], ["lambda", rational_str(lam)]]
     for t in proj.form.to_json_obj():
@@ -127,7 +134,7 @@ def pi_table(lam, n: int, mu, series: bool, terms: int,
     if series:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditionalConvergenceWarning)
-            sv = float(spec.projector_series_eval(n, lam, terms, mu))
+            sv = float(projector_series_eval(n, lam, terms, mu))
         rows.append(["series_terms", str(terms)])
         rows.append(["series_value", format_float(sv, prec)])
         rows.append(["series_minus_closed", format_float(sv - closed, prec)])
@@ -139,8 +146,9 @@ def pi_table(lam, n: int, mu, series: bool, terms: int,
 def starexp_table(lam, mu, t: float, terms: int, prec: int = DEFAULT_FLOAT_PREC):
     """The star exponential at mu and time t: closed form against the
     terms-term Fourier-Dirichlet sum."""
-    closed = spec.star_exp_closed(lam, mu, t).value
-    series = spec.star_exp_series(lam, mu, t, terms)
+    from .spectral import star_exp_closed, star_exp_series
+    closed = star_exp_closed(lam, mu, t).value
+    series = star_exp_series(lam, mu, t, terms)
     header = ["quantity", "value"]
     rows = [
         ["lambda", rational_str(lam)],

@@ -21,6 +21,7 @@ from random import Random
 
 from .backend import Q, rational_str
 from .errors import ConditionalConvergenceWarning, DomainError
+from .params import SUITES
 from .exppoly import ExpPoly, exp_integral
 from .laguerre import (
     basis_matrix,
@@ -489,9 +490,6 @@ _ERRATA_CHECKS = [
     check_gm_sign_convention,
     check_radial_pde_erratum,
 ]
-
-SUITES = ("all", "exact", "numeric", "errata")
-
 
 def run_suite(suite: str = "all", seed: int = 0) -> SuiteReport:
     """Run a suite; a check that raises becomes a failed result of the list

@@ -1,6 +1,7 @@
 import pytest
 
 from moyalbench.backend import Q, qbinom, qfact, rational_str, rceil
+from moyalbench.errors import DomainError
 
 
 def test_q_construction_and_strings():
@@ -16,6 +17,19 @@ def test_q_rejects_floats():
         Q(0.5)
     with pytest.raises(TypeError):
         Q(1, 2.0)
+
+
+@pytest.mark.parametrize("args, shown", [
+    (("1/0",), "Q('1/0')"),
+    ((" -3/0",), "Q('-3/0')"),
+    ((1, 0), "Q(1, 0)"),
+    ((Q(1, 2), 0), "Q(Fraction(1, 2), 0)"),
+], ids=["string", "signed-string", "ints", "rational"])
+def test_q_zero_denominator_is_a_domain_error(args, shown):
+    with pytest.raises(DomainError) as info:
+        Q(*args)
+    assert str(info.value) == f"{shown} has a zero denominator"
+    assert isinstance(info.value, ValueError)  # argparse reports a ValueError
 
 
 def test_exactness_no_rounding():

@@ -173,14 +173,27 @@ def test_negative_size_is_an_error(capsys):
      "cannot write /dev/null/x.csv: "),
     (["verify", "--suite", "errata", "--out", "/dev/null/x.json"],
      "cannot write /dev/null/x.json: "),
+    (["weights", "--lambda", "1/0", "--k", "2"],
+     "argument --lambda: invalid Q value: '1/0'\n"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--mu", "1/0"],
+     "argument --mu: invalid Q value: '1/0'\n"),
 ], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
-        "float-prec", "pi-series", "starexp-t", "table-out", "verify-out"])
+        "float-prec", "pi-series", "starexp-t", "table-out", "verify-out",
+        "lambda-zero-den", "mu-zero-den"])
 def test_invalid_input_is_an_error_line(capsys, argv, message):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected a flag's value
+        code = exc.code
     captured = capsys.readouterr()
+    err = captured.err
+    if err.startswith("usage: "):  # usage, then "moyalbench CMD: error: ..."
+        prog, _, err = err.splitlines()[-1].partition(": ")
+        assert prog == f"moyalbench {argv[0]}"
+        err += "\n"
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
+    assert err.startswith(f"error: {message}")
 
 
 def test_float_prec_zero_still_prints(capsys):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import moyalbench
 
 SRC = os.path.dirname(os.path.dirname(moyalbench.__file__))
@@ -29,3 +31,63 @@ def test_submodule_import_gives_the_module():
     assert m.__name__ == "moyalbench.laguerre"
     assert callable(m.laguerre)
     assert moyalbench.BACKEND == "fraction"
+
+
+# A fresh interpreter imports moyalbench.cli, runs main(argv) when argv is
+# given, and reports the exit code and the moyalbench and mpmath modules
+# loaded on its last stderr line; the command's own output is on stdout.
+COLD_CHILD = (
+    "import json, sys\n"
+    "from moyalbench.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "mods = sorted(m for m in sys.modules if m.split('.')[0] in ('moyalbench', 'mpmath'))\n"
+    "print(json.dumps([code, mods]), file=sys.stderr)\n"
+)
+
+
+def cold(*argv):
+    """(exit code, stdout, modules loaded) of one command in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", COLD_CHILD, *argv], env=env,
+                          check=True, capture_output=True, text=True)
+    code, mods = json.loads(proc.stderr.splitlines()[-1])
+    return code, proc.stdout, set(mods)
+
+
+def mb(*names):
+    return {f"moyalbench.{n}" for n in names}
+
+
+def test_cli_import_loads_only_the_front_end():
+    assert cold()[2] == {"moyalbench"} | mb("backend", "errors", "params", "tables", "cli")
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--lambda", "1/4", "--k", "5"],
+    ["scan", "--k-max", "20", "--denominator-max", "8"],
+], ids=lambda a: a[0])
+def test_selection_tables_load_neither_mpmath_nor_verify(argv):
+    code, out, mods = cold(*argv)
+    assert code == 0 and out
+    assert not mods & ({"mpmath"} | mb("verify"))
+
+
+def test_fund_loads_no_spectral_layer():
+    code, out, mods = cold("export", "--what", "fund", "--k-max", "4", "--n-max", "4")
+    assert code == 0 and out
+    assert "moyalbench.laguerre" in mods
+    assert not mods & ({"mpmath"} | mb("spectral", "observables", "uncertainty", "verify"))
+
+
+def test_verify_loads_verify():
+    code, out, mods = cold("verify", "--suite", "errata")
+    assert code == 0 and out
+    assert "moyalbench.verify" in mods
+
+
+def test_pi_past_the_float_exponent_range_in_a_cold_child():
+    # the value is formed in mpmath's exponent range, imported on first use
+    code, out, mods = cold("pi", "--lambda", "17/64", "--n", "390", "--mu", "801")
+    assert code == 0
+    assert out.splitlines()[-1] == "value_at_mu,4.87810307113e-98"
+    assert "mpmath" in mods

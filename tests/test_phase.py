@@ -154,6 +154,14 @@ def test_negative_exponents_rejected():
             PhasePoly.build({key: 1})
 
 
+@pytest.mark.parametrize("key", [5, (1,), (1, 2, 3, 4), "ab"],
+                         ids=["int", "one", "four", "string"])
+def test_build_rejects_a_malformed_key_by_name(key):
+    with pytest.raises(DomainError) as info:
+        PhasePoly.build({key: 1})
+    assert str(info.value) == f"exponent key must be (i, j) or (i, j, d), got {key!r}"
+
+
 def test_negative_exponent_keys_rejected_by_the_constructor():
     for key in ((-1, 0, 0), (0, -2, 0), (1, 1, -1)):
         with pytest.raises(DomainError, match="exponent must be >= 0"):
