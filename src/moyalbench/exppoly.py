@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
+from .params import nonneg_int
 from .poly import Poly, _homogeneous
 from . import rootisolate
 
@@ -301,4 +302,5 @@ def exp_integral(f: ExpPoly):
 
 def mu_times(f: ExpPoly, power: int = 1) -> ExpPoly:
     """mu^power * f, exact."""
+    nonneg_int("power", power)
     return ExpPoly([(p.shift(power), r) for r, p in f.terms.items()])

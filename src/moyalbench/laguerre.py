@@ -30,8 +30,7 @@ def laguerre(n: int) -> Poly:
     """L_n with exact rational coefficients, memoized per degree.  Degrees
     are independent, so racing callers at worst build one twice, and all
     get the one ``setdefault`` stored."""
-    if n < 0:
-        raise DomainError("Laguerre index must be >= 0")
+    nonneg_int("n", n)
     poly = _cache.get(n)
     if poly is None:
         poly = _cache.setdefault(
@@ -113,8 +112,8 @@ def moment_integral(k: int, n: int):
     Computed two ways, the closed form (-1)^n C(k,n) k! for k >= n (0 below
     the diagonal) and the Gamma-moment expansion, which must agree.
     """
-    if k < 0 or n < 0:
-        raise DomainError("indices must be >= 0")
+    nonneg_int("k", k)
+    nonneg_int("n", n)
     closed = Q(-1) ** n * qbinom(k, n) * qfact(k) if k >= n else ZERO
     value = exp_integral(ExpPoly.single(laguerre(n).shift(k), 1))
     if value != closed:  # pragma: no cover - internal consistency

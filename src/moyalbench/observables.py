@@ -1,12 +1,14 @@
 """Energy distributions and their level-occupation statistics.
 
-A distribution p(mu) >= 0 with integral 1 induces occupation numbers for the
-levels of the lam-quantization through the projector pairings
+A distribution is an ExpPoly p(mu) >= 0 with integral 1 in the dimensionless
+energy mu.  It induces occupation numbers for the levels of the
+lam-quantization through the projector pairings
 
-    c_n = integral pi_n(mu) p(mu) dmu     (Fourier-Laguerre coefficients).
+    c_n = integral pi_n(mu) p(mu) dmu     (Fourier-Laguerre coefficients),
 
-p is called observable (for that lam) when every c_n >= 0.  The Gamma-type
-basic distributions
+returned as the plain tuple (c_0, ..., c_N).  p is called observable (for
+that lam) when every c_n >= 0; ``is_observable`` checks the mass and the sign
+of p exactly before it pairs.  The Gamma-type basic distributions (0 < lam < 1)
 
     p_k(mu) = (1/(lam k!)) (mu/lam)^k exp(-mu/lam)
 
@@ -28,50 +30,12 @@ from .poly import Poly
 from .spectral import projector_closed, projector_poly_values
 
 
-@dataclass(frozen=True)
-class DiracDelta:
-    """Point mass; the lam -> 0 degenerate limit of the basic distributions."""
-
-    at: object
-
-
-@dataclass(frozen=True)
-class Distribution:
-    form: ExpPoly
-    normalized: bool
-    nonneg: object  # True / False / None (undecided)
-    negative_witness: object = None
-
-    def __call__(self, mu) -> float:
-        return self.form(mu)
-
-
-def as_distribution(form: ExpPoly, require: bool = True) -> Distribution:
-    """Wrap an ExpPoly as a distribution, checking mass and sign exactly."""
-    normalized = exp_integral(form) == 1
-    nonneg, witness = form.nonneg_on_nonneg()
-    if require and not normalized:
-        raise DomainError("distribution does not integrate to 1")
-    if require and nonneg is False:
-        raise DomainError(f"distribution is negative at mu = {witness}")
-    return Distribution(
-        form=form, normalized=normalized, nonneg=nonneg, negative_witness=witness
-    )
-
-
-def basic_distribution(k: int, lam):
-    """The k-th Gamma-type basic distribution; DiracDelta at lam = 0."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    lam = as_lambda(lam)
-    if lam == 0:
-        return DiracDelta(at=ZERO)
+def basic_distribution(k: int, lam) -> ExpPoly:
+    """The k-th Gamma-type basic distribution p_k, for 0 < lam < 1."""
+    nonneg_int("k", k)
+    lam = as_lambda(lam, lo_open=True)
     poly = Poly.monomial(k, Q(1) / (lam ** (k + 1) * qfact(k)))
-    return Distribution(
-        form=ExpPoly.single(poly, Q(1) / lam),
-        normalized=True,
-        nonneg=True,
-    )
+    return ExpPoly.single(poly, Q(1) / lam)
 
 
 def binomial_weight_ints(k: int, lam) -> tuple:
@@ -97,42 +61,16 @@ def binomial_weights(k: int, lam) -> list:
     return [Q(w, den) for w in nums]
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    lam: object
-    entries: tuple
-    n_max: int
-
-    def __getitem__(self, n: int):
-        return self.entries[n]
-
-    @property
-    def total(self):
-        return sum(self.entries, ZERO)
-
-
-def _form_of(p) -> ExpPoly:
-    if isinstance(p, Distribution):
-        return p.form
-    if isinstance(p, ExpPoly):
-        return p
-    if isinstance(p, DiracDelta):
-        raise DomainError("the Dirac-delta limit has no ExpPoly coefficients")
-    raise TypeError(f"not a distribution: {p!r}")
-
-
-def fourier_laguerre(p, lam, n_max: int) -> CoefficientVector:
-    """Exact projector pairings c_n for n = 0..n_max."""
+def fourier_laguerre(p: ExpPoly, lam, n_max: int) -> tuple:
+    """Exact projector pairings (c_0, ..., c_n_max) of the distribution p."""
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("n_max", n_max)
-    form = _form_of(p)
-    entries = tuple(
-        exp_integral(projector_closed(n, lam).form * form) for n in range(n_max + 1)
+    return tuple(
+        exp_integral(projector_closed(n, lam).form * p) for n in range(n_max + 1)
     )
-    return CoefficientVector(lam=lam, entries=entries, n_max=n_max)
 
 
-def finite_support_bound(p, lam):
+def finite_support_bound(p: ExpPoly, lam):
     """Largest possibly-nonzero coefficient index, when provable; else None.
 
     A single-rate ExpPoly with rate exactly 1/lam is a combination of the
@@ -140,9 +78,8 @@ def finite_support_bound(p, lam):
     polynomial degree.
     """
     lam = as_lambda(lam, lo_open=True)
-    form = _form_of(p)
-    if form.is_single_rate and Q(1) / lam in form.terms:
-        return form.terms[Q(1) / lam].degree
+    if p.is_single_rate and Q(1) / lam in p.terms:
+        return p.terms[Q(1) / lam].degree
     return None
 
 
@@ -162,7 +99,7 @@ class ObservabilityVerdict:
                                "not-a-distribution")
 
 
-def is_observable(p, lam, n_max: int = 32) -> ObservabilityVerdict:
+def is_observable(p: ExpPoly, lam, n_max: int = 32) -> ObservabilityVerdict:
     """Decide observability of p under the lam-quantization.
 
     Exact verdict when the coefficient support is provably finite (then only
@@ -170,36 +107,35 @@ def is_observable(p, lam, n_max: int = 32) -> ObservabilityVerdict:
     n_max and a nonnegative prefix stays inconclusive.
     """
     lam = as_lambda(lam, lo_open=True)
-    form = _form_of(p)
-    if exp_integral(form) != 1:
+    if exp_integral(p) != 1:
         return ObservabilityVerdict(
             status="not-a-distribution", lam=lam, checked_to=-1,
             note="mass differs from 1",
         )
-    nonneg, witness = form.nonneg_on_nonneg()
+    nonneg, witness = p.nonneg_on_nonneg()
     if nonneg is False:
         return ObservabilityVerdict(
             status="not-a-distribution", lam=lam, checked_to=-1,
             note=f"negative at mu = {witness}",
         )
-    bound = finite_support_bound(form, lam)
+    bound = finite_support_bound(p, lam)
     upto = bound if bound is not None else n_max
-    coeffs = fourier_laguerre(form, lam, upto)
-    for n, c in enumerate(coeffs.entries):
+    coeffs = fourier_laguerre(p, lam, upto)
+    for n, c in enumerate(coeffs):
         if c < 0:
             return ObservabilityVerdict(
                 status="negative-witness", lam=lam, checked_to=upto,
-                coefficients=coeffs.entries, support_bound=bound,
+                coefficients=coeffs, support_bound=bound,
                 witness_index=n,
             )
     if bound is not None:
         return ObservabilityVerdict(
             status="observable", lam=lam, checked_to=upto,
-            coefficients=coeffs.entries, support_bound=bound,
+            coefficients=coeffs, support_bound=bound,
         )
     return ObservabilityVerdict(
         status="nonneg-up-to-n", lam=lam, checked_to=upto,
-        coefficients=coeffs.entries,
+        coefficients=coeffs,
         note=f"all c_n >= 0 for n <= {upto}; beyond is undecided",
     )
 
@@ -277,10 +213,12 @@ def reconstruct_pure_state(lam, n: int, size: int):
     """The signed combination of basic distributions with coefficients e_n.
 
     Returns (combination ExpPoly, weights over p_k, its Fourier-Laguerre
-    vector up to size).  The combination integrates to 1 but takes negative
-    values for n >= 1, so it is not itself a distribution.
+    coefficients up to size).  The combination integrates to 1 but takes
+    negative values for n >= 1, so it is not itself a distribution.
     """
     lam = as_lambda(lam, lo_open=True)
+    nonneg_int("n", n)
+    nonneg_int("size", size)
     if n > size:
         raise DomainError("n must be <= size")
     binv = basis_inversion(lam, size)
@@ -289,7 +227,7 @@ def reconstruct_pure_state(lam, n: int, size: int):
     combo = ExpPoly.zero()
     for k, w in enumerate(weights):
         if w:
-            combo = combo + w * basic_distribution(k, lam).form
+            combo = combo + w * basic_distribution(k, lam)
     coeffs = fourier_laguerre(combo, lam, size)
     return combo, weights, coeffs
 

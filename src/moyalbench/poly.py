@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .backend import Q, ZERO, content_gcd, is_rational
+from .params import nonneg_int
 
 
 def _row(nums, den: int) -> "Poly":
@@ -58,7 +59,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, c=Q(1)) -> "Poly":
-        return cls((0,) * k + (c,))
+        return cls((0,) * nonneg_int("k", k) + (c,))
 
     @property
     def coeffs(self) -> tuple:
@@ -172,6 +173,7 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """p(x) * x^k."""
+        nonneg_int("k", k)
         return _row((0,) * k + self.nums, self.den) if self.nums else self
 
     def monic(self) -> "Poly":

@@ -1,7 +1,8 @@
 """Adaptive composite Simpson quadrature for exponentially decaying integrands.
 
-Truncates [0, inf) to [0, T] with decay_rate * T >= 50 (the tail is then
-below ~2e-22 relative), and doubles the panel count until two successive
+Truncates [0, inf) to [0, T], T = t_max or 50 (for a unit decay rate the
+tail is then below ~2e-22 relative; a slower integrand passes a larger
+t_max), and doubles the panel count until two successive
 composite estimates differ by less than the tolerance.  Function values are
 reused across doublings, so the total cost is ~2x the final grid.  A
 composite estimate that is not finite stops the refinement at once.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
 
-_MIN_RATE_T = 50.0
+_DEFAULT_T = 50.0
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,16 @@ def _fsum(values, n: int) -> float:
 def integrate_decay(
     f,
     tol: float = 1e-10,
-    decay_rate: float = 1.0,
     t_max: float | None = None,
     max_doublings: int = 22,
 ) -> QuadResult:
-    """Integrate f over [0, inf) assuming |f| <~ exp(-decay_rate * mu) tails."""
-    if tol <= 0:
+    """Integrate f over [0, inf) as the integral over [0, t_max]; f must have
+    decayed below tol by t_max (default 50, for exp(-mu) tails)."""
+    if not tol > 0:  # also NaN, which no estimate would ever meet
         raise DomainError("tolerance must be positive")
-    if decay_rate <= 0 and t_max is None:
-        raise DomainError("need a positive decay_rate or an explicit t_max")
-    T = t_max if t_max is not None else max(_MIN_RATE_T / decay_rate, 1.0)
+    T = _DEFAULT_T if t_max is None else t_max
+    if not (math.isfinite(T) and T > 0):
+        raise DomainError(f"t_max must be finite and positive, got {T}")
 
     n = 16
     h = T / n

@@ -9,7 +9,7 @@ Closed forms (exact ExpPoly, 0 < lam < 1):
     pi_n = (1/(1-lam)) (-lam/(1-lam))^n L_n(mu/(lam(1-lam))) exp(-mu/(1-lam))
 
 with the lam -> 0 limit  pi_n = mu^n exp(-mu)/n!  (the Poisson weights).
-The energy at level n is (n + lam) hbar omega.
+The energy at level n is n + lam, in units of hbar omega.
 
 The star exponential exp_star(-iHt/hbar) equals the Fourier-Dirichlet sum
 of the projectors, sum_n pi_n(mu) exp(-i(n+lam) omega t); its closed form is
@@ -35,7 +35,7 @@ from .biseries import BiSeries
 from .errors import AccuracyError, ConditionalConvergenceWarning, DomainError, PoleError
 from .exppoly import ExpPoly, _decayed, mu_times
 from .laguerre import laguerre, laguerre_eval_sequence
-from .params import ModelParams, as_lambda, nonneg_int
+from .params import as_lambda, nonneg_int
 from .phase import PhasePoly
 from .poly import Poly
 from .rootisolate import find_negative_point
@@ -61,13 +61,12 @@ class Projector:
 class SpectrumEntry:
     n: int
     lam: object
-    energy: object  # (n + lam) * hbar * omega, exact
+    energy: object  # n + lam in units of hbar omega, exact
 
 
 def projector_closed(n: int, lam) -> Projector:
     """Exact closed form; lam = 0 takes the Poisson branch."""
-    if n < 0:
-        raise DomainError("level index must be >= 0")
+    nonneg_int("n", n)
     lam = as_lambda(lam)
     if lam == 0:
         form = ExpPoly.single(Poly.monomial(n, Q(1) / qfact(n)), 1)
@@ -112,15 +111,12 @@ def projector_series_eval(n: int, lam, terms: int, mu):
     return sign * total
 
 
-def spectrum(lam, n_max: int, params: ModelParams = ModelParams()) -> list:
-    """Energy levels (n + lam) hbar omega for n = 0..n_max; spacing hbar omega."""
+def spectrum(lam, n_max: int) -> list:
+    """Dimensionless energy levels n + lam for n = 0..n_max (units of hbar
+    omega, so the spacing is 1)."""
     lam = as_lambda(lam)
     nonneg_int("n_max", n_max)
-    scale = params.hbar * params.omega
-    return [
-        SpectrumEntry(n=n, lam=lam, energy=(n + lam) * scale)
-        for n in range(n_max + 1)
-    ]
+    return [SpectrumEntry(n=n, lam=lam, energy=n + lam) for n in range(n_max + 1)]
 
 
 def radial_star_apply(f: ExpPoly, lam) -> ExpPoly:

@@ -35,7 +35,7 @@ def classical_moments(k: int, lam):
     lam = as_lambda(lam, lo_open=True)
     mean = lam * (k + 1)
     second = lam**2 * (k + 1) * (k + 2)
-    form = basic_distribution(k, lam).form
+    form = basic_distribution(k, lam)
     if exp_integral(mu_times(form)) != mean:  # pragma: no cover
         raise AssertionError("classical mean mismatch")
     if exp_integral(mu_times(form, 2)) != second:  # pragma: no cover
@@ -122,7 +122,7 @@ def star_square_cross_check(k: int, lam) -> StarSquareReport:
     for (i, _, _), (re, _) in hh.terms.items():
         coeffs[i] += Q(re, hh.den)  # (a abar)^i hbar^d, with hbar -> 1 (dimensionless)
     quadratic = Poly(coeffs)
-    form = basic_distribution(k, lam).form
+    form = basic_distribution(k, lam)
     integral_value = exp_integral(form * quadratic)
     _, second, _ = quantum_moments(k, lam)
     return StarSquareReport(

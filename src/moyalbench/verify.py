@@ -236,13 +236,8 @@ def check_radial_reduction() -> CheckResult:
 def check_weights_and_moments() -> CheckResult:
     ok = True
     for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
-        p, q = lam.numerator, lam.denominator
         for k in range(51):
-            # level n + lam = (nq + p)/q; weight numerators over q^k
-            w, den = obs.binomial_weight_ints(k, lam)
-            mean = Q(sum((n * q + p) * c for n, c in enumerate(w)), den * q)
-            second = Q(sum((n * q + p) ** 2 * c for n, c in enumerate(w)),
-                       den * q * q)
+            mean, second, _ = unc.quantum_moments(k, lam)
             ok &= mean == (k + 1) * lam
             ok &= second == (k * k + k + 1) * lam**2 + k * lam
             ok &= unc.star_square_cross_check(k, lam).equal
@@ -255,8 +250,8 @@ def check_fourier_laguerre_binomial() -> CheckResult:
         for k in range(11):
             fl = obs.fourier_laguerre(obs.basic_distribution(k, lam), lam, k + 3)
             w = obs.binomial_weights(k, lam)
-            ok &= list(fl.entries[: k + 1]) == w
-            ok &= all(c == 0 for c in fl.entries[k + 1:])
+            ok &= list(fl[: k + 1]) == w
+            ok &= all(c == 0 for c in fl[k + 1:])
     return _exact("fourier-laguerre-binomial-10", ok)
 
 
@@ -265,7 +260,7 @@ def check_basis_inversion() -> CheckResult:
     ok = b.identity_ok and b.has_negative_entries
     for n in range(4):
         _, _, cf = obs.reconstruct_pure_state(Q(1, 3), n, 8)
-        ok &= all(c == (1 if m == n else 0) for m, c in enumerate(cf.entries))
+        ok &= all(c == (1 if m == n else 0) for m, c in enumerate(cf))
     return _exact("basis-inversion-16+pure-state-recovery", ok)
 
 

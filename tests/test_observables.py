@@ -4,8 +4,6 @@ from moyalbench.backend import Q, ZERO, rational_str
 from moyalbench.errors import DomainError
 from moyalbench.exppoly import ExpPoly, exp_integral, mu_times
 from moyalbench.observables import (
-    DiracDelta,
-    as_distribution,
     basic_distribution,
     basis_inversion,
     binomial_weights,
@@ -22,43 +20,41 @@ from moyalbench.poly import Poly
 
 def test_basic_distribution_normalized():
     d = basic_distribution(3, Q(1, 2))
-    assert exp_integral(d.form) == 1
-    assert d.nonneg is True
+    assert exp_integral(d) == 1
+    assert d.nonneg_on_nonneg() == (True, None)
 
 
 def test_basic_distribution_zero_order():
     # p_0 = (1/lam) e^{-mu/lam}
     d = basic_distribution(0, Q(1, 3))
-    assert d.form == ExpPoly.single(Poly([Q(3)]), 3)
+    assert d == ExpPoly.single(Poly([Q(3)]), 3)
 
 
 def test_basic_distribution_mean():
     # mean lam(k+1): (k, lam) = (2, 1/2) -> 3/2
     d = basic_distribution(2, Q(1, 2))
-    assert exp_integral(mu_times(d.form)) == Q(3, 2)
+    assert exp_integral(mu_times(d)) == Q(3, 2)
 
 
 def test_dirac_delta_limit():
-    d = basic_distribution(2, 0)
-    assert isinstance(d, DiracDelta)
-    assert d.at == 0
-    with pytest.raises(DomainError):
-        fourier_laguerre(d, Q(1, 2), 3)
+    # lam -> 0 concentrates p_k at mu = 0, which no ExpPoly represents
+    with pytest.raises(DomainError, match=r"lambda=0 outside \(0, 1\)"):
+        basic_distribution(2, 0)
 
 
 def test_fourier_laguerre_binomial():
     for lam in (Q(1, 3), Q(1, 2)):
         for k in range(8):
             fl = fourier_laguerre(basic_distribution(k, lam), lam, k + 4)
-            assert list(fl.entries[: k + 1]) == binomial_weights(k, lam)
-            assert all(c == 0 for c in fl.entries[k + 1:])
-            assert sum(fl.entries) == 1
+            assert list(fl[: k + 1]) == binomial_weights(k, lam)
+            assert all(c == 0 for c in fl[k + 1:])
+            assert sum(fl) == 1
 
 
 def test_fourier_laguerre_instance():
     fl = fourier_laguerre(basic_distribution(2, Q(1, 2)), Q(1, 2), 2)
-    assert [rational_str(c) for c in fl.entries] == ["1/4", "1/2", "1/4"]
-    assert fl.total == 1
+    assert [rational_str(c) for c in fl] == ["1/4", "1/2", "1/4"]
+    assert sum(fl) == 1
 
 
 def test_finite_support_detection():
@@ -83,7 +79,7 @@ def test_observable_projector_shaped():
 
 def test_signed_combination_not_a_distribution():
     combo, weights, coeffs = reconstruct_pure_state(Q(1, 2), 1, 2)
-    assert list(coeffs.entries) == [0, 1, 0]
+    assert coeffs == (0, 1, 0)
     assert exp_integral(combo) == 1
     assert any(w < 0 for w in weights)
     assert is_observable(combo, Q(1, 2)).status == "not-a-distribution"
@@ -95,7 +91,7 @@ def test_inconclusive_beyond_n():
     # ((lam' - lam)/((1-lam) lam'))^n at every level, but no finite-support
     # proof, so the verdict stays a nonnegative prefix
     lam = Q(1, 4)
-    form = basic_distribution(0, Q(1, 2)).form
+    form = basic_distribution(0, Q(1, 2))
     v = is_observable(form, lam, n_max=12)
     assert v.status == "nonneg-up-to-n"
     assert not v.exact
@@ -107,8 +103,8 @@ def test_cross_rate_mixture_negative_witness():
     # under the GM quantization, an even mixture with a much broader profile
     # drives an early coefficient negative; the verdict is exact
     lam = Q(1, 2)
-    form = Q(1, 2) * basic_distribution(0, Q(1, 2)).form + Q(1, 2) * \
-        basic_distribution(0, Q(1, 4)).form
+    form = Q(1, 2) * basic_distribution(0, Q(1, 2)) + Q(1, 2) * \
+        basic_distribution(0, Q(1, 4))
     v = is_observable(form, lam, n_max=12)
     assert v.status == "negative-witness"
     assert v.exact
@@ -120,7 +116,7 @@ def test_negative_coefficient_witness():
     from moyalbench.spectral import projector_closed
 
     lam = Q(1, 2)
-    bump = basic_distribution(3, Q(1, 40)).form  # mean 1/10, sharply peaked
+    bump = basic_distribution(3, Q(1, 40))  # mean 1/10, sharply peaked
     c1 = exp_integral(projector_closed(1, lam).form * bump)
     assert c1 < 0
     v = is_observable(bump, lam, n_max=8)
@@ -129,12 +125,15 @@ def test_negative_coefficient_witness():
     assert v.exact
 
 
-def test_as_distribution_guards():
-    with pytest.raises(DomainError):
-        as_distribution(ExpPoly.single(Poly([Q(1)]), 1) * Q(2))
-    bad = ExpPoly.single(Poly([Q(4), Q(-8)]), 2)  # integrates to 0
-    with pytest.raises(DomainError):
-        as_distribution(bad)
+def test_wrong_mass_is_not_a_distribution():
+    mass_2 = ExpPoly.single(Poly([Q(1)]), 1) * Q(2)
+    mass_0 = ExpPoly.single(Poly([Q(4), Q(-8)]), 2)
+    assert exp_integral(mass_2) == 2 and exp_integral(mass_0) == 0
+    for form in (mass_2, mass_0):
+        v = is_observable(form, Q(1, 2))
+        assert v.status == "not-a-distribution" and v.exact
+        assert v.note == "mass differs from 1"
+        assert v.checked_to == -1 and v.coefficients == ()
 
 
 def test_duality_examples():
@@ -204,7 +203,7 @@ def test_basis_inversion_domain():
 def test_pure_state_recovery(lam):
     for n in range(5):
         _, _, coeffs = reconstruct_pure_state(lam, n, 6)
-        assert all(c == (1 if m == n else 0) for m, c in enumerate(coeffs.entries))
+        assert all(c == (1 if m == n else 0) for m, c in enumerate(coeffs))
 
 
 def test_negativity_search_gm():
@@ -240,6 +239,6 @@ def test_finite_support_spanning():
     combo = ExpPoly.zero()
     for k, w in enumerate(weights):
         if w:
-            combo = combo + w * basic_distribution(k, lam).form
+            combo = combo + w * basic_distribution(k, lam)
     got = fourier_laguerre(combo, lam, len(target) - 1)
-    assert list(got.entries) == target
+    assert list(got) == target

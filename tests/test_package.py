@@ -46,8 +46,11 @@ COLD_CHILD = (
 
 
 def cold(*argv):
-    """(exit code, stdout, modules loaded) of one command in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    """(exit code, stdout, modules loaded) of one command in a new interpreter.
+    The caller's PYTHONPATH stays after src: an interpreter without its own
+    mpmath finds it there."""
+    path = [SRC, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [SRC]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", COLD_CHILD, *argv], env=env,
                           check=True, capture_output=True, text=True)
     code, mods = json.loads(proc.stderr.splitlines()[-1])

@@ -1,13 +1,18 @@
+import math
+
 import pytest
 
 from moyalbench.backend import Q
 from moyalbench.errors import DomainError
 from moyalbench.biseries import BiSeries
+from moyalbench.exppoly import ExpPoly, mu_times
 from moyalbench.laguerre import (
     binomial_tail_identity,
     gamma_moment,
     generating_function_check,
+    laguerre,
     laguerre_eval_sequence,
+    moment_integral,
     monomial_from_laguerre,
     verify_projector_series_identity,
 )
@@ -18,9 +23,13 @@ from moyalbench.observables import (
     duality_gram,
     fourier_laguerre,
     negativity_search,
+    reconstruct_pure_state,
 )
-from moyalbench.params import ModelParams, as_lambda, nonneg_int
+from moyalbench.params import as_lambda, nonneg_int
+from moyalbench.poly import Poly
+from moyalbench.quadrature import integrate_decay
 from moyalbench.spectral import (
+    projector_closed,
     projector_poly_values,
     projector_series_eval,
     spectrum,
@@ -44,20 +53,6 @@ def test_as_lambda_strings_and_bounds():
         as_lambda(Q(0), lo_open=True)
     with pytest.raises(TypeError):
         as_lambda(0.25)
-
-
-def test_model_params():
-    mp = ModelParams()
-    assert mp.dimensionless
-    with pytest.raises(DomainError):
-        ModelParams(hbar=0)
-    with pytest.raises(DomainError):
-        ModelParams(omega=Q(-1, 2))
-
-
-def test_spectrum_scales_with_model_params():
-    sp = spectrum(Q(1, 2), 2, ModelParams(hbar=Q(2), omega=Q(3)))
-    assert [e.energy for e in sp] == [Q(3), Q(9), Q(15)]
 
 
 def test_nonneg_int():
@@ -101,6 +96,10 @@ def test_nonneg_int_rejects_non_integers(value):
     lambda: default_lambda_grid(-1),
     lambda: fund_table(-1, 2),
     lambda: fund_table(2, -1),
+    lambda: Poly.monomial(-2),
+    lambda: Poly([Q(1), Q(2)]).shift(-1),
+    lambda: mu_times(ExpPoly.single(Poly([Q(1)]), 1), -1),
+    lambda: reconstruct_pure_state(Q(1, 3), -1, 4),
 ])
 def test_negative_sizes_rejected(call):
     with pytest.raises(DomainError, match="must be >= 0"):
@@ -115,8 +114,20 @@ def test_negative_sizes_rejected(call):
     (lambda: BiSeries.constant(1, 4, 4).exp(), "exp needs a zero constant term"),
     (lambda: BiSeries.var_x(4, 4).inverse(), "not invertible"),
     (lambda: run_suite("nope"), "unknown suite 'nope'"),
+    (lambda: laguerre(2.5), "n must be an integer"),
+    (lambda: laguerre(True), "n must be an integer"),
+    (lambda: projector_closed(2.5, Q(1, 4)), "n must be an integer"),
+    (lambda: projector_closed(True, Q(1, 4)), "n must be an integer"),
+    (lambda: moment_integral(1.5, 0), "k must be an integer"),
+    (lambda: integrate_decay(math.exp, t_max=0.0), "t_max must be finite"),
+    (lambda: integrate_decay(math.exp, t_max=-5.0), "t_max must be finite"),
+    (lambda: integrate_decay(math.exp, t_max=math.inf), "t_max must be finite"),
+    (lambda: integrate_decay(math.exp, t_max=math.nan), "t_max must be finite"),
+    (lambda: integrate_decay(math.exp, tol=math.nan), "tolerance must be positive"),
 ], ids=["phase-pow", "biseries-pow", "den-0", "den-negative", "exp", "inverse",
-        "suite"])
+        "suite", "laguerre-float", "laguerre-bool", "projector-float", "projector-bool",
+        "moment-float", "t_max-0", "t_max-negative", "t_max-inf", "t_max-nan",
+        "tol-nan"])
 def test_invalid_arguments_are_domain_errors(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -5,21 +5,29 @@
 The directory defaults to ``~/.pyenv/versions``.  Only the interpreter this
 script runs under needs pytest, hypothesis and mpmath: its ``site-packages``
 is put on ``PYTHONPATH`` for the others, after ``src``.  Each interpreter's
-pytest summary line is printed, and so is every interpreter that could not
-start the run (for example a 3.10 without ``exceptiongroup``).  The exit
-status is 0 only when every interpreter started and passed.
+pytest summary line is printed.  An interpreter that cannot start pytest (for
+example a 3.10 without ``exceptiongroup``) runs the golden-output check
+instead: ``python -m moyalbench.cli verify --suite all --format json --seed 0``
+against ``tests/data/verify_all_seed0.json`` byte for byte, and every argv of
+``tests/data/cli_golden.json`` against its exit code and stdout digest; its
+line says so and gives that result.  The exit status is 0 only when every
+interpreter started pytest and passed.
 
 The name does not start with ``test_``, so pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 import sysconfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+VERIFY_ARGV = ["verify", "--suite", "all", "--format", "json", "--seed", "0"]
 
 
 def interpreters(versions_dir: str) -> list:
@@ -32,6 +40,28 @@ def interpreters(versions_dir: str) -> list:
             if os.access(exe, os.X_OK):
                 found.append((tuple(int(p) for p in parts if p.isdigit()), name, exe))
     return [(name, exe) for _, name, exe in sorted(found)]
+
+
+def golden_outputs(exe: str, env: dict) -> str:
+    """Run the verify golden file and the CLI digests under exe; one summary."""
+
+    def cli(argv):
+        return subprocess.run([exe, "-m", "moyalbench.cli", *argv], env=env,
+                              cwd=ROOT, capture_output=True)
+
+    with open(os.path.join(DATA, "verify_all_seed0.json"), "rb") as fh:
+        golden = fh.read()
+    run = cli(VERIFY_ARGV)
+    same = run.returncode == 0 and run.stdout == golden
+    verify = "identical" if same else "DIFFERS"
+    with open(os.path.join(DATA, "cli_golden.json"), encoding="utf-8") as fh:
+        cases = json.load(fh)
+    matched = 0
+    for case in cases:
+        run = cli(case["argv"])
+        digest = hashlib.sha256(run.stdout).hexdigest()
+        matched += run.returncode == case["exit_code"] and digest == case["stdout_sha256"]
+    return f"verify golden {verify}, {matched}/{len(cases)} CLI digests match"
 
 
 def main(argv: list) -> int:
@@ -48,7 +78,7 @@ def main(argv: list) -> int:
                                env=env, cwd=ROOT, capture_output=True, text=True)
         if probe.returncode:
             last = (probe.stderr.strip().splitlines() or ["no output"])[-1]
-            print(f"{name}: could not start: {last}")
+            print(f"{name}: could not start: {last}; {golden_outputs(exe, env)}")
             failed.append(name)
             continue
         run = subprocess.run([exe, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
