@@ -108,8 +108,9 @@ class BiSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
+        if isinstance(n, int) and n < 0:
             raise DomainError("use inverse() for negative powers")
+        nonneg_int("power", n)
         out = BiSeries.constant(Q(1), self.kx, self.ky)
         base = self
         while n:

@@ -142,16 +142,9 @@ def is_observable(p: ExpPoly, lam, n_max: int = 32) -> ObservabilityVerdict:
 
 # -- duality -------------------------------------------------------------------
 
-def duality_check(n: int, m: int, lam):
-    """integral pi_n^(lam) pi_m^(1-lam) dmu, exactly (delta_nm)."""
-    lam = as_lambda(lam, lo_open=True)
-    return exp_integral(
-        projector_closed(n, lam).form * projector_closed(m, Q(1) - lam).form
-    )
-
-
 def duality_gram(n_max: int, lam) -> list:
-    """The full pairing matrix for n, m <= n_max."""
+    """The pairings integral pi_n^(lam) pi_m^(1-lam) dmu for n, m <= n_max,
+    exactly (delta_nm)."""
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("n_max", n_max)
     left = [projector_closed(n, lam).form for n in range(n_max + 1)]
@@ -163,8 +156,6 @@ def duality_gram(n_max: int, lam) -> list:
 
 @dataclass(frozen=True)
 class BasisInversion:
-    lam: object
-    size: int
     matrix: tuple  # rows: coefficient vectors of the basic distributions
     inverse: tuple
     identity_ok: bool
@@ -200,8 +191,6 @@ def basis_inversion(lam, size: int) -> BasisInversion:
     )
     negatives = any(c < 0 for row in inv for c in row)
     return BasisInversion(
-        lam=lam,
-        size=size,
         matrix=tuple(tuple(r) for r in m),
         inverse=tuple(tuple(r) for r in inv),
         identity_ok=prod_ok,

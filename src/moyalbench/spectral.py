@@ -57,13 +57,6 @@ class Projector:
         return self.n + self.lam
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    n: int
-    lam: object
-    energy: object  # n + lam in units of hbar omega, exact
-
-
 def projector_closed(n: int, lam) -> Projector:
     """Exact closed form; lam = 0 takes the Poisson branch."""
     nonneg_int("n", n)
@@ -112,11 +105,11 @@ def projector_series_eval(n: int, lam, terms: int, mu):
 
 
 def spectrum(lam, n_max: int) -> list:
-    """Dimensionless energy levels n + lam for n = 0..n_max (units of hbar
-    omega, so the spacing is 1)."""
+    """Exact dimensionless energy levels [lam, 1 + lam, ..., n_max + lam]
+    (units of hbar omega, so the spacing is 1)."""
     lam = as_lambda(lam)
     nonneg_int("n_max", n_max)
-    return [SpectrumEntry(n=n, lam=lam, energy=n + lam) for n in range(n_max + 1)]
+    return [n + lam for n in range(n_max + 1)]
 
 
 def radial_star_apply(f: ExpPoly, lam) -> ExpPoly:
@@ -166,16 +159,6 @@ def radial_star_on_polynomial(g: Poly, lam) -> PhasePoly:
 
 # -- star exponential ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class StarExpEval:
-    lam: object
-    mu: object
-    t: float
-    value: complex
-    terms: int | None
-    conditional: bool
-
-
 def _denominator(lam_f: float, t: float) -> complex:
     return 1.0 - lam_f + lam_f * cmath.exp(-1j * t)
 
@@ -185,7 +168,7 @@ def _finite_time(t: float) -> None:
         raise DomainError(f"t must be finite, got {t}")
 
 
-def star_exp_closed(lam, mu, t: float) -> StarExpEval:
+def star_exp_closed(lam, mu, t: float) -> complex:
     """Closed-form exp_star(-iHt/hbar) at dimensionless energy mu; t is in
     units of 1/omega."""
     lam = as_lambda(lam)
@@ -194,13 +177,11 @@ def star_exp_closed(lam, mu, t: float) -> StarExpEval:
     den = _denominator(lam_f, t)
     if abs(den) < 1e-12:
         raise PoleError(f"singular time: 1-lam+lam e^(-i omega t) = {den}")
-    value = (
+    return (
         cmath.exp(-1j * lam_f * t)
         / den
         * cmath.exp(mu_f * (cmath.exp(-1j * t) - 1.0) / den)
     )
-    return StarExpEval(lam=lam, mu=Q(mu), t=t, value=value, terms=None,
-                       conditional=False)
 
 
 def star_exp_normal_closed(mu, t: float) -> complex:
@@ -208,14 +189,15 @@ def star_exp_normal_closed(mu, t: float) -> complex:
     return cmath.exp(float(Q(mu)) * (cmath.exp(-1j * t) - 1.0))
 
 
-def star_exp_series(lam, mu, t: float, terms: int) -> StarExpEval:
-    """Truncated Fourier-Dirichlet sum  sum_{n<=terms} pi_n(mu) e^{-i(n+lam)t}."""
+def star_exp_series(lam, mu, t: float, terms: int) -> complex:
+    """Truncated Fourier-Dirichlet sum  sum_{n<=terms} pi_n(mu) e^{-i(n+lam)t}.
+
+    At lam = 1/2 the sum converges only conditionally."""
     lam = as_lambda(lam, hi=Q(1, 2), hi_open=False)
     nonneg_int("terms", terms)
     _finite_time(t)
     lam_f, mu_f = float(lam), float(Q(mu))
     phase = cmath.exp(-1j * t)
-    conditional = lam == Q(1, 2)
     total = 0.0 + 0.0j
     if lam == 0:
         weight = math.exp(-mu_f)  # Poisson pi_n = e^-mu mu^n / n!
@@ -224,8 +206,7 @@ def star_exp_series(lam, mu, t: float, terms: int) -> StarExpEval:
             total += weight * rot
             rot *= phase
             weight *= mu_f / (n + 1)
-        return StarExpEval(lam=lam, mu=Q(mu), t=t, value=total, terms=terms,
-                           conditional=False)
+        return total
     one_m = 1.0 - lam_f
     x0 = mu_f / (lam_f * one_m)
     pref = math.exp(-mu_f / one_m) / one_m
@@ -240,8 +221,7 @@ def star_exp_series(lam, mu, t: float, terms: int) -> StarExpEval:
         power *= ratio
         if n >= 1:
             l_prev, l_cur = l_cur, ((2 * n + 1 - x0) * l_cur - n * l_prev) / (n + 1)
-    return StarExpEval(lam=lam, mu=Q(mu), t=t, value=total, terms=terms,
-                       conditional=conditional)
+    return total
 
 
 def star_exp_closed_displayed(lam, mu, t: float) -> complex:
@@ -274,15 +254,10 @@ def star_exp_gm_displayed(mu, t: float) -> complex:
 
 # -- radial evolution equation --------------------------------------------------
 
-@dataclass(frozen=True)
-class RadialPdeReport:
-    corrected_residual_zero: bool
-    displayed_residual_zero: bool
-    displayed_residual: str
-
-
-def verify_radial_pde() -> RadialPdeReport:
+def verify_radial_pde() -> tuple:
     """Check the normal-order radial evolution equation against its solution.
+
+    Returns (corrected_residual_zero, displayed_residual_zero).
 
     Time is in units of 1/omega.  The solution
     F(s, t) = exp(-s/hbar) exp(w s/hbar), w = e^{-i t}, never vanishes, so a
@@ -301,35 +276,20 @@ def verify_radial_pde() -> RadialPdeReport:
     ds_log = w - one                           # (hbar dF/ds) / F
     rhs_good = s + s * ds_log
     rhs_displayed = s + ds_log
-    residual = lhs - rhs_displayed
-    return RadialPdeReport(
-        corrected_residual_zero=(lhs == rhs_good),
-        displayed_residual_zero=residual.is_zero,
-        displayed_residual=repr(residual),
-    )
+    return lhs == rhs_good, lhs == rhs_displayed
 
 
 # -- sums over levels ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionReport:
-    lam: object
-    mu: object
-    n_used: int | None
-    gap: float
-    tol: float
-    conditional: bool
+def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> tuple:
+    """(N, gap): the smallest N with gap = |sum_{n<=N} pi_n(mu) - 1| < tol
+    (exact partial sums).
 
-
-def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> PartitionReport:
-    """Smallest N with |sum_{n<=N} pi_n(mu) - 1| < tol (exact partial sums).
-
-    At lam = 1/2 the sum is only conditionally convergent; the report is
-    then qualitative (n_used may be None if tol is not reached by n_cap).
+    At lam = 1/2 the sum is only conditionally convergent; the answer is
+    then qualitative: (None, the least gap) if tol is not reached by n_cap.
     """
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     mu = Q(mu)
-    conditional = lam == Q(1, 2)
     values = projector_poly_values(lam, mu, n_cap)
     rate = mu / (Q(1) - lam)
     decay = math.exp(-float(rate))
@@ -340,11 +300,9 @@ def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> Partitio
         gap = abs(_decayed(running, rate, decay) - 1.0)
         best_gap = min(best_gap, gap)
         if gap < tol:
-            return PartitionReport(lam=lam, mu=mu, n_used=n, gap=gap, tol=tol,
-                                   conditional=conditional)
-    if conditional:
-        return PartitionReport(lam=lam, mu=mu, n_used=None, gap=best_gap, tol=tol,
-                               conditional=True)
+            return n, gap
+    if lam == Q(1, 2):
+        return None, best_gap
     raise AccuracyError(
         f"partition of unity not within {tol} after {n_cap} levels"
     )

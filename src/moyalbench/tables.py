@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 
 from .backend import Q, rational_str
@@ -74,14 +75,13 @@ def duality_table(lam, n_max: int):
 def spectrum_table(lam, n_max: int):
     from .spectral import spectrum
     header = ["n", "energy"]
-    rows = [[str(e.n), rational_str(e.energy)] for e in spectrum(lam, n_max)]
+    rows = [[str(n), rational_str(e)] for n, e in enumerate(spectrum(lam, n_max))]
     return header, rows
 
 
 def scan_table(k_max: int, max_denominator: int = 64):
     from .uncertainty import default_lambda_grid, scan_lambda
     header = ["lambda", "first_fail_k", "predicted_k", "matches", "boundary"]
-    res = scan_lambda(default_lambda_grid(max_denominator), k_max)
     rows = [
         [
             rational_str(e.lam),
@@ -90,25 +90,23 @@ def scan_table(k_max: int, max_denominator: int = 64):
             str(e.matches_prediction).lower(),
             str(e.boundary_at_fail).lower(),
         ]
-        for e in res.entries
+        for e in scan_lambda(default_lambda_grid(max_denominator), k_max)
     ]
     return header, rows
 
 
 def moments_table(lam, k: int, prec: int = DEFAULT_FLOAT_PREC):
-    from .uncertainty import moment_report
-    rep = moment_report(k, lam)
+    from .uncertainty import classical_moments, quantum_moments
     header = ["quantity", "exact", "float"]
-    rows = [
-        ["classical_mean", rational_str(rep.classical_mean), ""],
-        ["classical_second", rational_str(rep.classical_second), ""],
-        ["classical_variance", rational_str(rep.classical_variance), ""],
-        ["classical_std", "", format_float(rep.classical_std, prec)],
-        ["quantum_mean", rational_str(rep.quantum_mean), ""],
-        ["quantum_second", rational_str(rep.quantum_second), ""],
-        ["quantum_variance", rational_str(rep.quantum_variance), ""],
-        ["quantum_std", "", format_float(rep.quantum_std, prec)],
-    ]
+    rows = []
+    for kind, (mean, second, variance) in (("classical", classical_moments(k, lam)),
+                                           ("quantum", quantum_moments(k, lam))):
+        rows += [
+            [f"{kind}_mean", rational_str(mean), ""],
+            [f"{kind}_second", rational_str(second), ""],
+            [f"{kind}_variance", rational_str(variance), ""],
+            [f"{kind}_std", "", format_float(math.sqrt(float(variance)), prec)],
+        ]
     return header, rows
 
 
@@ -147,7 +145,7 @@ def starexp_table(lam, mu, t: float, terms: int, prec: int = DEFAULT_FLOAT_PREC)
     """The star exponential at mu and time t: closed form against the
     terms-term Fourier-Dirichlet sum."""
     from .spectral import star_exp_closed, star_exp_series
-    closed = star_exp_closed(lam, mu, t).value
+    closed = star_exp_closed(lam, mu, t)
     series = star_exp_series(lam, mu, t, terms)
     header = ["quantity", "value"]
     rows = [
@@ -155,10 +153,10 @@ def starexp_table(lam, mu, t: float, terms: int, prec: int = DEFAULT_FLOAT_PREC)
         ["mu", rational_str(mu)],
         ["t", format_float(t, prec)],
         ["closed", format_complex(closed, prec)],
-        ["series", format_complex(series.value, prec)],
+        ["series", format_complex(series, prec)],
         ["terms", str(terms)],
-        ["abs_difference", format_float(abs(closed - series.value), prec)],
-        ["conditional_convergence", str(series.conditional).lower()],
+        ["abs_difference", format_float(abs(closed - series), prec)],
+        ["conditional_convergence", str(lam == Q(1, 2)).lower()],
     ]
     return header, rows
 

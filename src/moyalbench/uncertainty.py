@@ -67,44 +67,10 @@ def quantum_moments(k: int, lam):
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    k: int
-    lam: object
-    classical_mean: object
-    classical_second: object
-    classical_variance: object
-    quantum_mean: object
-    quantum_second: object
-    quantum_variance: object
-    classical_std: float
-    quantum_std: float
-
-
-def moment_report(k: int, lam) -> MomentReport:
-    cm, cs, cv = classical_moments(k, lam)
-    qm, qs, qv = quantum_moments(k, lam)
-    return MomentReport(
-        k=k,
-        lam=as_lambda(lam, lo_open=True),
-        classical_mean=cm,
-        classical_second=cs,
-        classical_variance=cv,
-        quantum_mean=qm,
-        quantum_second=qs,
-        quantum_variance=qv,
-        classical_std=math.sqrt(float(cv)),
-        quantum_std=math.sqrt(float(qv)),
-    )
-
-
-@dataclass(frozen=True)
 class StarSquareReport:
-    k: int
-    lam: object
     quadratic: tuple  # mu-polynomial coefficients of H*H / (hbar omega)^2
     integral_value: object
-    weighted_sum: object
-    equal: bool
+    equal: bool  # integral_value is the quantum second moment
 
 
 def star_square_cross_check(k: int, lam) -> StarSquareReport:
@@ -126,11 +92,8 @@ def star_square_cross_check(k: int, lam) -> StarSquareReport:
     integral_value = exp_integral(form * quadratic)
     _, second, _ = quantum_moments(k, lam)
     return StarSquareReport(
-        k=k,
-        lam=lam,
         quadratic=tuple(coeffs),
         integral_value=integral_value,
-        weighted_sum=second,
         equal=(integral_value == second),
     )
 
@@ -185,18 +148,6 @@ class ScanEntry:
     boundary_at_fail: bool
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    k_max: int
-    entries: tuple
-
-    @property
-    def half_passes_all(self) -> bool:
-        return all(
-            e.first_fail_k is None for e in self.entries if e.lam == Q(1, 2)
-        )
-
-
 def default_lambda_grid(max_denominator: int = 64) -> list:
     """All reduced rationals in (0, 1/2] with denominator <= max_denominator."""
     nonneg_int("max_denominator", max_denominator)
@@ -208,8 +159,9 @@ def default_lambda_grid(max_denominator: int = 64) -> list:
     )
 
 
-def scan_lambda(grid, k_max: int) -> ScanResult:
-    """First failing k for each lam on the grid, against the exact threshold."""
+def scan_lambda(grid, k_max: int) -> tuple:
+    """One ScanEntry per lam on the grid: its first failing k up to k_max,
+    against the exact threshold."""
     nonneg_int("k_max", k_max)
     entries = []
     for lam in grid:
@@ -239,7 +191,7 @@ def scan_lambda(grid, k_max: int) -> ScanResult:
                 boundary_at_fail=boundary,
             )
         )
-    return ScanResult(k_max=k_max, entries=tuple(entries))
+    return tuple(entries)
 
 
 # -- Groenewold-Moyal asymptotics ----------------------------------------------

@@ -167,7 +167,7 @@ def check_mixed_orthogonality() -> CheckResult:
 
 def check_series_identity() -> CheckResult:
     ok = all(
-        verify_projector_series_identity(n, 12, 12).equal for n in range(4)
+        verify_projector_series_identity(n, 12, 12) for n in range(4)
     )
     scalar_ok = all(
         binomial_tail_identity(n, 80)[2] == 2 for n in range(11)
@@ -281,8 +281,7 @@ def check_negativity_witnesses() -> CheckResult:
 
 def check_selection_scan() -> CheckResult:
     grid = unc.default_lambda_grid(64)
-    res = unc.scan_lambda(grid, 1000)
-    ok = all(e.matches_prediction for e in res.entries)
+    ok = all(e.matches_prediction for e in unc.scan_lambda(grid, 1000))
     # lam = 1/2 = p/q: k p(q-p) < (k+1) p^2, both sides over q^2
     p, q = 1, 2
     ok &= all(k * p * (q - p) < (k + 1) * p * p for k in range(1001))
@@ -312,14 +311,14 @@ def check_partition_of_unity() -> CheckResult:
     tol = 1e-6
     ok, details = True, []
     for mu in (Q(1, 2), Q(1), Q(2), Q(5), Q(10)):
-        r = spec.partition_of_unity(Q(1, 4), mu, tol=tol, n_cap=500)
-        ok &= r.gap < tol and r.n_used is not None and r.n_used <= 500
-        details.append(f"mu={rational_str(mu)}:N={r.n_used}")
+        n_used, gap = spec.partition_of_unity(Q(1, 4), mu, tol=tol, n_cap=500)
+        ok &= gap < tol and n_used is not None and n_used <= 500
+        details.append(f"mu={rational_str(mu)}:N={n_used}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionalConvergenceWarning)
-        half = spec.partition_of_unity(Q(1, 2), Q(1), tol=1e-2, n_cap=400)
+        _, half_gap = spec.partition_of_unity(Q(1, 2), Q(1), tol=1e-2, n_cap=400)
     details.append(
-        f"lam=1/2 qualitative: gap {half.gap:.3g} at N<=400 (conditional)"
+        f"lam=1/2 qualitative: gap {half_gap:.3g} at N<=400 (conditional)"
     )
     return _numeric("partition-of-unity-lam-1/4", ok, tol, "; ".join(details))
 
@@ -330,8 +329,8 @@ def check_star_exponential() -> CheckResult:
     for lam in (Q(0), Q(1, 4)):
         for mu in (Q(1, 2), Q(1), Q(2)):
             for wt in (0.3, 1.0, 2.0):
-                c = spec.star_exp_closed(lam, mu, wt).value
-                s = spec.star_exp_series(lam, mu, wt, 200).value
+                c = spec.star_exp_closed(lam, mu, wt)
+                s = spec.star_exp_series(lam, mu, wt, 200)
                 worst = max(worst, abs(c - s))
     normal_worst = 0.0
     for mu in (Q(1, 2), Q(1), Q(2)):
@@ -339,7 +338,7 @@ def check_star_exponential() -> CheckResult:
             normal_worst = max(
                 normal_worst,
                 abs(
-                    spec.star_exp_closed(0, mu, wt).value
+                    spec.star_exp_closed(0, mu, wt)
                     - spec.star_exp_normal_closed(mu, wt)
                 ),
             )
@@ -414,9 +413,9 @@ def check_starexp_displayed_forms() -> CheckResult:
     # the doubled-coefficient display disagrees with the series ground truth
     deltas = []
     for mu in (Q(1), Q(2)):
-        s = spec.star_exp_series(Q(1, 4), mu, 1.0, 300).value
+        s = spec.star_exp_series(Q(1, 4), mu, 1.0, 300)
         displayed = spec.star_exp_closed_displayed(Q(1, 4), mu, 1.0)
-        corrected = spec.star_exp_closed(Q(1, 4), mu, 1.0).value
+        corrected = spec.star_exp_closed(Q(1, 4), mu, 1.0)
         deltas.append((abs(displayed - s), abs(corrected - s)))
     mismatch = all(d > 1e-2 for d, _ in deltas)
     match = all(c < 1e-8 for _, c in deltas)
@@ -432,7 +431,7 @@ def check_gm_sign_convention() -> CheckResult:
     for mu in (Q(1), Q(2)):
         for wt in (0.4, 1.1):
             disp = spec.star_exp_gm_displayed(mu, wt)
-            corr = spec.star_exp_closed(Q(1, 2), mu, wt).value
+            corr = spec.star_exp_closed(Q(1, 2), mu, wt)
             ok &= abs(disp - corr.conjugate()) < 1e-12
             ok &= abs(disp - corr) > 1e-3
     return _erratum(
@@ -443,8 +442,8 @@ def check_gm_sign_convention() -> CheckResult:
 
 
 def check_radial_pde_erratum() -> CheckResult:
-    rep = spec.verify_radial_pde()
-    ok = rep.corrected_residual_zero and not rep.displayed_residual_zero
+    corrected_zero, displayed_zero = spec.verify_radial_pde()
+    ok = corrected_zero and not displayed_zero
     return _erratum(
         "radial-evolution-equation-missing-factor", ok,
         "solution satisfies the equation with the extra radial factor s; "

@@ -1,6 +1,6 @@
 """The binomial weights, the level moments and the selection inequality run on
-ints over q^k for lam = p/q.  The rational code they replaced is kept here,
-verbatim, as the reference they must reproduce exactly."""
+ints over q^k for lam = p/q.  The rational code they replaced is kept here
+as the reference they must reproduce exactly."""
 
 import math
 
@@ -11,7 +11,6 @@ from moyalbench.backend import Q, ZERO, qbinom
 from moyalbench.params import as_lambda, nonneg_int
 from moyalbench.uncertainty import (
     ScanEntry,
-    ScanResult,
     SelectionVerdict,
     default_lambda_grid,
     threshold_k,
@@ -62,7 +61,7 @@ def selection_inequality(k: int, lam) -> SelectionVerdict:
     )
 
 
-def scan_lambda(grid, k_max: int) -> ScanResult:
+def scan_lambda(grid, k_max: int) -> tuple:
     """First failing k for each lam on the grid, against the exact threshold."""
     nonneg_int("k_max", k_max)
     entries = []
@@ -92,7 +91,7 @@ def scan_lambda(grid, k_max: int) -> ScanResult:
                 boundary_at_fail=boundary,
             )
         )
-    return ScanResult(k_max=k_max, entries=tuple(entries))
+    return tuple(entries)
 
 
 # -- the int kernel against it -------------------------------------------------
@@ -150,17 +149,16 @@ def test_boundary_pairs(k, lam):
 
 def test_boundary_lambdas_scan_to_a_boundary_failure():
     grid = [lam for _, lam in BOUNDARY]
-    res = unc.scan_lambda(grid, 1000)
-    assert res == scan_lambda(grid, 1000)
-    assert all(e.boundary_at_fail and e.matches_prediction for e in res.entries)
+    entries = unc.scan_lambda(grid, 1000)
+    assert entries == scan_lambda(grid, 1000)
+    assert all(e.boundary_at_fail and e.matches_prediction for e in entries)
 
 
 def test_scan_of_the_catalog_grid_entry_by_entry():
     grid = default_lambda_grid(64)
     new, ref = unc.scan_lambda(grid, 1000), scan_lambda(grid, 1000)
-    assert new.k_max == ref.k_max
-    assert len(new.entries) == len(ref.entries) == len(grid)
-    for a, b in zip(new.entries, ref.entries):
+    assert len(new) == len(ref) == len(grid)
+    for a, b in zip(new, ref):
         assert a == b
 
 

@@ -7,7 +7,6 @@ from moyalbench.observables import (
     basic_distribution,
     basis_inversion,
     binomial_weights,
-    duality_check,
     duality_gram,
     finite_support_bound,
     fourier_laguerre,
@@ -137,9 +136,10 @@ def test_wrong_mass_is_not_a_distribution():
 
 
 def test_duality_examples():
-    assert duality_check(0, 0, Q(1, 3)) == 1
-    assert duality_check(0, 1, Q(1, 3)) == 0
-    assert duality_check(2, 2, Q(1, 2)) == 1  # self-dual point
+    g = duality_gram(2, Q(1, 3))
+    assert g[0][0] == 1
+    assert g[0][1] == 0
+    assert duality_gram(2, Q(1, 2))[2][2] == 1  # self-dual point
 
 
 @pytest.mark.parametrize("lam", [Q(1, 4), Q(1, 3), Q(1, 2)])

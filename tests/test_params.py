@@ -12,6 +12,7 @@ from moyalbench.laguerre import (
     generating_function_check,
     laguerre,
     laguerre_eval_sequence,
+    mixed_orthogonality,
     moment_integral,
     monomial_from_laguerre,
     verify_projector_series_identity,
@@ -109,6 +110,8 @@ def test_negative_sizes_rejected(call):
 @pytest.mark.parametrize("call, message", [
     (lambda: PhasePoly.a() ** -1, "power must be >= 0"),
     (lambda: BiSeries.var_x(2, 2) ** -1, "use inverse"),
+    (lambda: BiSeries.var_x(2, 2) ** 2.5, "power must be an integer"),
+    (lambda: BiSeries.var_x(2, 2) ** True, "power must be an integer"),
     (lambda: PhasePoly({(1, 0, 0): (1, 0)}, 0), "denominator must be positive"),
     (lambda: PhasePoly({(1, 0, 0): (1, 0)}, -2), "denominator must be positive"),
     (lambda: BiSeries.constant(1, 4, 4).exp(), "exp needs a zero constant term"),
@@ -119,14 +122,19 @@ def test_negative_sizes_rejected(call):
     (lambda: projector_closed(2.5, Q(1, 4)), "n must be an integer"),
     (lambda: projector_closed(True, Q(1, 4)), "n must be an integer"),
     (lambda: moment_integral(1.5, 0), "k must be an integer"),
+    (lambda: mixed_orthogonality(-1, 0, Q(1, 3)), "m must be >= 0"),
+    (lambda: mixed_orthogonality(1.5, 0, Q(1, 3)), "m must be an integer"),
+    (lambda: mixed_orthogonality(0, -1, Q(1, 3)), "n must be >= 0"),
+    (lambda: mixed_orthogonality(0, 1.5, Q(1, 3)), "n must be an integer"),
     (lambda: integrate_decay(math.exp, t_max=0.0), "t_max must be finite"),
     (lambda: integrate_decay(math.exp, t_max=-5.0), "t_max must be finite"),
     (lambda: integrate_decay(math.exp, t_max=math.inf), "t_max must be finite"),
     (lambda: integrate_decay(math.exp, t_max=math.nan), "t_max must be finite"),
     (lambda: integrate_decay(math.exp, tol=math.nan), "tolerance must be positive"),
-], ids=["phase-pow", "biseries-pow", "den-0", "den-negative", "exp", "inverse",
-        "suite", "laguerre-float", "laguerre-bool", "projector-float", "projector-bool",
-        "moment-float", "t_max-0", "t_max-negative", "t_max-inf", "t_max-nan",
+], ids=["phase-pow", "biseries-pow", "biseries-pow-float", "biseries-pow-bool",
+        "den-0", "den-negative", "exp", "inverse", "suite", "laguerre-float", "laguerre-bool", "projector-float", "projector-bool",
+        "moment-float", "mixed-m-negative", "mixed-m-float", "mixed-n-negative",
+        "mixed-n-float", "t_max-0", "t_max-negative", "t_max-inf", "t_max-nan",
         "tol-nan"])
 def test_invalid_arguments_are_domain_errors(call, message):
     with pytest.raises(DomainError, match=message):

@@ -4,11 +4,11 @@ import pytest
 
 from moyalbench.backend import Q
 from moyalbench.errors import DomainError
+from moyalbench.tables import format_float, moments_table
 from moyalbench.uncertainty import (
     classical_moments,
     default_lambda_grid,
     gm_asymptotics,
-    moment_report,
     quantum_moments,
     scan_lambda,
     selection_inequality,
@@ -45,11 +45,13 @@ def test_energy_identity_mean_agreement(lam):
         assert quantum_moments(k, lam)[0] == classical_moments(k, lam)[0]
 
 
-def test_moment_report_floats():
-    rep = moment_report(2, Q(1, 2))
-    assert rep.classical_variance == rep.classical_second - rep.classical_mean ** 2
-    assert abs(rep.classical_std - math.sqrt(0.75)) < 1e-15
-    assert abs(rep.quantum_std - math.sqrt(0.5)) < 1e-15
+def test_moments_table_floats():
+    mean, second, variance = classical_moments(2, Q(1, 2))
+    assert variance == second - mean ** 2
+    _, rows = moments_table(Q(1, 2), 2)
+    floats = {name: value for name, _, value in rows if value}
+    assert floats == {"classical_std": format_float(math.sqrt(0.75)),
+                      "quantum_std": format_float(math.sqrt(0.5))}
 
 
 def test_star_square_cross_check_examples():
@@ -103,13 +105,12 @@ def test_grid_contents():
 
 
 def test_scan_examples():
-    res = scan_lambda([Q(1, 3), Q(2, 5), Q(1, 2)], 100)
-    by_lam = {e.lam: e for e in res.entries}
+    entries = scan_lambda([Q(1, 3), Q(2, 5), Q(1, 2)], 100)
+    by_lam = {e.lam: e for e in entries}
     assert by_lam[Q(1, 3)].first_fail_k == 1
     assert by_lam[Q(2, 5)].first_fail_k == 2
     assert by_lam[Q(1, 2)].first_fail_k is None
-    assert res.half_passes_all
-    assert all(e.matches_prediction for e in res.entries)
+    assert all(e.matches_prediction for e in entries)
 
 
 def test_scan_grid_domain():
