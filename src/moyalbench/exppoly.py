@@ -21,7 +21,6 @@ from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
 from .params import nonneg_int
 from .poly import Poly, _homogeneous
-from . import rootisolate
 
 
 def _decayed(x, rate, decay: float) -> float:
@@ -237,6 +236,7 @@ class ExpPoly:
         leading coefficient there yields a witness by doubling; otherwise
         candidate points are sign-checked exactly and None means undecided.
         """
+        from . import rootisolate
         if self.is_zero:
             return True, None
         checks = [rootisolate.nonneg_on_nonneg(p) for p in self.terms.values()]

@@ -12,16 +12,14 @@ independent oracle for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .backend import Q, ZERO, qbinom, qfact, rational_str
-from .biseries import BiSeries, binom_inverse_power
 from .errors import DomainError
 from .exppoly import ExpPoly, exp_integral
 from .params import as_lambda, nonneg_int
 from .poly import Poly
-from .quadrature import integrate_decay
 
 _cache: dict[int, Poly] = {}
 
@@ -150,6 +148,7 @@ def mixed_orthogonality(m: int, n: int, lam):
 # the lam power.  Each retained coefficient receives exactly one k.
 
 def projector_identity_lhs(n: int, k_lam: int, k_z: int) -> BiSeries:
+    from .biseries import BiSeries
     sign = Q(-1) ** n
     coeffs = {}
     for i in range(k_lam + 1):
@@ -164,6 +163,7 @@ def projector_identity_lhs(n: int, k_lam: int, k_z: int) -> BiSeries:
 
 
 def projector_identity_rhs(n: int, k_lam: int, k_z: int) -> BiSeries:
+    from .biseries import BiSeries, binom_inverse_power
     z_over = BiSeries.var_y(k_lam, k_z) * binom_inverse_power(1, k_lam, k_z)
     expo = (z_over * Q(-1)).exp()
     total = BiSeries.constant(0, k_lam, k_z)
@@ -178,6 +178,8 @@ def verify_projector_series_identity(n: int, k_lam: int, k_z: int) -> bool:
     """Expand both sides to orders (k_lam, k_z) and compare all
     (k_lam + 1)(k_z + 1) coefficients."""
     nonneg_int("n", n)
+    nonneg_int("k_lam", k_lam)
+    nonneg_int("k_z", k_z)
     if k_lam < n or k_z < n:
         raise DomainError("truncation orders must be >= n")
     return projector_identity_lhs(n, k_lam, k_z) == projector_identity_rhs(n, k_lam, k_z)
@@ -202,6 +204,7 @@ def binomial_tail_identity(n: int, terms: int):
 
 def generating_function_check(order: int) -> bool:
     """sum_k x^k (-1)^k L_k(z)  ==  (1/(1+x)) exp(z x/(1+x)) through x-order K."""
+    from .biseries import BiSeries
     nonneg_int("order", order)
     kx = ky = order
     lhs = BiSeries.constant(0, kx, ky)
@@ -236,8 +239,7 @@ def gamma_half_integer(q):
     return Q(-4) ** m * qfact(m) / qfact(2 * m), 1
 
 
-@dataclass(frozen=True)
-class GammaMomentReport:
+class GammaMomentReport(NamedTuple):
     quad_value: float
     panels: int
     formula_value: float
@@ -253,6 +255,7 @@ def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
     Non-integer exponents are integrated through z = u^2 (removes the branch
     point at 0); that needs p > -1/2.
     """
+    from .quadrature import integrate_decay
     nonneg_int("n", n)
     p = Q(p)
     if p <= Q(-1, 2) and p.denominator != 1:

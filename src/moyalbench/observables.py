@@ -20,14 +20,13 @@ every single-level coefficient vector as a signed combination of the p_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backend import Q, ZERO, qfact
 from .errors import DomainError
 from .exppoly import ExpPoly, exp_integral
 from .params import as_lambda, nonneg_int
 from .poly import Poly
-from .spectral import projector_closed, projector_poly_values
 
 
 def basic_distribution(k: int, lam) -> ExpPoly:
@@ -63,6 +62,7 @@ def binomial_weights(k: int, lam) -> list:
 
 def fourier_laguerre(p: ExpPoly, lam, n_max: int) -> tuple:
     """Exact projector pairings (c_0, ..., c_n_max) of the distribution p."""
+    from .spectral import projector_closed
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("n_max", n_max)
     return tuple(
@@ -83,8 +83,7 @@ def finite_support_bound(p: ExpPoly, lam):
     return None
 
 
-@dataclass(frozen=True)
-class ObservabilityVerdict:
+class ObservabilityVerdict(NamedTuple):
     status: str  # observable | negative-witness | nonneg-up-to-n | not-a-distribution
     lam: object
     checked_to: int
@@ -145,6 +144,7 @@ def is_observable(p: ExpPoly, lam, n_max: int = 32) -> ObservabilityVerdict:
 def duality_gram(n_max: int, lam) -> list:
     """The pairings integral pi_n^(lam) pi_m^(1-lam) dmu for n, m <= n_max,
     exactly (delta_nm)."""
+    from .spectral import projector_closed
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("n_max", n_max)
     left = [projector_closed(n, lam).form for n in range(n_max + 1)]
@@ -154,8 +154,7 @@ def duality_gram(n_max: int, lam) -> list:
 
 # -- basis inversion -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BasisInversion:
+class BasisInversion(NamedTuple):
     matrix: tuple  # rows: coefficient vectors of the basic distributions
     inverse: tuple
     identity_ok: bool
@@ -228,6 +227,7 @@ def negativity_search(lam, mu, n_max: int) -> list:
 
     An empty list means no witness up to n_max, never a refutation.
     """
+    from .spectral import projector_poly_values
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("n_max", n_max)
     mu = Q(mu)

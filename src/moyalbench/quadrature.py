@@ -13,15 +13,14 @@ on every CPython (the builtin ``sum`` of floats changed in 3.12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AccuracyError, DomainError
 
 _DEFAULT_T = 50.0
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     panels: int
     est_error: float

@@ -28,21 +28,17 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backend import Q, ZERO, qbinom, qfact
-from .biseries import BiSeries
 from .errors import AccuracyError, ConditionalConvergenceWarning, DomainError, PoleError
 from .exppoly import ExpPoly, _decayed, mu_times
 from .laguerre import laguerre, laguerre_eval_sequence
 from .params import as_lambda, nonneg_int
-from .phase import PhasePoly
 from .poly import Poly
-from .rootisolate import find_negative_point
 
 
-@dataclass(frozen=True)
-class Projector:
+class Projector(NamedTuple):
     """Level-n spectral projector of the lam-deformation, as an ExpPoly."""
 
     n: int
@@ -140,6 +136,7 @@ def radial_star_on_polynomial(g: Poly, lam) -> PhasePoly:
     reduction the phase-space star product must reproduce on radial
     polynomials.
     """
+    from .phase import PhasePoly
     lam = as_lambda(lam)
     g1, g2 = g.derivative(), g.derivative().derivative()
     coeffs = {}
@@ -268,6 +265,7 @@ def verify_radial_pde() -> tuple:
         i hbar dF/dt = s F + hbar s dF/ds      holds,
         i hbar dF/dt = s F + hbar   dF/ds      leaves a residual.
     """
+    from .biseries import BiSeries
     kx = ky = 4
     w = BiSeries.var_x(kx, ky)
     s = BiSeries.var_y(kx, ky)
@@ -289,6 +287,7 @@ def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> tuple:
     then qualitative: (None, the least gap) if tol is not reached by n_cap.
     """
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
+    nonneg_int("n_cap", n_cap)
     mu = Q(mu)
     values = projector_poly_values(lam, mu, n_cap)
     rate = mu / (Q(1) - lam)
@@ -311,6 +310,7 @@ def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> tuple:
 def energy_identity_gap(lam, mu, n_terms: int) -> float:
     """|sum_{n<=N} (n+lam) pi_n(mu) - mu| for the level-weighted energy sum."""
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
+    nonneg_int("n_terms", n_terms)
     mu = Q(mu)
     values = projector_poly_values(lam, mu, n_terms)
     total = sum(((n + lam) * r for n, r in enumerate(values)), ZERO)
@@ -321,6 +321,7 @@ def energy_identity_gap(lam, mu, n_terms: int) -> float:
 
 def projector_negative_witness(n: int, lam):
     """A rational mu > 0 with pi_n(mu) < 0, or None (exact root isolation)."""
+    from .rootisolate import find_negative_point
     proj = projector_closed(n, lam)
     (rate, poly), = proj.form.terms.items()
     witness = find_negative_point(poly)

@@ -17,13 +17,12 @@ sqrt(k))/2 tends to zero; for any fixed lam < 1/2 it does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backend import Q, ZERO, rceil
 from .exppoly import exp_integral, mu_times
 from .observables import basic_distribution, binomial_weight_ints
 from .params import as_lambda, nonneg_int
-from .phase import hamiltonian, star
 from .poly import Poly
 
 
@@ -66,8 +65,7 @@ def quantum_moments(k: int, lam):
     return mean, second, second - mean * mean
 
 
-@dataclass(frozen=True)
-class StarSquareReport:
+class StarSquareReport(NamedTuple):
     quadratic: tuple  # mu-polynomial coefficients of H*H / (hbar omega)^2
     integral_value: object
     equal: bool  # integral_value is the quantum second moment
@@ -82,6 +80,7 @@ def star_square_cross_check(k: int, lam) -> StarSquareReport:
     The radial quadratic comes out of the phase-space product itself
     (dimensionless units, s = hbar mu with hbar set to 1).
     """
+    from .phase import hamiltonian, star
     lam = as_lambda(lam, lo_open=True)
     hh = star(hamiltonian(), hamiltonian(), lam)
     coeffs = [ZERO, ZERO, ZERO]
@@ -100,8 +99,7 @@ def star_square_cross_check(k: int, lam) -> StarSquareReport:
 
 # -- the selection inequality -----------------------------------------------
 
-@dataclass(frozen=True)
-class SelectionVerdict:
+class SelectionVerdict(NamedTuple):
     k: int
     lam: object
     quantum_variance: object
@@ -139,8 +137,7 @@ def threshold_k(lam):
     return rceil(lam / (1 - 2 * lam))
 
 
-@dataclass(frozen=True)
-class ScanEntry:
+class ScanEntry(NamedTuple):
     lam: object
     first_fail_k: object  # int or None (no failure up to k_max)
     predicted_k: object
@@ -196,8 +193,7 @@ def scan_lambda(grid, k_max: int) -> tuple:
 
 # -- Groenewold-Moyal asymptotics ----------------------------------------------
 
-@dataclass(frozen=True)
-class GMRow:
+class GMRow(NamedTuple):
     k: int
     classical_variance: object
     quantum_variance: object

@@ -34,13 +34,14 @@ def test_submodule_import_gives_the_module():
 
 
 # A fresh interpreter imports moyalbench.cli, runs main(argv) when argv is
-# given, and reports the exit code and the moyalbench and mpmath modules
-# loaded on its last stderr line; the command's own output is on stdout.
+# given, and reports the exit code and the moyalbench, mpmath and dataclasses
+# modules loaded on its last stderr line; the command's own output is on stdout.
 COLD_CHILD = (
     "import json, sys\n"
     "from moyalbench.cli import main\n"
     "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-    "mods = sorted(m for m in sys.modules if m.split('.')[0] in ('moyalbench', 'mpmath'))\n"
+    "mods = sorted(m for m in sys.modules\n"
+    "              if m.split('.')[0] in ('moyalbench', 'mpmath', 'dataclasses'))\n"
     "print(json.dumps([code, mods]), file=sys.stderr)\n"
 )
 
@@ -94,3 +95,82 @@ def test_pi_past_the_float_exponent_range_in_a_cold_child():
     assert code == 0
     assert out.splitlines()[-1] == "value_at_mu,4.87810307113e-98"
     assert "mpmath" in mods
+
+
+FRONT = {"moyalbench"} | mb("backend", "errors", "params", "tables", "cli")
+
+
+# Each command kind perfbench's cli-cold workload runs, with the exact
+# modules it loads: library modules import their other layers in the
+# functions that use them, so no table command pays for phase, biseries,
+# gauss, quadrature, rootisolate or dataclasses.
+@pytest.mark.parametrize("argv, layers", [
+    (["export", "--what", "fund", "--k-max", "3", "--n-max", "3"],
+     ("poly", "exppoly", "laguerre")),
+    (["export", "--what", "laguerre", "--n", "6"], ("poly", "exppoly", "laguerre")),
+    (["scan", "--k-max", "8", "--denominator-max", "6"],
+     ("poly", "exppoly", "observables", "uncertainty")),
+    (["duality", "--lambda", "1/3", "--n-max", "3"],
+     ("poly", "exppoly", "laguerre", "spectral", "observables")),
+    (["weights", "--lambda", "1/4", "--k", "5"], ("poly", "exppoly", "observables")),
+    (["moments", "--lambda", "1/4", "--k", "5"],
+     ("poly", "exppoly", "observables", "uncertainty")),
+    (["spectrum", "--lambda", "1/4", "--n-max", "5"],
+     ("poly", "exppoly", "laguerre", "spectral")),
+    (["pi", "--lambda", "1/4", "--n", "6", "--mu", "3"],
+     ("poly", "exppoly", "laguerre", "spectral")),
+    (["pi", "--lambda", "1/4", "--n", "6", "--mu", "3", "--series", "--terms", "20"],
+     ("poly", "exppoly", "laguerre", "spectral")),
+    (["starexp", "--lambda", "1/4", "--mu", "3", "--t", "0.5", "--terms", "20"],
+     ("poly", "exppoly", "laguerre", "spectral")),
+], ids=["fund", "laguerre", "scan", "duality", "weights", "moments", "spectrum",
+        "pi", "pi-series", "starexp"])
+def test_table_command_loads_exactly_its_layers(argv, layers):
+    code, out, mods = cold(*argv)
+    assert code == 0 and out
+    assert mods == FRONT | mb(*layers)
+    assert "dataclasses" not in mods
+
+
+def test_records_are_immutable_named_tuples():
+    from moyalbench.backend import Q
+    from moyalbench.laguerre import GammaMomentReport
+    from moyalbench.observables import (
+        BasisInversion, ObservabilityVerdict, basic_distribution, is_observable)
+    from moyalbench.quadrature import QuadResult
+    from moyalbench.spectral import Projector, projector_closed
+    from moyalbench.uncertainty import GMRow, ScanEntry, SelectionVerdict, StarSquareReport
+
+    records = {
+        QuadResult: ("value", "panels", "est_error", "t_max"),
+        GammaMomentReport: ("quad_value", "panels", "formula_value", "formula_exact",
+                            "abs_diff", "agrees"),
+        Projector: ("n", "lam", "form"),
+        ObservabilityVerdict: ("status", "lam", "checked_to", "coefficients",
+                               "support_bound", "witness_index", "note"),
+        BasisInversion: ("matrix", "inverse", "identity_ok", "has_negative_entries"),
+        StarSquareReport: ("quadratic", "integral_value", "equal"),
+        SelectionVerdict: ("k", "lam", "quantum_variance", "classical_variance",
+                           "passes", "boundary"),
+        ScanEntry: ("lam", "first_fail_k", "predicted_k", "matches_prediction",
+                    "boundary_at_fail"),
+        GMRow: ("k", "classical_variance", "quantum_variance", "variance_difference",
+                "uncertainty_difference"),
+    }
+    for cls, fields in records.items():
+        assert cls._fields == fields
+        defaults = ({"coefficients": (), "support_bound": None, "witness_index": None,
+                     "note": ""} if cls is ObservabilityVerdict else {})
+        assert cls._field_defaults == defaults
+        record = cls(*range(len(fields)))
+        with pytest.raises(AttributeError):
+            setattr(record, fields[0], -1)
+        with pytest.raises(AttributeError):
+            record.extra = -1
+
+    proj = projector_closed(2, Q(1, 4))
+    assert isinstance(proj, Projector)
+    assert proj(Q(3)) == proj.form(Q(3))
+    assert proj.energy == Q(9, 4)
+    assert is_observable(basic_distribution(3, Q(1, 4)), Q(1, 4)).exact
+    assert not ObservabilityVerdict(status="nonneg-up-to-n", lam=Q(1, 4), checked_to=4).exact

@@ -30,6 +30,8 @@ from moyalbench.params import as_lambda, nonneg_int
 from moyalbench.poly import Poly
 from moyalbench.quadrature import integrate_decay
 from moyalbench.spectral import (
+    energy_identity_gap,
+    partition_of_unity,
     projector_closed,
     projector_poly_values,
     projector_series_eval,
@@ -131,11 +133,21 @@ def test_negative_sizes_rejected(call):
     (lambda: integrate_decay(math.exp, t_max=math.inf), "t_max must be finite"),
     (lambda: integrate_decay(math.exp, t_max=math.nan), "t_max must be finite"),
     (lambda: integrate_decay(math.exp, tol=math.nan), "tolerance must be positive"),
+    (lambda: verify_projector_series_identity(0, 2.5, 3), "k_lam must be an integer"),
+    (lambda: verify_projector_series_identity(0, -1, 3), "k_lam must be >= 0"),
+    (lambda: verify_projector_series_identity(0, 3, 2.5), "k_z must be an integer"),
+    (lambda: verify_projector_series_identity(0, 3, -1), "k_z must be >= 0"),
+    (lambda: partition_of_unity(Q(1, 4), 1, n_cap=-1), "n_cap must be >= 0"),
+    (lambda: partition_of_unity(Q(1, 4), 1, n_cap=2.5), "n_cap must be an integer"),
+    (lambda: energy_identity_gap(Q(1, 4), 1, -2), "n_terms must be >= 0"),
+    (lambda: energy_identity_gap(Q(1, 4), 1, 1.5), "n_terms must be an integer"),
 ], ids=["phase-pow", "biseries-pow", "biseries-pow-float", "biseries-pow-bool",
         "den-0", "den-negative", "exp", "inverse", "suite", "laguerre-float", "laguerre-bool", "projector-float", "projector-bool",
         "moment-float", "mixed-m-negative", "mixed-m-float", "mixed-n-negative",
         "mixed-n-float", "t_max-0", "t_max-negative", "t_max-inf", "t_max-nan",
-        "tol-nan"])
+        "tol-nan", "series-k_lam-float", "series-k_lam-negative", "series-k_z-float",
+        "series-k_z-negative", "partition-n_cap-negative", "partition-n_cap-float",
+        "energy-n_terms-negative", "energy-n_terms-float"])
 def test_invalid_arguments_are_domain_errors(call, message):
     with pytest.raises(DomainError, match=message):
         call()

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from moyalbench.backend import Q
-from moyalbench import laguerre, verify
+from moyalbench import laguerre, quadrature, verify
 from moyalbench.errors import AccuracyError, MoyalBenchError
 from moyalbench.exppoly import ExpPoly
 from moyalbench.poly import Poly
@@ -94,7 +94,7 @@ def test_simpson_sums_are_pinned_bit_for_bit(monkeypatch, call, expected):
         runs.append((float.hex(res.value), float.hex(res.est_error), res.panels))
         return res
 
-    monkeypatch.setattr(laguerre, "integrate_decay", recording)
+    monkeypatch.setattr(quadrature, "integrate_decay", recording)
     monkeypatch.setattr(verify, "integrate_decay", recording)
     call()
     assert runs == expected
