@@ -23,28 +23,30 @@ from .params import nonneg_int
 from .poly import Poly, _homogeneous
 
 
-def _decayed(x, rate, decay: float) -> float:
-    """x * exp(-rate) for exact rationals x, rate, where decay = exp(-rate).
+def _decayed(num: int, den: int, rate, decay: float) -> float:
+    """num/den * exp(-rate) for ints num, den > 0 and an exact rational rate,
+    where decay = exp(-rate).
 
-    The float product is used while decay is a normal float and x converts;
+    The float product is used while decay is a normal float and num/den
+    converts (correctly rounded, whether or not num/den is in lowest terms);
     otherwise the product is formed in mpmath's exponent range.
     """
     if decay >= sys.float_info.min:
         try:
-            return float(x) * decay
+            return num / den * decay
         except OverflowError:
             pass
-    return _wide_decayed(x, rate)
+    return _wide_decayed(num, den, rate)
 
 
-def _wide_decayed(x, rate) -> float:
-    """x * exp(-rate) formed in mpmath's exponent range, with guard bits for
-    the size of rate; a value no float can hold raises AccuracyError instead
-    of turning into 0 or inf."""
+def _wide_decayed(num: int, den: int, rate) -> float:
+    """num/den * exp(-rate) formed in mpmath's exponent range, with guard
+    bits for the size of rate; a value no float can hold raises
+    AccuracyError instead of turning into 0 or inf."""
     from mpmath import libmp
     prec = 64 + (rate.numerator // rate.denominator).bit_length()
     scale = libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
-    v = libmp.mpf_mul(libmp.from_rational(x.numerator, x.denominator, prec), scale, prec)
+    v = libmp.mpf_mul(libmp.from_rational(num, den, prec), scale, prec)
     out = libmp.to_float(v)
     if not math.isfinite(out):
         raise AccuracyError(f"{libmp.to_str(v, 5)} exceeds the float range")
@@ -183,7 +185,7 @@ class ExpPoly:
                     continue
             except OverflowError:
                 pass
-            total += _wide_decayed(c, r * x)
+            total += _wide_decayed(c.numerator, c.denominator, r * x)
         return total
 
     def sign_at(self, mu) -> int:

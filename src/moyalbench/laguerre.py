@@ -7,12 +7,18 @@ The closed form builds the polynomials: the coefficient of z^j in L_n is
 (-1)^j C(n, j) / j!, written down for each degree on its own and memoized
 per degree.  The three-term recurrence is kept in the tests as the
 independent oracle for it.
+
+Values at one rational point p/q come from laguerre_scaled, the recurrence
+on the integers n! q^n L_n(p/q).  spectral's level sums are built on it:
+ints over c^{n+1} n! q^n (lam = a/b, c = b - a), stopped at the level that
+decides them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple
 
 from .backend import Q, ZERO, qbinom, qfact, rational_str
@@ -44,28 +50,21 @@ def laguerre_coeff(n: int, j: int):
     return Fraction((-1) ** j * math.comb(n, j), math.factorial(j))
 
 
-def laguerre_eval_sequence(n_max: int, x) -> list:
-    """[L_0(x), ..., L_nmax(x)] exactly, by an integer-rescaled recurrence.
+def laguerre_scaled(x):
+    """Yield M_0, M_1, ... with M_n = n! q^n L_n(x), x = p/q in lowest terms.
 
-    With x = p/q, the numbers M_n = n! q^n L_n(x) satisfy the integer
-    recurrence M_{n+1} = ((2n+1)q - p) M_n - n^2 q^2 M_{n-1}, which keeps the
-    heavy arithmetic in plain integers.
+    The M_n are integers, M_{n+1} = ((2n+1)q - p) M_n - n^2 q^2 M_{n-1}, and
+    the generator runs until its reader stops.  This is the one recurrence
+    under every sum over levels: each keeps its terms as ints over one
+    running denominator, stops at the level that decides it, and forms a
+    rational or a float once.
     """
-    nonneg_int("n_max", n_max)
     x = Q(x)
     p, q = x.numerator, x.denominator
-    out = [Q(1)]
-    if n_max == 0:
-        return out
-    m_prev, m_cur = 1, q - p
-    out.append(Q(m_cur, q))
-    scale = q
-    for n in range(1, n_max):
-        m_next = ((2 * n + 1) * q - p) * m_cur - n * n * q * q * m_prev
-        m_prev, m_cur = m_cur, m_next
-        scale *= (n + 1) * q
-        out.append(Q(m_cur, scale))
-    return out
+    m_prev, m_cur = 0, 1
+    for n in count():
+        yield m_cur
+        m_prev, m_cur = m_cur, ((2 * n + 1) * q - p) * m_cur - n * n * q * q * m_prev
 
 
 # -- change of basis -----------------------------------------------------------

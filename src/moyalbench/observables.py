@@ -227,11 +227,11 @@ def negativity_search(lam, mu, n_max: int) -> list:
 
     An empty list means no witness up to n_max, never a refutation.
     """
-    from .spectral import projector_poly_values
+    from .spectral import level_terms
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("n_max", n_max)
     mu = Q(mu)
     if mu <= 0:
         raise DomainError("mu must be positive")
-    values = projector_poly_values(lam, mu, n_max)
-    return [n for n, r in enumerate(values) if r < 0]
+    # the int numerator t_n has the sign of pi_n(mu)
+    return [n for n, (t, _) in zip(range(n_max + 1), level_terms(lam, mu)) if t < 0]

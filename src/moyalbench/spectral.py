@@ -11,6 +11,13 @@ Closed forms (exact ExpPoly, 0 < lam < 1):
 with the lam -> 0 limit  pi_n = mu^n exp(-mu)/n!  (the Poisson weights).
 The energy at level n is n + lam, in units of hbar omega.
 
+Sums over levels at one rational mu run on ints.  With lam = a/b,
+c = b - a and mu/(lam(1-lam)) = p/q, pi_n(mu) exp(mu/(1-lam)) is
+b (-a)^n M_n / (c^{n+1} n! q^n), M_n = n! q^n L_n(p/q) from laguerre's
+integer recurrence; a partial sum keeps its numerator over that running
+denominator, with no gcd and no rational per level, stops at the level that
+decides it, and is divided once.
+
 The star exponential exp_star(-iHt/hbar) equals the Fourier-Dirichlet sum
 of the projectors, sum_n pi_n(mu) exp(-i(n+lam) omega t); its closed form is
 
@@ -28,14 +35,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from itertools import islice
 from typing import NamedTuple
 
-from .backend import Q, ZERO, qbinom, qfact
+from .backend import Q, ZERO, qfact
 from .errors import AccuracyError, ConditionalConvergenceWarning, DomainError, PoleError
-from .exppoly import ExpPoly, _decayed, mu_times
-from .laguerre import laguerre, laguerre_eval_sequence
 from .params import as_lambda, nonneg_int
-from .poly import Poly
 
 
 class Projector(NamedTuple):
@@ -55,6 +60,9 @@ class Projector(NamedTuple):
 
 def projector_closed(n: int, lam) -> Projector:
     """Exact closed form; lam = 0 takes the Poisson branch."""
+    from .exppoly import ExpPoly
+    from .laguerre import laguerre
+    from .poly import Poly
     nonneg_int("n", n)
     lam = as_lambda(lam)
     if lam == 0:
@@ -66,23 +74,54 @@ def projector_closed(n: int, lam) -> Projector:
     return Projector(n=n, lam=lam, form=ExpPoly.single(scaled * pref, Q(1) / one_m))
 
 
-def projector_poly_values(lam, mu, n_max: int) -> list:
-    """[r_0, ..., r_nmax] with pi_n(mu) = r_n * exp(-mu/(1-lam)), all exact."""
+def level_terms(lam, mu):
+    """Yield (t_n, s_n) for n = 0, 1, ...: ints with
+
+        pi_n(mu) exp(mu/(1-lam)) = t_n / (s_0 s_1 ... s_n).
+
+    With lam = a/b, c = b - a and mu/(lam(1-lam)) = p/q in lowest terms,
+    t_n = b (-a)^n M_n (M_n from laguerre_scaled), s_0 = c and s_n = c n q,
+    so the running denominator is c^{n+1} n! q^n > 0 and t_n has the sign of
+    pi_n(mu).  The generator runs until its reader stops.
+    """
+    from .laguerre import laguerre_scaled
     lam = as_lambda(lam, lo_open=True)
-    nonneg_int("n_max", n_max)
-    mu = Q(mu)
-    one_m = Q(1) - lam
-    seq = laguerre_eval_sequence(n_max, mu / (lam * one_m))
-    ratio = -lam / one_m
-    out, power = [], Q(1) / one_m
-    for n in range(n_max + 1):
-        out.append(power * seq[n])
-        power *= ratio
-    return out
+    x = Q(mu) / (lam * (1 - lam))
+    a, b = lam.numerator, lam.denominator
+    c, q = b - a, x.denominator
+    power = b
+    for n, m in enumerate(laguerre_scaled(x)):
+        yield power * m, c * n * q if n else c
+        power *= -a
+
+
+def level_sums(lam, mu, weighted: bool = False):
+    """Yield (A_N, D_N) for N = 0, 1, ...: ints with
+
+        sum_{n<=N} w_n pi_n(mu) exp(mu/(1-lam)) = A_N / D_N,
+
+    w_n = 1, or n + lam when weighted.  D_{N+1} = D_N s_{N+1} over
+    level_terms, so no gcd is taken and no rational is formed per level.
+    """
+    lam = as_lambda(lam, lo_open=True)
+    a, b = lam.numerator, lam.denominator
+    # (n + a/b) t_n / D_n: the weighted sums run over b D_n
+    total, den = 0, b if weighted else 1
+    for n, (t, s) in enumerate(level_terms(lam, mu)):
+        total = total * s + ((b * n + a) * t if weighted else t)
+        den *= s
+        yield total, den
 
 
 def projector_series_eval(n: int, lam, terms: int, mu):
-    """Exact value of the K-term partial series at rational mu."""
+    """Exact value of the K-term partial series at rational mu.
+
+    With lam = a/b and mu/lam = p/q, the k-th term
+    lam^{n+k} C(n+k, k) L_{n+k}(mu/lam) is a^{n+k} M_{n+k} / (n! k! (bq)^{n+k});
+    the terms are summed as ints over that running denominator and divided
+    once.
+    """
+    from .laguerre import laguerre_scaled
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     nonneg_int("n", n)
     nonneg_int("terms", terms)
@@ -92,12 +131,17 @@ def projector_series_eval(n: int, lam, terms: int, mu):
             ConditionalConvergenceWarning,
             stacklevel=2,
         )
-    seq = laguerre_eval_sequence(n + terms, Q(mu) / lam)
-    sign = Q(-1) ** n
-    total = ZERO
-    for k in range(terms + 1):
-        total += lam ** (n + k) * qbinom(n + k, k) * seq[n + k]
-    return sign * total
+    x = Q(mu) / lam
+    a, bq = lam.numerator, lam.denominator * x.denominator
+    power = a ** n
+    total, den = 0, math.factorial(n) * bq ** n
+    for k, m in enumerate(islice(laguerre_scaled(x), n, n + terms + 1)):
+        if k:
+            power *= a
+            total *= k * bq
+            den *= k * bq
+        total += power * m
+    return Q((-1) ** n * total, den)
 
 
 def spectrum(lam, n_max: int) -> list:
@@ -117,6 +161,7 @@ def radial_star_apply(f: ExpPoly, lam) -> ExpPoly:
     arguments (cross-checked against the phase-space product on polynomials
     by radial_star_on_polynomial).
     """
+    from .exppoly import mu_times
     lam = as_lambda(lam)
     d1 = f.derivative()
     d2 = d1.derivative()
@@ -281,22 +326,19 @@ def verify_radial_pde() -> tuple:
 
 def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> tuple:
     """(N, gap): the smallest N with gap = |sum_{n<=N} pi_n(mu) - 1| < tol
-    (exact partial sums).
+    (exact partial sums, formed up to level N and no further).
 
     At lam = 1/2 the sum is only conditionally convergent; the answer is
     then qualitative: (None, the least gap) if tol is not reached by n_cap.
     """
+    from .exppoly import _decayed
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     nonneg_int("n_cap", n_cap)
-    mu = Q(mu)
-    values = projector_poly_values(lam, mu, n_cap)
-    rate = mu / (Q(1) - lam)
+    rate = Q(mu) / (1 - lam)
     decay = math.exp(-float(rate))
-    running = ZERO
     best_gap = math.inf
-    for n, r in enumerate(values):
-        running += r
-        gap = abs(_decayed(running, rate, decay) - 1.0)
+    for n, (total, den) in zip(range(n_cap + 1), level_sums(lam, mu)):
+        gap = abs(_decayed(total, den, rate, decay) - 1.0)
         best_gap = min(best_gap, gap)
         if gap < tol:
             return n, gap
@@ -309,14 +351,14 @@ def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> tuple:
 
 def energy_identity_gap(lam, mu, n_terms: int) -> float:
     """|sum_{n<=N} (n+lam) pi_n(mu) - mu| for the level-weighted energy sum."""
+    from .exppoly import _decayed
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     nonneg_int("n_terms", n_terms)
     mu = Q(mu)
-    values = projector_poly_values(lam, mu, n_terms)
-    total = sum(((n + lam) * r for n, r in enumerate(values)), ZERO)
-    rate = mu / (Q(1) - lam)
+    total, den = next(islice(level_sums(lam, mu, weighted=True), n_terms, None))
+    rate = mu / (1 - lam)
     decay = math.exp(-float(rate))
-    return abs(_decayed(total, rate, decay) - float(mu))
+    return abs(_decayed(total, den, rate, decay) - float(mu))
 
 
 def projector_negative_witness(n: int, lam):

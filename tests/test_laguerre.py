@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from moyalbench.laguerre import (
     generating_function_check,
     is_identity,
     laguerre,
-    laguerre_eval_sequence,
+    laguerre_scaled,
     matmul,
     mixed_orthogonality,
     moment_integral,
@@ -61,8 +62,9 @@ def test_recurrence_matches_basis_construction(n):
 
 @pytest.mark.parametrize("x", [Q(7, 3), Q(-5, 11), Q(801, 17)])
 def test_degree_400_matches_integer_recurrence(x):
-    # laguerre_eval_sequence runs its own integer recurrence on n! q^n L_n(p/q)
-    assert laguerre(400)(x) == laguerre_eval_sequence(400, x)[400]
+    # laguerre_scaled runs its own integer recurrence on n! q^n L_n(p/q)
+    m = next(islice(laguerre_scaled(x), 400, None))
+    assert laguerre(400)(x) == Q(m, math.factorial(400) * x.denominator ** 400)
 
 
 def test_memo_is_thread_safe():
@@ -98,9 +100,9 @@ def test_orthonormality_exact():
 
 @pytest.mark.parametrize("x", [Q(0), Q(1), Q(16, 3), Q(-7, 5)])
 def test_eval_sequence_matches_polynomials(x):
-    seq = laguerre_eval_sequence(20, x)
-    for n, v in enumerate(seq):
-        assert v == laguerre(n)(x)
+    for n, m in zip(range(21), laguerre_scaled(x)):
+        assert isinstance(m, int)
+        assert Q(m, math.factorial(n) * x.denominator ** n) == laguerre(n)(x)
 
 
 def test_moment_examples():

@@ -115,14 +115,13 @@ FRONT = {"moyalbench"} | mb("backend", "errors", "params", "tables", "cli")
     (["weights", "--lambda", "1/4", "--k", "5"], ("poly", "exppoly", "observables")),
     (["moments", "--lambda", "1/4", "--k", "5"],
      ("poly", "exppoly", "observables", "uncertainty")),
-    (["spectrum", "--lambda", "1/4", "--n-max", "5"],
-     ("poly", "exppoly", "laguerre", "spectral")),
+    (["spectrum", "--lambda", "1/4", "--n-max", "5"], ("spectral",)),
     (["pi", "--lambda", "1/4", "--n", "6", "--mu", "3"],
      ("poly", "exppoly", "laguerre", "spectral")),
     (["pi", "--lambda", "1/4", "--n", "6", "--mu", "3", "--series", "--terms", "20"],
      ("poly", "exppoly", "laguerre", "spectral")),
     (["starexp", "--lambda", "1/4", "--mu", "3", "--t", "0.5", "--terms", "20"],
-     ("poly", "exppoly", "laguerre", "spectral")),
+     ("spectral",)),
 ], ids=["fund", "laguerre", "scan", "duality", "weights", "moments", "spectrum",
         "pi", "pi-series", "starexp"])
 def test_table_command_loads_exactly_its_layers(argv, layers):

@@ -11,7 +11,6 @@ from moyalbench.laguerre import (
     gamma_moment,
     generating_function_check,
     laguerre,
-    laguerre_eval_sequence,
     mixed_orthogonality,
     moment_integral,
     monomial_from_laguerre,
@@ -33,7 +32,6 @@ from moyalbench.spectral import (
     energy_identity_gap,
     partition_of_unity,
     projector_closed,
-    projector_poly_values,
     projector_series_eval,
     spectrum,
     star_exp_series,
@@ -74,11 +72,11 @@ def test_nonneg_int_rejects_non_integers(value):
 
 @pytest.mark.parametrize("call", [
     lambda: spectrum(Q(1, 4), -3),
-    lambda: laguerre_eval_sequence(-2, Q(1, 2)),
+    lambda: laguerre(-2),
     lambda: basis_inversion(Q(1, 3), -1),
     lambda: scan_lambda([Q(1, 4)], -1),
     lambda: star_exp_series(Q(1, 4), 1, 1.0, terms=-1),
-    lambda: projector_poly_values(Q(1, 4), 1, -1),
+    lambda: projector_closed(-1, Q(1, 4)),
     lambda: projector_series_eval(-1, Q(1, 4), 5, 1),
     lambda: projector_series_eval(1, Q(1, 4), -1, 1),
     lambda: fourier_laguerre(basic_distribution(2, Q(1, 4)), Q(1, 4), -1),

@@ -1,6 +1,8 @@
 import math
+import sys
 import warnings
 
+import mpmath
 import pytest
 
 from moyalbench.backend import Q, rational_str
@@ -16,10 +18,11 @@ from moyalbench.phase import PhasePoly, hamiltonian, star
 from moyalbench.poly import Poly
 from moyalbench.spectral import (
     energy_identity_gap,
+    level_sums,
+    level_terms,
     partition_of_unity,
     projector_closed,
     projector_negative_witness,
-    projector_poly_values,
     projector_series_eval,
     radial_star_apply,
     radial_star_on_polynomial,
@@ -33,6 +36,43 @@ from moyalbench.spectral import (
 )
 
 LAMBDAS = (Q(0), Q(1, 4), Q(1, 3), Q(1, 2))
+
+
+def closed_level_values(lam, mu, n_max: int) -> list:
+    """[r_0, ..., r_nmax] with pi_n(mu) = r_n exp(-mu/(1-lam)): each closed
+    form's polynomial evaluated exactly, in Fractions."""
+    out = []
+    for n in range(n_max + 1):
+        (poly,) = projector_closed(n, lam).form.terms.values()
+        out.append(poly(mu))
+    return out
+
+
+def recurrence_level_values(lam, mu, n_max: int) -> list:
+    """The same values in Fractions from the three-term recurrence
+    (m+1) L_{m+1}(x) = (2m+1-x) L_m(x) - m L_{m-1}(x), for levels past what
+    the closed forms build quickly."""
+    one_m = 1 - lam
+    x = mu / (lam * one_m)
+    ls = [Q(1), 1 - x]
+    for m in range(1, n_max):
+        ls.append(((2 * m + 1 - x) * ls[m] - m * ls[m - 1]) / (m + 1))
+    ratio = -lam / one_m
+    return [ratio ** n / one_m * ls[n] for n in range(n_max + 1)]
+
+
+def reference_decayed(x, rate) -> float:
+    """x exp(-rate) for Fractions: the float product while exp(-rate) is a
+    normal float and x converts, else a 300-bit mpmath product."""
+    decay = math.exp(-float(rate))
+    if decay >= sys.float_info.min:
+        try:
+            return float(x) * decay
+        except OverflowError:
+            pass
+    with mpmath.workprec(300):
+        return float(mpmath.mpf(x.numerator) / x.denominator
+                     * mpmath.exp(-mpmath.mpf(rate.numerator) / rate.denominator))
 
 
 def test_closed_form_at_zero():
@@ -179,7 +219,7 @@ def test_star_exp_normal_form_agreement():
 def test_star_exp_fd_oracle_example():
     # truncated Fourier-Dirichlet sum as an independent oracle at lam = 1/4
     lam, mu, wt = Q(1, 4), Q(1), 1.0
-    values = projector_poly_values(lam, mu, 200)
+    values = recurrence_level_values(lam, mu, 200)
     decay = math.exp(-float(mu / (1 - lam)))
     oracle = sum(
         float(r) * decay * complex(math.cos((n + 0.25) * wt),
@@ -255,13 +295,9 @@ def test_negative_witnesses():
 
 
 def test_energy_identity_where_the_float_decay_underflows():
-    import mpmath
-
-    from moyalbench.spectral import projector_poly_values
-
     lam, mu = Q(1, 4), Q(700)
     # exp(-933.3) is 0 as a float; 300 levels hold almost none of mu = 700
-    values = projector_poly_values(lam, mu, 300)
+    values = recurrence_level_values(lam, mu, 300)
     total = sum(((n + lam) * v for n, v in enumerate(values)), Q(0))
     with mpmath.workprec(300):
         partial = mpmath.mpf(total.numerator) / total.denominator * mpmath.exp(
@@ -276,21 +312,17 @@ def test_energy_identity_where_the_float_decay_underflows():
 def test_partition_of_unity_where_the_float_sum_overflows():
     # float(partial sum) overflows long before 500 levels: a typed error,
     # since the sum has not converged there
-    with pytest.raises(AccuracyError):
+    with pytest.raises(AccuracyError,
+                       match="partition of unity not within 1e-06 after 500 levels"):
         partition_of_unity(Q(1, 4), 800)
     n_used, gap = partition_of_unity(Q(1, 4), 700, n_cap=1200)
     assert n_used is not None and gap < 1e-6
 
 
 def _projector_oracle(n, lam, mu):
-    """pi_n(mu) at 60 digits from the integer Laguerre recurrence and mpmath."""
-    import mpmath
-
-    from moyalbench.laguerre import laguerre_eval_sequence
-
-    one_m = 1 - lam
-    r = (-lam / one_m) ** n / one_m * laguerre_eval_sequence(n, mu / (lam * one_m))[n]
-    rate = mu / one_m
+    """pi_n(mu) at 60 digits from the Fraction Laguerre recurrence and mpmath."""
+    r = recurrence_level_values(lam, mu, n)[n]
+    rate = mu / (1 - lam)
     with mpmath.workdps(60):
         return float(mpmath.mpf(r.numerator) / r.denominator
                      * mpmath.exp(-mpmath.mpf(rate.numerator) / rate.denominator))
@@ -315,3 +347,65 @@ def test_projector_at_a_float_mu_is_exact_up_to_the_exponential():
         assert proj(float(mu)) == pytest.approx(expected, rel=1e-13)
     # below the float range the value still reads 0.0, never nan
     assert proj(2000.0) == 0.0
+
+
+@pytest.mark.parametrize("lam", [Q(1, 64), Q(1, 4), Q(17, 64), Q(3, 7), Q(1, 2)])
+def test_level_sums_are_the_exact_partial_sums(lam):
+    for mu in (Q(1, 2), Q(1), Q(10), Q(700)):
+        values = closed_level_values(lam, mu, 60)
+        assert values == recurrence_level_values(lam, mu, 60)
+        plain = weighted = Q(0)
+        sums = zip(level_terms(lam, mu), level_sums(lam, mu), level_sums(lam, mu, True))
+        for n, ((t, _), (a, d), (e, d_w)) in zip(range(61), sums):
+            plain += values[n]
+            weighted += (n + lam) * values[n]
+            assert Q(a, d) == plain and Q(e, d_w) == weighted
+            assert (t > 0) - (t < 0) == (values[n] > 0) - (values[n] < 0)
+
+
+def test_partition_of_unity_stops_at_the_deciding_level(monkeypatch):
+    import moyalbench.laguerre as laguerre_module
+
+    scaled = laguerre_module.laguerre_scaled
+    formed = []
+
+    def counted(x):
+        for m in scaled(x):
+            formed.append(m)
+            yield m
+
+    monkeypatch.setattr(laguerre_module, "laguerre_scaled", counted)
+    n_used, gap = partition_of_unity(Q(1, 4), 1, n_cap=10 ** 6)
+    assert n_used == 12 and len(formed) == n_used + 1
+    assert (n_used, gap) == partition_of_unity(Q(1, 4), 1, n_cap=500)
+    formed.clear()
+    assert partition_of_unity(Q(1, 2), 1, tol=1e-12, n_cap=30)[0] is None
+    assert len(formed) == 31
+
+
+@pytest.mark.parametrize("lam, mu, levels", [
+    (Q(1, 4), Q(1, 2), 40), (Q(1, 4), Q(5), 60), (Q(3, 7), Q(2), 80),
+    (Q(1, 2), Q(1), 120), (Q(1, 4), Q(700), 300), (Q(1, 4), Q(700), 1200),
+])
+def test_level_sum_floats_match_the_fraction_reference(lam, mu, levels):
+    values = recurrence_level_values(lam, mu, levels)
+    rate = mu / (1 - lam)
+    energy = sum(((n + lam) * r for n, r in enumerate(values)), Q(0))
+    assert energy_identity_gap(lam, mu, levels) == abs(
+        reference_decayed(energy, rate) - float(mu))
+    tol, partial, gaps = 1e-9, Q(0), []
+    for r in values:
+        partial += r
+        gaps.append(abs(reference_decayed(partial, rate) - 1.0))
+        if gaps[-1] < tol:
+            break
+    if gaps[-1] < tol:
+        expected = (len(gaps) - 1, gaps[-1])
+        assert partition_of_unity(lam, mu, tol=tol, n_cap=levels) == expected
+    elif lam == Q(1, 2):
+        assert partition_of_unity(lam, mu, tol=tol, n_cap=levels) == (None, min(gaps))
+    else:
+        with pytest.raises(AccuracyError):
+            partition_of_unity(lam, mu, tol=tol, n_cap=levels)
+    if (mu, levels) == (Q(700), 300):
+        assert energy_identity_gap(lam, mu, levels) == 700.0
