@@ -350,9 +350,11 @@ def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> tuple:
 
 
 def energy_identity_gap(lam, mu, n_terms: int) -> float:
-    """|sum_{n<=N} (n+lam) pi_n(mu) - mu| for the level-weighted energy sum."""
+    """|sum_{n<=N} (n+lam) pi_n(mu) - mu| for the level-weighted energy sum,
+    0 < lam < 1/2.  At lam = 1/2 the sum does not converge, so that lambda is a
+    DomainError."""
     from .exppoly import _decayed
-    lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
+    lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=True)
     nonneg_int("n_terms", n_terms)
     mu = Q(mu)
     total, den = next(islice(level_sums(lam, mu, weighted=True), n_terms, None))

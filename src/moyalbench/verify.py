@@ -7,8 +7,14 @@ Suites:
             report what disagrees and never fail
   all     - everything
 
-Each check returns a CheckResult; a suite fails iff some check fails.
-Random inputs are drawn from a seeded generator, so runs are reproducible.
+A check returns only its verdict: ``ok`` for an exact check, ``(ok, detail)``
+for an erratum and ``(ok, detail, tolerance)`` for a numeric check, so each
+tolerance is stated inside its check.  ``CHECKS`` declares every check once,
+as (catalog name, suite, function, takes_seed), in run order.  ``run_suite``
+is the only code that builds a CheckResult: the status follows the entry's
+suite, and a check that raises fails under its catalog name.  A suite fails
+iff some check fails.  The entries that take the seed draw their random
+inputs from a generator seeded with it, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
 from random import Random
+from typing import NamedTuple
 
 from .backend import Q, rational_str
 from .errors import ConditionalConvergenceWarning, DomainError
@@ -57,26 +63,24 @@ FAIL = "fail"
 ERRATUM = "documented-erratum"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     suite: str  # exact | numeric | errata
     status: str
-    detail: str = ""
-    tolerance: float | None = None
-    elapsed: float = 0.0
+    detail: str
+    tolerance: float | None
+    elapsed: float
 
     @property
     def failed(self) -> bool:
         return self.status == FAIL
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
-    results: list = field(default_factory=list)
-    elapsed: float = 0.0
+    results: tuple
+    elapsed: float
 
     @property
     def failures(self) -> list:
@@ -121,25 +125,9 @@ class SuiteReport:
         return lines
 
 
-def _exact(name, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, suite="exact",
-                       status=EXACT_PASS if ok else FAIL, detail=detail)
-
-
-def _numeric(name, ok: bool, tol: float, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, suite="numeric",
-                       status=NUMERIC_PASS if ok else FAIL,
-                       detail=detail, tolerance=tol)
-
-
-def _erratum(name, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, suite="errata",
-                       status=ERRATUM if ok else FAIL, detail=detail)
-
-
 # -- exact checks ---------------------------------------------------------------
 
-def check_moment_table() -> CheckResult:
+def check_moment_table() -> bool:
     ok = True
     for k in range(21):
         for n in range(21):
@@ -147,10 +135,10 @@ def check_moment_table() -> CheckResult:
             expect = (Q(-1) ** n * Q(math.comb(k, n)) * Q(math.factorial(k))
                       if k >= n else Q(0))
             ok &= v == expect
-    return _exact("laguerre-moment-table-20x20", ok)
+    return ok
 
 
-def check_mixed_orthogonality() -> CheckResult:
+def check_mixed_orthogonality() -> bool:
     ok = True
     for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
         for m in range(16):
@@ -162,20 +150,20 @@ def check_mixed_orthogonality() -> CheckResult:
                 else:
                     expect = Q(0)
                 ok &= v == expect
-    return _exact("mixed-orthogonality-15", ok)
+    return ok
 
 
-def check_series_identity() -> CheckResult:
+def check_series_identity() -> bool:
     ok = all(
         verify_projector_series_identity(n, 12, 12) for n in range(4)
     )
     scalar_ok = all(
         binomial_tail_identity(n, 80)[2] == 2 for n in range(11)
     )
-    return _exact("projector-series-identity-(12,12)+scalar", ok and scalar_ok)
+    return ok and scalar_ok
 
 
-def check_orthonormality() -> CheckResult:
+def check_orthonormality() -> bool:
     ok = True
     for m in range(16):
         for n in range(16):
@@ -183,23 +171,23 @@ def check_orthonormality() -> CheckResult:
                 ExpPoly.single(laguerre(m) * laguerre(n), 1)
             )
             ok &= v == (1 if m == n else 0)
-    return _exact("laguerre-orthonormality-15", ok)
+    return ok
 
 
-def check_basis_matrix() -> CheckResult:
+def check_basis_matrix() -> bool:
     a = basis_matrix(64)
     ok = is_identity(matmul(a, a))
     mono = all(
         monomial_from_laguerre(r) == Poly.monomial(r) for r in range(12)
     )
-    return _exact("signed-binomial-self-inverse-64+monomials", ok and mono)
+    return ok and mono
 
 
-def check_generating_function() -> CheckResult:
-    return _exact("laguerre-generating-function-8", generating_function_check(8))
+def check_generating_function() -> bool:
+    return generating_function_check(8)
 
 
-def check_duality() -> CheckResult:
+def check_duality() -> bool:
     ok = True
     for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
         g = obs.duality_gram(12, lam)
@@ -208,10 +196,10 @@ def check_duality() -> CheckResult:
             for i in range(13)
             for j in range(13)
         )
-    return _exact("projector-duality-12", ok)
+    return ok
 
 
-def check_projector_norm_eigen() -> CheckResult:
+def check_projector_norm_eigen() -> bool:
     ok = True
     for lam in (Q(0), Q(1, 4), Q(1, 2)):
         for n in range(13):
@@ -219,10 +207,10 @@ def check_projector_norm_eigen() -> CheckResult:
         for n in range(9):
             p = spec.projector_closed(n, lam)
             ok &= spec.radial_star_apply(p.form, lam) == (n + lam) * p.form
-    return _exact("projector-normalization+eigen", ok)
+    return ok
 
 
-def check_radial_reduction() -> CheckResult:
+def check_radial_reduction() -> bool:
     ok = True
     a, ab = PhasePoly.a(), PhasePoly.abar()
     for lam in (Q(0), Q(1, 4), Q(1, 3), Q(1, 2)):
@@ -230,10 +218,10 @@ def check_radial_reduction() -> CheckResult:
             full = star(hamiltonian(), (a * ab) ** m, lam)
             ok &= full.is_radial
             ok &= full == spec.radial_star_on_polynomial(Poly.monomial(m), lam)
-    return _exact("radial-reduction-vs-phase-product", ok)
+    return ok
 
 
-def check_weights_and_moments() -> CheckResult:
+def check_weights_and_moments() -> bool:
     ok = True
     for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
         for k in range(51):
@@ -241,10 +229,10 @@ def check_weights_and_moments() -> CheckResult:
             ok &= mean == (k + 1) * lam
             ok &= second == (k * k + k + 1) * lam**2 + k * lam
             ok &= unc.star_square_cross_check(k, lam).equal
-    return _exact("quantum-weights-moments-50", ok)
+    return ok
 
 
-def check_fourier_laguerre_binomial() -> CheckResult:
+def check_fourier_laguerre_binomial() -> bool:
     ok = True
     for lam in (Q(1, 3), Q(1, 2)):
         for k in range(11):
@@ -252,19 +240,19 @@ def check_fourier_laguerre_binomial() -> CheckResult:
             w = obs.binomial_weights(k, lam)
             ok &= list(fl[: k + 1]) == w
             ok &= all(c == 0 for c in fl[k + 1:])
-    return _exact("fourier-laguerre-binomial-10", ok)
+    return ok
 
 
-def check_basis_inversion() -> CheckResult:
+def check_basis_inversion() -> bool:
     b = obs.basis_inversion(Q(1, 3), 16)
     ok = b.identity_ok and b.has_negative_entries
     for n in range(4):
         _, _, cf = obs.reconstruct_pure_state(Q(1, 3), n, 8)
         ok &= all(c == (1 if m == n else 0) for m, c in enumerate(cf))
-    return _exact("basis-inversion-16+pure-state-recovery", ok)
+    return ok
 
 
-def check_negativity_witnesses() -> CheckResult:
+def check_negativity_witnesses() -> bool:
     ok = True
     for n in (1, 2, 3):
         for lam in (Q(1, 4), Q(1, 2)):
@@ -276,10 +264,10 @@ def check_negativity_witnesses() -> CheckResult:
     ok &= all(
         spec.projector_closed(n, 0).form.nonneg_on_nonneg()[0] for n in range(6)
     )
-    return _exact("projector-negativity-witnesses", ok)
+    return ok
 
 
-def check_selection_scan() -> CheckResult:
+def check_selection_scan() -> bool:
     grid = unc.default_lambda_grid(64)
     ok = all(e.matches_prediction for e in unc.scan_lambda(grid, 1000))
     # lam = 1/2 = p/q: k p(q-p) < (k+1) p^2, both sides over q^2
@@ -287,10 +275,10 @@ def check_selection_scan() -> CheckResult:
     ok &= all(k * p * (q - p) < (k + 1) * p * p for k in range(1001))
     rows = unc.gm_asymptotics(100)
     ok &= all(r.variance_difference == Q(1, 4) for r in rows)
-    return _exact(f"selection-scan-den64-k1000 ({len(grid)} lambdas)", ok)
+    return ok and len(grid) == 630  # the count CHECKS names
 
 
-def check_algebra_properties(seed: int) -> CheckResult:
+def check_algebra_properties(seed: int) -> bool:
     rng = Random(seed)
     ok = True
     hb = PhasePoly.hbar()
@@ -302,12 +290,12 @@ def check_algebra_properties(seed: int) -> CheckResult:
         for f, g, h in triples:
             ok &= check_associativity(f, g, h, lam)
             ok &= check_equivalence(f, g, lam)
-    return _exact("star-associativity+equivalence-100x3", ok)
+    return ok
 
 
 # -- numeric checks --------------------------------------------------------------
 
-def check_partition_of_unity() -> CheckResult:
+def check_partition_of_unity() -> tuple:
     tol = 1e-6
     ok, details = True, []
     for mu in (Q(1, 2), Q(1), Q(2), Q(5), Q(10)):
@@ -320,10 +308,10 @@ def check_partition_of_unity() -> CheckResult:
     details.append(
         f"lam=1/2 qualitative: gap {half_gap:.3g} at N<=400 (conditional)"
     )
-    return _numeric("partition-of-unity-lam-1/4", ok, tol, "; ".join(details))
+    return ok, "; ".join(details), tol
 
 
-def check_star_exponential() -> CheckResult:
+def check_star_exponential() -> tuple:
     tol = 1e-8
     worst = 0.0
     for lam in (Q(0), Q(1, 4)):
@@ -343,15 +331,14 @@ def check_star_exponential() -> CheckResult:
                 ),
             )
     ok = worst < tol and normal_worst < 1e-12
-    return _numeric(
-        "star-exponential-closed-vs-series",
+    return (
         ok,
-        tol,
         f"max |closed - series| = {worst:.2e}; normal-form delta = {normal_worst:.2e}",
+        tol,
     )
 
 
-def check_projector_series_convergence() -> CheckResult:
+def check_projector_series_convergence() -> tuple:
     tol = 1e-10
     v = spec.projector_series_eval(0, Q(1, 4), 60, Q(1))
     closed = spec.projector_closed(0, Q(1, 4))(Q(1))
@@ -359,22 +346,17 @@ def check_projector_series_convergence() -> CheckResult:
     v1 = spec.projector_series_eval(1, Q(1, 4), 60, Q(0))
     d2 = abs(float(v1) - float(Q(-4, 9)))
     ok = d1 < tol and d2 < tol
-    return _numeric(
-        "projector-series-vs-closed-K60", ok, tol, f"diffs {d1:.1e}, {d2:.1e}"
-    )
+    return ok, f"diffs {d1:.1e}, {d2:.1e}", tol
 
 
-def check_energy_identity() -> CheckResult:
+def check_energy_identity() -> tuple:
     tol = 1e-8
     gaps = [spec.energy_identity_gap(Q(1, 4), mu, 300) for mu in (Q(1), Q(2), Q(5))]
     ok = all(g < tol for g in gaps)
-    return _numeric(
-        "energy-identity-weighted-sum", ok, tol,
-        "gaps " + ", ".join(f"{g:.1e}" for g in gaps),
-    )
+    return ok, "gaps " + ", ".join(f"{g:.1e}" for g in gaps), tol
 
 
-def check_gamma_quadrature() -> CheckResult:
+def check_gamma_quadrature() -> tuple:
     tol = 1e-6
     raw = integrate_decay(
         lambda z: math.sqrt(z) * (1.0 - z) * math.exp(-z), tol=1e-7,
@@ -384,14 +366,15 @@ def check_gamma_quadrature() -> CheckResult:
     d_raw = abs(raw.value - exact)
     rep = gamma_moment(Q(1, 2), 1, tol=1e-9)
     ok = d_raw < tol and rep.abs_diff < tol
-    return _numeric(
-        "gamma-moment-quadrature", ok, tol,
+    return (
+        ok,
         f"raw Simpson {d_raw:.2e} ({raw.panels} panels); "
         f"substituted {rep.abs_diff:.2e} ({rep.panels} panels)",
+        tol,
     )
 
 
-def check_gm_uncertainty_limit() -> CheckResult:
+def check_gm_uncertainty_limit() -> tuple:
     rows = unc.gm_asymptotics(200)
     ok = all(
         rows[i].uncertainty_difference > rows[i + 1].uncertainty_difference
@@ -400,16 +383,17 @@ def check_gm_uncertainty_limit() -> CheckResult:
     ok &= all(r.uncertainty_difference < 0.05 for r in rows[25:])
     g3, g4 = unc.uncertainty_gap(Q(1, 4), 1000), unc.uncertainty_gap(Q(1, 4), 10000)
     ok &= abs(g3) > 0.05 and abs(g4) > abs(g3)
-    return _numeric(
-        "gm-uncertainty-gap-asymptotics", ok, 0.05,
+    return (
+        ok,
         f"gap(k=25) = {rows[25].uncertainty_difference:.4f}; "
         f"lam=1/4 gaps {g3:.2f}, {g4:.2f} stay away from 0",
+        0.05,
     )
 
 
 # -- errata ----------------------------------------------------------------------
 
-def check_starexp_displayed_forms() -> CheckResult:
+def check_starexp_displayed_forms() -> tuple:
     # the doubled-coefficient display disagrees with the series ground truth
     deltas = []
     for mu in (Q(1), Q(2)):
@@ -419,14 +403,14 @@ def check_starexp_displayed_forms() -> CheckResult:
         deltas.append((abs(displayed - s), abs(corrected - s)))
     mismatch = all(d > 1e-2 for d, _ in deltas)
     match = all(c < 1e-8 for _, c in deltas)
-    return _erratum(
-        "starexp-doubled-coefficient-display", mismatch and match,
+    return (
+        mismatch and match,
         "displayed exponent 2*mu deviates from the series by "
         f"{deltas[0][0]:.2e}; mu-coefficient form agrees to {deltas[0][1]:.1e}",
     )
 
 
-def check_gm_sign_convention() -> CheckResult:
+def check_gm_sign_convention() -> tuple:
     ok = True
     for mu in (Q(1), Q(2)):
         for wt in (0.4, 1.1):
@@ -434,18 +418,18 @@ def check_gm_sign_convention() -> CheckResult:
             corr = spec.star_exp_closed(Q(1, 2), mu, wt)
             ok &= abs(disp - corr.conjugate()) < 1e-12
             ok &= abs(disp - corr) > 1e-3
-    return _erratum(
-        "gm-starexp-sign-convention", ok,
+    return (
+        ok,
         "displayed sec*exp(+2 i mu tan) is the complex conjugate of the "
         "series value (time-reversed phase convention)",
     )
 
 
-def check_radial_pde_erratum() -> CheckResult:
+def check_radial_pde_erratum() -> tuple:
     corrected_zero, displayed_zero = spec.verify_radial_pde()
     ok = corrected_zero and not displayed_zero
-    return _erratum(
-        "radial-evolution-equation-missing-factor", ok,
+    return (
+        ok,
         "solution satisfies the equation with the extra radial factor s; "
         "as displayed the residual is omega*(w-1)(s-1)*F",
     )
@@ -453,64 +437,56 @@ def check_radial_pde_erratum() -> CheckResult:
 
 # -- runner ----------------------------------------------------------------------
 
-_EXACT_CHECKS = [
-    check_moment_table,
-    check_mixed_orthogonality,
-    check_series_identity,
-    check_orthonormality,
-    check_basis_matrix,
-    check_generating_function,
-    check_duality,
-    check_projector_norm_eigen,
-    check_radial_reduction,
-    check_weights_and_moments,
-    check_fourier_laguerre_binomial,
-    check_basis_inversion,
-    check_negativity_witnesses,
-    check_selection_scan,
-]
+# Every check once, in run order: (catalog name, suite, function, takes_seed).
+CHECKS = (
+    ("laguerre-moment-table-20x20", "exact", check_moment_table, False),
+    ("mixed-orthogonality-15", "exact", check_mixed_orthogonality, False),
+    ("projector-series-identity-(12,12)+scalar", "exact", check_series_identity, False),
+    ("laguerre-orthonormality-15", "exact", check_orthonormality, False),
+    ("signed-binomial-self-inverse-64+monomials", "exact", check_basis_matrix, False),
+    ("laguerre-generating-function-8", "exact", check_generating_function, False),
+    ("projector-duality-12", "exact", check_duality, False),
+    ("projector-normalization+eigen", "exact", check_projector_norm_eigen, False),
+    ("radial-reduction-vs-phase-product", "exact", check_radial_reduction, False),
+    ("quantum-weights-moments-50", "exact", check_weights_and_moments, False),
+    ("fourier-laguerre-binomial-10", "exact", check_fourier_laguerre_binomial, False),
+    ("basis-inversion-16+pure-state-recovery", "exact", check_basis_inversion, False),
+    ("projector-negativity-witnesses", "exact", check_negativity_witnesses, False),
+    ("selection-scan-den64-k1000 (630 lambdas)", "exact", check_selection_scan, False),
+    ("star-associativity+equivalence-100x3", "exact", check_algebra_properties, True),
+    ("partition-of-unity-lam-1/4", "numeric", check_partition_of_unity, False),
+    ("star-exponential-closed-vs-series", "numeric", check_star_exponential, False),
+    ("projector-series-vs-closed-K60", "numeric", check_projector_series_convergence, False),
+    ("energy-identity-weighted-sum", "numeric", check_energy_identity, False),
+    ("gamma-moment-quadrature", "numeric", check_gamma_quadrature, False),
+    ("gm-uncertainty-gap-asymptotics", "numeric", check_gm_uncertainty_limit, False),
+    ("starexp-doubled-coefficient-display", "errata", check_starexp_displayed_forms, False),
+    ("gm-starexp-sign-convention", "errata", check_gm_sign_convention, False),
+    ("radial-evolution-equation-missing-factor", "errata", check_radial_pde_erratum, False),
+)
 
-_NUMERIC_CHECKS = [
-    check_partition_of_unity,
-    check_star_exponential,
-    check_projector_series_convergence,
-    check_energy_identity,
-    check_gamma_quadrature,
-    check_gm_uncertainty_limit,
-]
+_PASS = {"exact": EXACT_PASS, "numeric": NUMERIC_PASS, "errata": ERRATUM}
 
-_ERRATA_CHECKS = [
-    check_starexp_displayed_forms,
-    check_gm_sign_convention,
-    check_radial_pde_erratum,
-]
 
 def run_suite(suite: str = "all", seed: int = 0) -> SuiteReport:
-    """Run a suite; a check that raises becomes a failed result of the list
-    it came from, detailed as "<ExceptionType>: <message>"."""
+    """Run the suite's entries of CHECKS in order; a check that raises fails
+    under its catalog name, detailed as "<ExceptionType>: <message>"."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; expected one of {SUITES}")
-
-    def check_algebra_properties_seeded() -> CheckResult:
-        return check_algebra_properties(seed)
-
-    checks = []
-    if suite in ("all", "exact"):
-        checks.extend(("exact", fn) for fn in _EXACT_CHECKS)
-        checks.append(("exact", check_algebra_properties_seeded))
-    if suite in ("all", "numeric"):
-        checks.extend(("numeric", fn) for fn in _NUMERIC_CHECKS)
-    if suite in ("all", "errata"):
-        checks.extend(("errata", fn) for fn in _ERRATA_CHECKS)
-    report = SuiteReport(suite=suite, seed=seed)
+    results = []
     t0 = time.perf_counter()
-    for origin, fn in checks:
+    for name, origin, check, takes_seed in CHECKS:
+        if suite not in ("all", origin):
+            continue
         t1 = time.perf_counter()
         try:
-            result = fn()
+            verdict = check(seed) if takes_seed else check()
+            # exact: ok; errata: (ok, detail); numeric: (ok, detail, tol)
+            ok, detail, tol = ((verdict, "", None) if origin == "exact"
+                               else (*verdict, None)[:3])
         except Exception as exc:
-            result = CheckResult(name=fn.__name__, suite=origin, status=FAIL,
-                                 detail=f"{type(exc).__name__}: {exc}")
-        report.results.append(replace(result, elapsed=time.perf_counter() - t1))
-    report.elapsed = time.perf_counter() - t0
-    return report
+            ok, detail, tol = False, f"{type(exc).__name__}: {exc}", None
+        elapsed = time.perf_counter() - t1
+        results.append(CheckResult(name, origin, _PASS[origin] if ok else FAIL,
+                                   detail, tol, elapsed))
+    return SuiteReport(suite, seed, tuple(results), time.perf_counter() - t0)

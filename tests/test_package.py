@@ -87,6 +87,7 @@ def test_verify_loads_verify():
     code, out, mods = cold("verify", "--suite", "errata")
     assert code == 0 and out
     assert "moyalbench.verify" in mods
+    assert "dataclasses" not in mods
 
 
 def test_pi_past_the_float_exponent_range_in_a_cold_child():
@@ -139,6 +140,7 @@ def test_records_are_immutable_named_tuples():
     from moyalbench.quadrature import QuadResult
     from moyalbench.spectral import Projector, projector_closed
     from moyalbench.uncertainty import GMRow, ScanEntry, SelectionVerdict, StarSquareReport
+    from moyalbench.verify import FAIL, CheckResult, SuiteReport
 
     records = {
         QuadResult: ("value", "panels", "est_error", "t_max"),
@@ -155,6 +157,8 @@ def test_records_are_immutable_named_tuples():
                     "boundary_at_fail"),
         GMRow: ("k", "classical_variance", "quantum_variance", "variance_difference",
                 "uncertainty_difference"),
+        CheckResult: ("name", "suite", "status", "detail", "tolerance", "elapsed"),
+        SuiteReport: ("suite", "seed", "results", "elapsed"),
     }
     for cls, fields in records.items():
         assert cls._fields == fields
@@ -173,3 +177,6 @@ def test_records_are_immutable_named_tuples():
     assert proj.energy == Q(9, 4)
     assert is_observable(basic_distribution(3, Q(1, 4)), Q(1, 4)).exact
     assert not ObservabilityVerdict(status="nonneg-up-to-n", lam=Q(1, 4), checked_to=4).exact
+    crashed = CheckResult("c", "exact", FAIL, "AssertionError: boom", None, 0.5)
+    report = SuiteReport("exact", 0, (crashed,), 0.5)
+    assert crashed.failed and report.failures == [crashed] and report.exit_code == 1

@@ -139,13 +139,14 @@ def test_negative_sizes_rejected(call):
     (lambda: partition_of_unity(Q(1, 4), 1, n_cap=2.5), "n_cap must be an integer"),
     (lambda: energy_identity_gap(Q(1, 4), 1, -2), "n_terms must be >= 0"),
     (lambda: energy_identity_gap(Q(1, 4), 1, 1.5), "n_terms must be an integer"),
+    (lambda: energy_identity_gap(Q(1, 2), 1, 100), r"lambda=1/2 outside \(0, 1/2\)"),
 ], ids=["phase-pow", "biseries-pow", "biseries-pow-float", "biseries-pow-bool",
         "den-0", "den-negative", "exp", "inverse", "suite", "laguerre-float", "laguerre-bool", "projector-float", "projector-bool",
         "moment-float", "mixed-m-negative", "mixed-m-float", "mixed-n-negative",
         "mixed-n-float", "t_max-0", "t_max-negative", "t_max-inf", "t_max-nan",
         "tol-nan", "series-k_lam-float", "series-k_lam-negative", "series-k_z-float",
         "series-k_z-negative", "partition-n_cap-negative", "partition-n_cap-float",
-        "energy-n_terms-negative", "energy-n_terms-float"])
+        "energy-n_terms-negative", "energy-n_terms-float", "energy-lambda-half"])
 def test_invalid_arguments_are_domain_errors(call, message):
     with pytest.raises(DomainError, match=message):
         call()

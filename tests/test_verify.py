@@ -1,34 +1,49 @@
-from dataclasses import replace
+import pytest
 
 from moyalbench import verify
 from moyalbench.verify import FAIL, run_suite
 
 
 def _stable(result):
-    return replace(result, elapsed=0.0)
+    return result._replace(elapsed=0.0)
 
 
-def test_crashing_check_is_reported_as_failure(monkeypatch):
-    baseline = run_suite("all", seed=0)
-    assert baseline.exit_code == 0
+@pytest.fixture(scope="module")
+def baseline():
+    report = run_suite("all", seed=0)
+    assert report.exit_code == 0
+    return report
 
-    def check_orthonormality():
+
+@pytest.mark.parametrize("name, args", [
+    ("laguerre-orthonormality-15", ()),
+    ("star-associativity+equivalence-100x3", (7,)),
+], ids=["unseeded", "seeded"])
+def test_crashing_check_is_reported_as_failure(monkeypatch, baseline, name, args):
+    calls = []
+
+    def crash(*got):
+        calls.append(got)
         raise AssertionError("planted crash")
 
-    planted = list(verify._EXACT_CHECKS)
-    index = planted.index(verify.check_orthonormality)
-    planted[index] = check_orthonormality
-    monkeypatch.setattr(verify, "_EXACT_CHECKS", planted)
+    planted = list(verify.CHECKS)
+    index = [entry[0] for entry in planted].index(name)
+    _, suite, _, takes_seed = planted[index]
+    planted[index] = (name, suite, crash, takes_seed)
+    monkeypatch.setattr(verify, "CHECKS", tuple(planted))
 
-    report = run_suite("all", seed=0)
+    # no other check reads the seed, so they match the seed-0 baseline
+    report = run_suite("all", seed=7)
+    assert calls == [args]
     assert len(report.results) == 24
     assert report.exit_code == 1
     (failed,) = report.failures
     assert failed is report.results[index]
-    assert failed.name == "check_orthonormality"
+    assert failed.name == name
     assert failed.suite == "exact"
     assert failed.status == FAIL
     assert failed.detail == "AssertionError: planted crash"
+    assert failed.tolerance is None
     assert failed.elapsed > 0.0
     others = [_stable(r) for k, r in enumerate(report.results) if k != index]
     expected = [_stable(r) for k, r in enumerate(baseline.results) if k != index]
