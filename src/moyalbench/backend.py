@@ -21,6 +21,8 @@ def Q(numerator=0, denominator=None):
     Floats are rejected: they would smuggle rounding into exact identities,
     and a zero denominator raises DomainError.
     """
+    if type(numerator) is Fraction and denominator is None:
+        return numerator
     if isinstance(numerator, float) or isinstance(denominator, float):
         raise TypeError("exact rationals cannot be built from floats")
     if isinstance(numerator, str):

@@ -6,8 +6,8 @@ min over operands.  Below the truncation orders the arithmetic is exact, so
 two convergent expansions agree iff all retained coefficients match.
 
 The coefficients live in a real, hbar-free PhasePoly (x -> a, y -> abar),
-so sums and products run on phase's integer kernel; each result is cut back
-to its orders.
+so sums run on phase's integer arithmetic and are cut back to their orders.
+A product forms only the pairs of terms that land within its orders.
 """
 
 from __future__ import annotations
@@ -22,16 +22,40 @@ from .phase import PhasePoly, _poly
 
 def _series(poly: PhasePoly, kx: int, ky: int) -> "BiSeries":
     """The series of poly's terms with i <= kx and j <= ky."""
-    terms = poly.terms
-    if any(i > kx or j > ky for i, j, _ in terms):
-        poly = _poly(
-            {k: v for k, v in terms.items() if k[0] <= kx and k[1] <= ky}, poly.den
-        )
+    kept = {k: v for k, v in poly.terms.items() if k[0] <= kx and k[1] <= ky}
+    return _wrap(poly if len(kept) == len(poly.terms) else _poly(kept, poly.den), kx, ky)
+
+
+def _wrap(poly: PhasePoly, kx: int, ky: int) -> "BiSeries":
+    """The series of a poly with no term beyond the orders."""
     out = object.__new__(BiSeries)
     object.__setattr__(out, "poly", poly)
     object.__setattr__(out, "kx", kx)
     object.__setattr__(out, "ky", ky)
     return out
+
+
+def _cut_product(f: PhasePoly, g: PhasePoly, kx: int, ky: int) -> "BiSeries":
+    """The series of f * g to orders (kx, ky), formed from only the pairs of
+    terms whose exponents sum within them (f and g real and hbar-free)."""
+    rows = [[] for _ in range(kx + 1)]  # g's terms by x-power, sorted by y-power
+    for (i, j, _), (c, _) in sorted(g.terms.items()):
+        if i <= kx and j <= ky:
+            rows[i].append((j, c))
+    width = ky + 1
+    acc = [0] * ((kx + 1) * width)
+    for (i, j, _), (c, _) in f.terms.items():
+        if i > kx or j > ky:
+            continue
+        room = ky - j
+        for x, row in enumerate(rows[: kx - i + 1], i):  # x = i + g's x-power
+            base = x * width + j
+            for j2, c2 in row:
+                if j2 > room:
+                    break
+                acc[base + j2] += c * c2
+    terms = {(*divmod(k, width), 0): (v, 0) for k, v in enumerate(acc) if v}
+    return _wrap(_poly(terms, f.den * g.den), kx, ky)
 
 
 class BiSeries:
@@ -92,7 +116,7 @@ class BiSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return _series(-self.poly, self.kx, self.ky)
+        return _wrap(-self.poly, self.kx, self.ky)
 
     def __sub__(self, other):
         poly, kx, ky = self._operand(other)
@@ -102,8 +126,10 @@ class BiSeries:
         return -self + other
 
     def __mul__(self, other):
-        poly, kx, ky = self._operand(other)
-        return _series(self.poly * poly, kx, ky)
+        if isinstance(other, BiSeries):
+            return _cut_product(self.poly, other.poly,
+                                min(self.kx, other.kx), min(self.ky, other.ky))
+        return _wrap(self.poly * Q(other), self.kx, self.ky)
 
     __rmul__ = __mul__
 

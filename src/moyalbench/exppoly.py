@@ -13,14 +13,18 @@ forms.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
+from operator import mul
 
 from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
 from .params import nonneg_int
-from .poly import Poly, _homogeneous
+from .poly import Poly, _homogeneous, _row
+
+_ONE = _row([1], 1)
 
 
 def _decayed(num: int, den: int, rate, decay: float) -> float:
@@ -289,17 +293,40 @@ class ExpPoly:
         return "ExpPoly(" + " + ".join(bits) + ")"
 
 
+@functools.lru_cache(maxsize=1024)
+def _gamma_weights(a: int, b: int, top: int) -> tuple:
+    """W_k = k! b^(k+1) a^(top-k), k = 0..top: a^(top+1) k!/c^(k+1), c = a/b,
+    the integral of mu^k exp(-c mu) over [0, inf) over one denominator."""
+    w, t, ap = [], b, a**top
+    for k in range(top + 1):
+        w.append(t * ap)
+        t, ap = t * (k + 1) * b, ap // a
+    return tuple(w)
+
+
+def _pair_rows(p: Poly, q: Poly, rate):
+    """Exact integral of p(mu) q(mu) exp(-rate mu) over [0, inf), on ints and
+    with no product row: for rate = a/b and D = deg p + deg q, the sum over i, j
+    of P_i Q_j W_(i+j) over den_p den_q a^(D+1), W = _gamma_weights(a, b, D).
+    The zeros of p are skipped, so the sparser or shorter row goes first."""
+    P, R = p.nums, q.nums
+    if not P or not R:
+        return ZERO
+    a, n = rate.numerator, len(R)
+    w = _gamma_weights(a, rate.denominator, len(P) + n - 2)
+    total = sum([x * sum(map(mul, R, w[i:i + n])) for i, x in enumerate(P) if x])
+    return Fraction(total, p.den * q.den * a ** len(w))
+
+
+def _pair(f: ExpPoly, g: ExpPoly):
+    """Exact integral of f g over [0, inf): _pair_rows over the rate pairs."""
+    return sum([_pair_rows(p, q, r + s) for r, p in f.terms.items()
+                for s, q in g.terms.items()], ZERO)
+
+
 def exp_integral(f: ExpPoly):
-    """Exact integral of f over [0, inf): sum c_k k!/r^(k+1) per rate."""
-    total = ZERO
-    for r, p in f.terms.items():
-        if r <= 0:
-            raise IntegrabilityError("nonpositive rate")
-        s, t = r.numerator, r.denominator
-        # over den * s^(d+1) with r = s/t: sum n_k k! t^(k+1) s^(d-k)
-        weighted = [n * math.factorial(k) for k, n in enumerate(p.nums)]
-        total += Fraction(t * _homogeneous(weighted, t, s), p.den * s ** (p.degree + 1))
-    return total
+    """Exact integral of f over [0, inf): each part paired with 1."""
+    return sum([_pair_rows(_ONE, p, r) for r, p in f.terms.items()], ZERO)
 
 
 def mu_times(f: ExpPoly, power: int = 1) -> ExpPoly:

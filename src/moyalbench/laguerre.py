@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count
+from operator import mul
 from typing import NamedTuple
 
-from .backend import Q, ZERO, qbinom, qfact, rational_str
+from .backend import ONE, Q, ZERO, qbinom, qfact, rational_str
 from .errors import DomainError
-from .exppoly import ExpPoly, exp_integral
+from .exppoly import ExpPoly, _pair_rows, exp_integral
 from .params import as_lambda, nonneg_int
 from .poly import Poly
 
@@ -77,11 +78,9 @@ def basis_matrix(size: int):
 
 
 def matmul(a, b):
-    size = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]
-        for i in range(size)
-    ]
+    """a b for square matrices, each entry one zip of a row with a column."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def is_identity(m) -> bool:
@@ -126,12 +125,10 @@ def mixed_orthogonality(m: int, n: int, lam):
     nonneg_int("m", m)
     nonneg_int("n", n)
     lam = as_lambda(lam, lo_open=True)
-    integrand = laguerre(m).scale_arg(Q(1) - lam) * laguerre(n)
-    value = exp_integral(ExpPoly.single(integrand, 1))
-    if m >= n:
-        closed = qbinom(m, n) * lam ** (m - n) * (Q(1) - lam) ** n
-    else:
-        closed = ZERO
+    p, q = lam.numerator, lam.denominator
+    value = _pair_rows(laguerre(m).scale_arg(Fraction(q - p, q)), laguerre(n), ONE)
+    # lam^(m-n) (1-lam)^n = p^(m-n) (q-p)^n / q^m
+    closed = Fraction(math.comb(m, n) * p ** (m - n) * (q - p) ** n, q**m) if m >= n else ZERO
     if value != closed:  # pragma: no cover - internal consistency
         raise AssertionError(f"mixed_orthogonality mismatch at ({m}, {n})")
     return value
@@ -193,12 +190,11 @@ def binomial_tail_identity(n: int, terms: int):
     """
     nonneg_int("n", n)
     nonneg_int("terms", terms)
-    half = Q(1, 2)
-    partial = sum((half ** (n + k) * qbinom(n + k, k) for k in range(terms + 1)), ZERO)
-    remainder = half ** (n + terms) * sum(
-        (qbinom(n + terms + 1, j) for j in range(n + 1)), ZERO
-    )
-    return partial, remainder, partial + remainder
+    # both sums as ints over 2^(n+terms)
+    partial = sum([math.comb(n + k, k) << (terms - k) for k in range(terms + 1)])
+    remainder = sum([math.comb(n + terms + 1, j) for j in range(n + 1)])
+    den = 1 << (n + terms)
+    return Fraction(partial, den), Fraction(remainder, den), Fraction(partial + remainder, den)
 
 
 def generating_function_check(order: int) -> bool:

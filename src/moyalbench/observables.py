@@ -20,11 +20,12 @@ every single-level coefficient vector as a signed combination of the p_k.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
-from .backend import Q, ZERO, qfact
+from .backend import Q
 from .errors import DomainError
-from .exppoly import ExpPoly, exp_integral
+from .exppoly import ExpPoly, _pair, exp_integral
 from .params import as_lambda, nonneg_int
 from .poly import Poly
 
@@ -33,8 +34,9 @@ def basic_distribution(k: int, lam) -> ExpPoly:
     """The k-th Gamma-type basic distribution p_k, for 0 < lam < 1."""
     nonneg_int("k", k)
     lam = as_lambda(lam, lo_open=True)
-    poly = Poly.monomial(k, Q(1) / (lam ** (k + 1) * qfact(k)))
-    return ExpPoly.single(poly, Q(1) / lam)
+    p, q = lam.numerator, lam.denominator
+    poly = Poly.monomial(k, Fraction(q ** (k + 1), p ** (k + 1) * math.factorial(k)))
+    return ExpPoly.single(poly, Fraction(q, p))
 
 
 def binomial_weight_ints(k: int, lam) -> tuple:
@@ -65,9 +67,7 @@ def fourier_laguerre(p: ExpPoly, lam, n_max: int) -> tuple:
     from .spectral import projector_closed
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("n_max", n_max)
-    return tuple(
-        exp_integral(projector_closed(n, lam).form * p) for n in range(n_max + 1)
-    )
+    return tuple([_pair(p, projector_closed(n, lam).form) for n in range(n_max + 1)])
 
 
 def finite_support_bound(p: ExpPoly, lam):
@@ -149,7 +149,7 @@ def duality_gram(n_max: int, lam) -> list:
     nonneg_int("n_max", n_max)
     left = [projector_closed(n, lam).form for n in range(n_max + 1)]
     right = [projector_closed(m, Q(1) - lam).form for m in range(n_max + 1)]
-    return [[exp_integral(a * b) for b in right] for a in left]
+    return [[_pair(a, b) for b in right] for a in left]
 
 
 # -- basis inversion -----------------------------------------------------------
@@ -166,34 +166,35 @@ def basis_inversion(lam, size: int) -> BasisInversion:
 
     Row k of M is (lam x + 1 - lam)^k, so expanding x^i = ((y - 1 + lam)/lam)^i
     gives inv[i][j] = C(i,j) (lam - 1)^(i-j) / lam^i; ``identity_ok`` checks it
-    against M built from ``binomial_weights``.
+    against M built from ``binomial_weight_ints``, on ints: with lam = p/q,
+    row i of M is over q^i and the inverse is scaled to one p^size.
 
     Column n of the inverse gives the unique combination of basic
     distributions whose coefficient vector is the n-th unit vector; for
     size >= 2 these combinations necessarily carry negative entries.
     """
+    from .laguerre import matmul
     lam = as_lambda(lam, lo_open=True)
     nonneg_int("size", size)
     n1 = size + 1
     p, q = lam.numerator, lam.denominator
-    m = [binomial_weights(k, lam) + [ZERO] * (size - k) for k in range(n1)]
+    m = [binomial_weight_ints(k, lam)[0] + [0] * (size - k) for k in range(n1)]
     inv = [
-        [Q(math.comb(i, j) * (p - q) ** (i - j) * q**j, p**i) for j in range(i + 1)]
-        + [ZERO] * (size - i)
+        [math.comb(i, j) * (p - q) ** (i - j) * q**j * p ** (size - i) for j in range(i + 1)]
+        + [0] * (size - i)
         for i in range(n1)
     ]
+    top = p**size
     prod_ok = all(
-        sum((m[i][t] * inv[t][j] for t in range(n1)), ZERO)
-        == (Q(1) if i == j else ZERO)
-        for i in range(n1)
-        for j in range(n1)
+        c == (q**i * top if i == j else 0)
+        for i, row in enumerate(matmul(m, inv))
+        for j, c in enumerate(row)
     )
-    negatives = any(c < 0 for row in inv for c in row)
     return BasisInversion(
-        matrix=tuple(tuple(r) for r in m),
-        inverse=tuple(tuple(r) for r in inv),
+        matrix=tuple(tuple([Fraction(c, q**k) for c in r]) for k, r in enumerate(m)),
+        inverse=tuple(tuple([Fraction(c, top) for c in r]) for r in inv),
         identity_ok=prod_ok,
-        has_negative_entries=negatives,
+        has_negative_entries=any(c < 0 for row in inv for c in row),
     )
 
 

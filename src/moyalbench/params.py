@@ -16,7 +16,8 @@ def as_lambda(x, *, hi=ONE, lo_open=False, hi_open=True):
     """Coerce to an exact rational lambda and validate its range, which starts
     at 0."""
     v = _coerce(x)
-    if (v < 0 or (lo_open and v == 0)) or (v > hi or (hi_open and v == hi)):
+    over = v.numerator * hi.denominator - hi.numerator * v.denominator  # sign of v - hi
+    if v.numerator < 0 or (lo_open and not v) or over > 0 or (hi_open and not over):
         left = "(" if lo_open else "["
         right = ")" if hi_open else "]"
         raise DomainError(

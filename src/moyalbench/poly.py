@@ -59,7 +59,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, c=Q(1)) -> "Poly":
-        return cls((0,) * nonneg_int("k", k) + (c,))
+        c = Q(c)
+        return _row([0] * nonneg_int("k", k) + [c.numerator], c.denominator)
 
     @property
     def coeffs(self) -> tuple:

@@ -17,13 +17,15 @@ sqrt(k))/2 tends to zero; for any fixed lam < 1/2 it does not.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from .backend import Q, ZERO, rceil
-from .exppoly import exp_integral, mu_times
+from .backend import Q, rceil
+from .exppoly import _pair_rows, exp_integral, mu_times
 from .observables import basic_distribution, binomial_weight_ints
 from .params import as_lambda, nonneg_int
-from .poly import Poly
+from .poly import _row
 
 
 def classical_moments(k: int, lam):
@@ -51,8 +53,9 @@ def quantum_moments(k: int, lam):
     lam = as_lambda(lam, lo_open=True)
     p, q = lam.numerator, lam.denominator
     w, den = binomial_weight_ints(k, lam)
-    s1 = sum((n * q + p) * c for n, c in enumerate(w))
-    s2 = sum((n * q + p) ** 2 * c for n, c in enumerate(w))
+    e = range(p, p + q * len(w), q)  # nq + p, n = 0..k
+    s1 = sum(map(mul, e, w))
+    s2 = sum(map(mul, map(mul, e, e), w))
     if s1 != (k + 1) * p * den:  # pragma: no cover
         raise AssertionError("quantum mean mismatch")
     if s2 != ((k * k + k + 1) * p * p + k * p * q) * den:  # pragma: no cover
@@ -60,9 +63,8 @@ def quantum_moments(k: int, lam):
     # variance over q^(2k+2): s2 q^k - s1^2 against k p (q-p) q^(2k)
     if s2 * den - s1 * s1 != k * p * (q - p) * den * den:  # pragma: no cover
         raise AssertionError("quantum variance mismatch")
-    mean = Q(s1, den * q)
-    second = Q(s2, den * q * q)
-    return mean, second, second - mean * mean
+    return (Fraction(s1, den * q), Fraction(s2, den * q * q),
+            Fraction(s2 * den - s1 * s1, (den * q) ** 2))
 
 
 class StarSquareReport(NamedTuple):
@@ -82,16 +84,17 @@ def star_square_cross_check(k: int, lam) -> StarSquareReport:
     """
     from .phase import hamiltonian, star
     lam = as_lambda(lam, lo_open=True)
-    hh = star(hamiltonian(), hamiltonian(), lam)
-    coeffs = [ZERO, ZERO, ZERO]
+    h = hamiltonian()
+    hh = star(h, h, lam)
+    nums = [0, 0, 0]
     for (i, _, _), (re, _) in hh.terms.items():
-        coeffs[i] += Q(re, hh.den)  # (a abar)^i hbar^d, with hbar -> 1 (dimensionless)
-    quadratic = Poly(coeffs)
-    form = basic_distribution(k, lam)
-    integral_value = exp_integral(form * quadratic)
+        nums[i] += re  # (a abar)^i hbar^d, with hbar -> 1 (dimensionless)
+    quadratic = _row(nums, hh.den)
+    (rate, poly), = basic_distribution(k, lam).terms.items()
+    integral_value = _pair_rows(poly, quadratic, rate)
     _, second, _ = quantum_moments(k, lam)
     return StarSquareReport(
-        quadratic=tuple(coeffs),
+        quadratic=tuple([Fraction(n, hh.den) for n in nums]),
         integral_value=integral_value,
         equal=(integral_value == second),
     )

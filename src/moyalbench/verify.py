@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from fractions import Fraction
 from random import Random
 from typing import NamedTuple
 
-from .backend import Q, rational_str
+from .backend import ONE, Q, rational_str
 from .errors import ConditionalConvergenceWarning, DomainError
 from .params import SUITES
-from .exppoly import ExpPoly, exp_integral
+from .exppoly import _pair_rows, exp_integral
 from .laguerre import (
     basis_matrix,
     binomial_tail_identity,
@@ -140,15 +141,14 @@ def check_moment_table() -> bool:
 
 def check_mixed_orthogonality() -> bool:
     ok = True
-    for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
+    for p, q in ((1, 4), (1, 3), (1, 2)):
+        lam = Q(p, q)
         for m in range(16):
             for n in range(16):
                 v = mixed_orthogonality(m, n, lam)
-                if m >= n:
-                    expect = (Q(math.comb(m, n)) * lam ** (m - n)
-                              * (1 - lam) ** n)
-                else:
-                    expect = Q(0)
+                # C(m,n) lam^(m-n) (1-lam)^n for m >= n, lam = p/q
+                expect = (Fraction(math.comb(m, n) * p ** (m - n) * (q - p) ** n, q**m)
+                          if m >= n else 0)
                 ok &= v == expect
     return ok
 
@@ -167,9 +167,7 @@ def check_orthonormality() -> bool:
     ok = True
     for m in range(16):
         for n in range(16):
-            v = exp_integral(
-                ExpPoly.single(laguerre(m) * laguerre(n), 1)
-            )
+            v = _pair_rows(laguerre(m), laguerre(n), ONE)
             ok &= v == (1 if m == n else 0)
     return ok
 
@@ -223,11 +221,13 @@ def check_radial_reduction() -> bool:
 
 def check_weights_and_moments() -> bool:
     ok = True
-    for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
+    for p, q in ((1, 4), (1, 3), (1, 2)):
+        lam = Q(p, q)
         for k in range(51):
             mean, second, _ = unc.quantum_moments(k, lam)
-            ok &= mean == (k + 1) * lam
-            ok &= second == (k * k + k + 1) * lam**2 + k * lam
+            # (k+1) lam and (k^2+k+1) lam^2 + k lam, lam = p/q
+            ok &= mean == Fraction((k + 1) * p, q)
+            ok &= second == Fraction((k * k + k + 1) * p * p + k * p * q, q * q)
             ok &= unc.star_square_cross_check(k, lam).equal
     return ok
 

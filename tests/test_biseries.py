@@ -371,3 +371,19 @@ def test_projector_identity_sides_match_reference(n, monkeypatch):
     _same(lhs, ref_lhs)
     _same(rhs, ref_rhs)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("left, right", [
+    ((12, 12), (5, 9)), ((3, 9), (7, 1)), ((0, 6), (6, 0)), ((8, 2), (2, 8)),
+])
+def test_cut_product_is_the_uncut_product_truncated(left, right):
+    # the cut product forms only the pairs that land within the orders; the
+    # full pointwise product of phase, cut afterwards, must agree with it
+    rng = Random(f"biseries-cut-{left}-{right}")
+    kx, ky = min(left[0], right[0]), min(left[1], right[1])
+    for dense in (True, False):
+        a, _ = _draw(rng, *left, dense, BIG)
+        b, _ = _draw(rng, *right, not dense, SMALL)
+        uncut = biseries_module._series(a.poly * b.poly, kx, ky)
+        assert a * b == uncut and b * a == uncut
+        assert (a * b).poly.terms == uncut.poly.terms

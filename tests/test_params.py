@@ -54,6 +54,13 @@ def test_as_lambda_strings_and_bounds():
         as_lambda(Q(0), lo_open=True)
     with pytest.raises(TypeError):
         as_lambda(0.25)
+    # both edges, open and closed
+    assert as_lambda(Q(0)) == 0
+    assert as_lambda(Q(1, 2), hi=Q(1, 2), hi_open=False) == Q(1, 2)
+    for bad, kw in [(Q(1, 2), {"hi": Q(1, 2)}), (Q(-1, 3), {}), (Q(1), {}),
+                    (Q(3, 5), {"hi": Q(1, 2), "hi_open": False})]:
+        with pytest.raises(DomainError):
+            as_lambda(bad, **kw)
 
 
 def test_nonneg_int():
