@@ -44,12 +44,14 @@ def is_rational(x) -> bool:
 
 
 def content_gcd(den: int, ints) -> int:
-    """gcd(den, *ints), stopping at the first 1: what puts ints/den in lowest terms."""
+    """gcd(den, *ints), stopping at the first 1: what puts ints/den in lowest terms.
+    Zeros are skipped: gcd(g, 0) = g costs a call and never reaches 1."""
     g = den
     for n in ints:
-        g = math.gcd(g, n)
-        if g == 1:
-            break
+        if n:
+            g = math.gcd(g, n)
+            if g == 1:
+                break
     return g
 
 

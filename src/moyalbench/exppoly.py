@@ -57,16 +57,25 @@ def _wide_decayed(num: int, den: int, rate) -> float:
     return out
 
 
-def _bound_sign(parts, prec: int, lower: bool) -> int:
-    """Sign of a lower (or upper) bound of sum n exp(num/den) over parts, on
-    ints.  Each exp is rounded at prec bits the way that keeps n * exp on the
-    bound's side; a term under 2^floor, 2*prec bits below the largest, counts
-    as -2^floor (or +2^floor), so no shift grows with the exponents' spread."""
+def _bound_sign(n0: int, parts, prec: int, lower: bool) -> int:
+    """Sign of a lower (or upper) bound of n0 + sum n exp(num/den) over parts,
+    on ints, for exponents num/den < 0.
+
+    Each exponent is cut by one int division to s = prec + 8 fractional bits:
+    q 2^-s <= num/den <= (q + (rem > 0)) 2^-s.  The exp is taken at whichever
+    exact end keeps n * exp on the bound's side, rounded at prec bits the same
+    way (down at the lower end, up at the upper end).  A term under 2^floor,
+    2*prec bits below the largest, counts as -2^floor (or +2^floor), so no
+    shift grows with the exponents' spread."""
     from mpmath import libmp
-    terms = []
+    s = prec + 8
+    terms = [(n0, 0)]
     for n, num, den in parts:
-        rnd = "f" if (n > 0) == lower else "c"
-        m = libmp.mpf_exp(libmp.from_rational(num, den, prec, rnd), prec, rnd)
+        q, rem = divmod(num << s, den)
+        if (n > 0) == lower:
+            m = libmp.mpf_exp(libmp.from_man_exp(q, -s), prec, "f")
+        else:
+            m = libmp.mpf_exp(libmp.from_man_exp(q + (rem > 0), -s), prec, "c")
         terms.append((n * m[1], m[2]))  # exp > 0: m = (0, man, exp, bc)
     floor = max(e + v.bit_length() for v, e in terms) - 2 * prec
     kept = [(v, e) for v, e in terms if e + v.bit_length() > floor]
@@ -198,9 +207,12 @@ class ExpPoly:
         The values exp(-r*mu) for distinct positive r*mu are linearly
         independent over the rationals, so the value is zero iff every
         polynomial factor vanishes at mu.  Otherwise the parts, exact ints
-        over one denominator, are summed against outward-rounded bounds of
-        each exp until a bounding sum decides the sign.  A point a/b can lie
-        within about 2^-bits(b) of a root, so the bounds start at
+        over one denominator, are divided by exp(-r0*mu) > 0, r0 the slowest
+        rate whose part is nonzero at mu: that part is the exact int n0, and
+        each other exponent -(r - r0)*a/b < 0 is formed on ints.  The sum is
+        bounded with one directed-rounding exp per other part and bound
+        (see _bound_sign) until a bound decides the sign.  A point a/b can
+        lie within about 2^-bits(b) of a root, so the bounds start at
         64 + bits(b) bits and double up to max(4096, start).
         """
         x = Q(mu)
@@ -212,22 +224,30 @@ class ExpPoly:
             v = self.at_zero()
             return (v > 0) - (v < 0)
         a, b = x.numerator, x.denominator
-        # p_r(a/b) = h_r / (den_r b^deg_r), as ints over one common denominator;
-        # distinct rates keep distinct exponents r*x, so no parts merge
-        rows = [(r, p, p.den * b ** p.degree) for r, p in self.terms.items()]
-        common = math.lcm(*[d for _, _, d in rows])
-        parts = [(n, -r.numerator * a, r.denominator * b) for r, p, d in rows
-                 if (n := _homogeneous(p.nums, a, b) * (common // d))]
+        # p_r(a/b) = h_r / (den_r b^deg_r), as ints over the common denominator
+        # lcm(den_r) b^deg; distinct rates keep distinct exponents r*x, so no
+        # parts merge
+        deg = max(p.degree for p in self.terms.values())
+        dens = math.lcm(*[p.den for p in self.terms.values()])
+        parts = [(r, n) for r, p in self.terms.items()
+                 if (n := _homogeneous(p.nums, a, b) * (dens // p.den)
+                     * b ** (deg - p.degree))]
         if not parts:
             return 0
-        if len({n > 0 for n, _, _ in parts}) == 1:  # one sign throughout
-            return 1 if parts[0][0] > 0 else -1
+        if len({n > 0 for _, n in parts}) == 1:  # one sign throughout
+            return 1 if parts[0][1] > 0 else -1
+        parts.sort()
+        (r0, n0), rest = parts[0], parts[1:]
+        u, v = r0.numerator, r0.denominator
+        # -(r - r0) a/b = -(r.num v - u r.den) a / (r.den v b), on ints
+        rest = [(n, (u * r.denominator - r.numerator * v) * a, r.denominator * v * b)
+                for r, n in rest]
         prec = 64 + b.bit_length()
         top = max(4096, prec)
         while True:
-            if _bound_sign(parts, prec, lower=True) > 0:
+            if _bound_sign(n0, rest, prec, lower=True) > 0:
                 return 1
-            if _bound_sign(parts, prec, lower=False) < 0:
+            if _bound_sign(n0, rest, prec, lower=False) < 0:
                 return -1
             if prec >= top:
                 raise AccuracyError(f"sign did not resolve at {top} bits")  # pragma: no cover

@@ -73,28 +73,37 @@ class StarSquareReport(NamedTuple):
     equal: bool  # integral_value is the quantum second moment
 
 
-def star_square_cross_check(k: int, lam) -> StarSquareReport:
-    """Link the deformed square of H to the quantum second moment, exactly:
-
-        integral (H *_lam H)/(hbar omega)^2 |_{radial} p_k dmu
-            = sum_n (n+lam)^2 C(k,n) lam^n (1-lam)^{k-n}.
-
-    The radial quadratic comes out of the phase-space product itself
-    (dimensionless units, s = hbar mu with hbar set to 1).
-    """
+def _radial_square(lam):
+    """(H *_lam H)/(hbar omega)^2 on the radial line, as a row in mu: the
+    quadratic comes out of the phase-space product itself (dimensionless
+    units, s = hbar mu with hbar set to 1)."""
     from .phase import hamiltonian, star
-    lam = as_lambda(lam, lo_open=True)
     h = hamiltonian()
     hh = star(h, h, lam)
     nums = [0, 0, 0]
     for (i, _, _), (re, _) in hh.terms.items():
         nums[i] += re  # (a abar)^i hbar^d, with hbar -> 1 (dimensionless)
-    quadratic = _row(nums, hh.den)
+    return _row(nums, hh.den)
+
+
+def _radial_square_moment(k: int, lam, quadratic):
+    """integral of quadratic(mu) p_k(mu) dmu over [0, inf), exact."""
     (rate, poly), = basic_distribution(k, lam).terms.items()
-    integral_value = _pair_rows(poly, quadratic, rate)
+    return _pair_rows(poly, quadratic, rate)
+
+
+def star_square_cross_check(k: int, lam) -> StarSquareReport:
+    """Link the deformed square of H to the quantum second moment, exactly:
+
+        integral (H *_lam H)/(hbar omega)^2 |_{radial} p_k dmu
+            = sum_n (n+lam)^2 C(k,n) lam^n (1-lam)^{k-n}.
+    """
+    lam = as_lambda(lam, lo_open=True)
+    quadratic = _radial_square(lam)
+    integral_value = _radial_square_moment(k, lam, quadratic)
     _, second, _ = quantum_moments(k, lam)
     return StarSquareReport(
-        quadratic=tuple([Fraction(n, hh.den) for n in nums]),
+        quadratic=quadratic.coeffs,
         integral_value=integral_value,
         equal=(integral_value == second),
     )

@@ -223,12 +223,14 @@ def check_weights_and_moments() -> bool:
     ok = True
     for p, q in ((1, 4), (1, 3), (1, 2)):
         lam = Q(p, q)
+        quadratic = unc._radial_square(lam)  # H *_lam H depends on lam alone
         for k in range(51):
             mean, second, _ = unc.quantum_moments(k, lam)
             # (k+1) lam and (k^2+k+1) lam^2 + k lam, lam = p/q
             ok &= mean == Fraction((k + 1) * p, q)
             ok &= second == Fraction((k * k + k + 1) * p * p + k * p * q, q * q)
-            ok &= unc.star_square_cross_check(k, lam).equal
+            # integral of (H *_lam H) p_k against the level sums' second moment
+            ok &= unc._radial_square_moment(k, lam, quadratic) == second
     return ok
 
 

@@ -156,11 +156,168 @@ def test_argument_with_a_denominator_above_4032_bits(side):
     assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == (1 if side else -1)
 
 
-@pytest.mark.parametrize("x", [Fraction(2**100), Fraction(3**80, 7)])
+@pytest.mark.parametrize("x", [Fraction(2**100), Fraction(3**80, 7), Fraction(2**200),
+                               Fraction(2**200 + 1, 3), Fraction(2**199 + 5, 2**7)])
 def test_far_argument_with_exponents_spread_over_2_to_the_100_bits(x):
-    # the two bounds differ in binary exponent by about 2^100: the terms far
-    # below the largest are bounded, not shifted into one int
+    # the two bounds differ in binary exponent by about 2^100 (2^200): the
+    # terms far below the largest are bounded, not shifted into one int
     terms = [(Fraction(1), RefPoly([-1, 1])), (Fraction(2), RefPoly([-5]))]
     assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == 1
     terms = [(Fraction(3, 2), RefPoly([1])), (Fraction(1, 2), RefPoly([0, -1]))]
     assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == -1
+    # each faster part is below the slowest one by a factor under exp(-2^96),
+    # however large its coefficients
+    big = Fraction(2**1000)
+    terms = [(Fraction(1), RefPoly([-1])), (Fraction(3, 2), RefPoly([big, big]))]
+    assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == -1
+    terms = [(Fraction(5, 7), RefPoly([1, -1, 1])), (Fraction(6, 7), RefPoly([0, -big])),
+             (Fraction(9, 2), RefPoly([-big, 0, -big]))]
+    assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == 1
+
+
+# -- dividing out the slowest rate ---------------------------------------------
+
+def _vanishing_at(x, rate):
+    """A part at rate whose polynomial factor, 5 (mu - x) (mu + 1), is 0 at x."""
+    return rate, RefPoly([-5 * x, 5 - 5 * x, 5])
+
+
+@pytest.mark.parametrize("x,fast,slow,k,above", NEAR_CASES[::3])
+def test_slowest_part_vanishing_at_the_point_is_left_out(x, fast, slow, k, above):
+    # the new slowest part is 0 at x, so the slowest rate among the parts that
+    # are nonzero there is the next one up
+    terms, sign = _near_cancelling(x, fast, slow, k, above)
+    terms.append(_vanishing_at(x, Fraction(1, 9)))
+    assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == sign
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(3, 7), Fraction(2**60 + 1, 2**20)])
+def test_slowest_part_vanishing_leaves_one_sign_or_two_rates(x):
+    # nonzero at x: two parts of one sign, or two of opposite signs
+    one_sign = [_vanishing_at(x, Fraction(1, 4)), (Fraction(1), RefPoly([2])),
+                (Fraction(3), RefPoly([0, 7]))]
+    two_rates = one_sign[:2] + [(Fraction(2), RefPoly([-3, 0, -1]))]
+    assert _form(one_sign).sign_at(x) == ref_sign_at(one_sign, x) == 1
+    assert _form(two_rates).sign_at(x) == ref_sign_at(two_rates, x)
+
+
+# rates whose differences all have odd denominators > 1: no exponent
+# -(r - r0) mu is a dyadic rational at a dyadic mu, so every cut is inexact
+ODD_RATES = (Fraction(2, 3), Fraction(5, 7), Fraction(9, 11), Fraction(13, 5))
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(5, 2**20), Fraction(3, 7)])
+@pytest.mark.parametrize("count", [3, 4])
+@pytest.mark.parametrize("above", [0, 1])
+def test_non_dyadic_rate_differences_match_the_interval_oracle(x, count, above):
+    rates = ODD_RATES[:count]
+    assert all((r - rates[0]).denominator % 2 for r in rates[1:])
+    terms, sign = _near_cancelling(x, rates[1:], rates[0], 300, above)
+    assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == sign
+
+
+# -- the bounds themselves -----------------------------------------------------
+
+def _cut_cases(seed, count, prec):
+    """(num, den) exponents num/den < 0 of seeded sizes, plus the first ones
+    found where exp at the cut's lower end, rounded up at prec bits, is still
+    below exp(num/den): there only the upper end gives an upper bound."""
+    from mpmath import libmp
+
+    rng = Random(seed)
+    plain, tight = [], []
+    s = prec + 8
+    while len(plain) < count or len(tight) < 4:
+        den = rng.randint(1, 2**rng.choice((3, 40, 200)))
+        num = -rng.randint(1, 4 * den)
+        if len(plain) < count:
+            plain.append((num, den))
+        q, _ = divmod(num << s, den)
+        low = libmp.mpf_exp(libmp.from_man_exp(q, -s), prec, "c")
+        with mpmath.workprec(prec + 200):
+            if mpmath.mpf(low) < mpmath.exp(mpmath.mpf(num) / den):
+                tight.append((num, den))
+    return plain + tight[:4]
+
+
+def _floor_4096(parts):
+    """floor of sum n exp(num/den) over parts, from its 4096-bit value."""
+    with mpmath.workprec(4096):
+        v = mpmath.fsum(n * mpmath.exp(mpmath.mpf(num) / den) for n, num, den in parts)
+        return int(mpmath.floor(v))
+
+
+@pytest.mark.parametrize("prec", [24, 64, 365])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bound_sign_brackets_the_4096_bit_value(prec, sign):
+    # n = +-2^(prec + 40) puts the bounds' rounding far above 1.  The value V
+    # of the parts is irrational, so with n0 = -floor(V) the sum lies in
+    # (0, 1) and with n0 = -floor(V) - 1 in (-1, 0): a bound rounded or cut
+    # the wrong way gives the wrong sign there
+    from moyalbench.exppoly import _bound_sign
+
+    n = sign << (prec + 40)
+    cases = _cut_cases(prec, 40, prec)
+    groups = [[c] for c in cases] + [cases[i:i + 3] for i in range(0, 30, 3)]
+    for exps in groups:
+        parts = [(n if i % 2 == 0 else -n // 3, num, den) for i, (num, den) in enumerate(exps)]
+        m = _floor_4096(parts)
+        for n0, true in ((-m, 1), (-m - 1, -1)):
+            lower = _bound_sign(n0, parts, prec, lower=True)
+            upper = _bound_sign(n0, parts, prec, lower=False)
+            assert lower <= true <= upper, (n0, parts)
+
+
+def _counting(monkeypatch):
+    """Wrap _bound_sign, mpf_exp and from_rational: [(parts, exps), ...] per
+    bound, and the from_rational calls."""
+    from mpmath import libmp
+
+    from moyalbench import exppoly
+
+    calls, rationals, exps = [], [], []
+    bound, exp, from_rational = exppoly._bound_sign, libmp.mpf_exp, libmp.from_rational
+
+    def counted_bound(n0, parts, prec, lower):
+        before = len(exps)
+        out = bound(n0, parts, prec, lower)
+        calls.append((parts, len(exps) - before))
+        return out
+
+    monkeypatch.setattr(exppoly, "_bound_sign", counted_bound)
+    monkeypatch.setattr(libmp, "mpf_exp", lambda *a, **k: exps.append(1) or exp(*a, **k))
+    monkeypatch.setattr(libmp, "from_rational",
+                        lambda *a, **k: rationals.append(1) or from_rational(*a, **k))
+    return calls, rationals
+
+
+def test_two_rate_bisection_makes_one_exp_per_bound(monkeypatch):
+    n, l1, l2 = _projector_pairs(7, 1)[0]
+    form = projector_closed(n, l1).form - projector_closed(n, l2).form
+    points = _bisection_points(form, 300)
+    calls, rationals = _counting(monkeypatch)
+    for x in points:
+        form.sign_at(x)
+    assert len(calls) > 300
+    assert all(exps <= 1 for _, exps in calls)
+    assert not rationals
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_k_rate_forms_make_k_minus_1_exps_per_bound_on_negative_exponents(
+        seed, monkeypatch):
+    rng = Random(seed)
+    terms, _ = _near_cancelling(Fraction(3, 7), ODD_RATES[1:2 + seed % 3], ODD_RATES[0],
+                                150 * (1 + seed), seed % 2)
+    terms.append(_vanishing_at(Fraction(3, 7), Fraction(1, 2)))  # the slowest rate
+    form = _form(terms)
+    calls, rationals = _counting(monkeypatch)
+    for x in [Fraction(3, 7)] + [Fraction(rng.randint(1, 2**80), 2**rng.randint(1, 70))
+                                 for _ in range(6)]:
+        del calls[:]
+        form.sign_at(x)
+        k = sum(1 for _, p in terms if p(x))  # the rates nonzero at x
+        assert calls and all(len(parts) == k - 1 and exps <= k - 1 for parts, exps in calls)
+        # the slowest nonzero part is divided out: every other exponent is < 0
+        assert all(num < 0 < den for parts, _ in calls for _, num, den in parts)
+    assert not rationals

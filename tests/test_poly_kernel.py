@@ -17,7 +17,7 @@ import mpmath
 import pytest
 
 from moyalbench.exppoly import ExpPoly, exp_integral
-from moyalbench.poly import Poly, divmod_poly, poly_gcd
+from moyalbench.poly import Poly, _row, divmod_poly, poly_gcd
 from moyalbench.rootisolate import nonneg_on_nonneg, sturm_chain
 from moyalbench.spectral import projector_closed, projector_negative_witness
 
@@ -368,6 +368,18 @@ def test_exact_values_and_signs_match_at_wide_rationals(coeffs):
         v = ref(x)
         assert p(x) == v and type(p(x)) is Fraction
         assert p.sign_at(x) == (v > 0) - (v < 0)
+
+
+@pytest.mark.parametrize("top,den,nums,reduced", [
+    (7, 3**51, (0,) * 50 + (7,), 3**51),  # no common factor behind the zeros
+    (9, 3**51, (0,) * 50 + (1,), 3**49),  # the factor sits after 50 zeros
+    (0, 3**51, (), 1),                    # an all-zero row is the zero Poly
+])
+def test_rows_with_leading_zeros_are_canonical(top, den, nums, reduced):
+    p = _row([0] * 50 + [top], den)
+    assert (p.nums, p.den) == (nums, reduced)
+    assert p == Poly([0] * 50 + [Fraction(top, den)])
+    assert p == Poly.monomial(50, Fraction(top, den))
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 30, 125])
