@@ -103,35 +103,18 @@ def monomial_from_laguerre(r: int) -> Poly:
 # -- integral identities -----------------------------------------------------
 
 def moment_integral(k: int, n: int):
-    """integral z^k L_n(z) e^(-z) dz, exactly.
-
-    Computed two ways, the closed form (-1)^n C(k,n) k! for k >= n (0 below
-    the diagonal) and the Gamma-moment expansion, which must agree.
-    """
+    """integral z^k L_n(z) e^(-z) dz, exactly, from the Gamma moments."""
     nonneg_int("k", k)
     nonneg_int("n", n)
-    closed = Q(-1) ** n * qbinom(k, n) * qfact(k) if k >= n else ZERO
-    value = exp_integral(ExpPoly.single(laguerre(n).shift(k), 1))
-    if value != closed:  # pragma: no cover - internal consistency
-        raise AssertionError(f"moment_integral mismatch at (k={k}, n={n})")
-    return value
+    return exp_integral(ExpPoly.single(laguerre(n).shift(k), 1))
 
 
 def mixed_orthogonality(m: int, n: int, lam):
-    """integral L_m((1-lam) z) L_n(z) e^(-z) dz, exactly.
-
-    Equals C(m,n) lam^m ((1-lam)/lam)^n for m >= n and 0 otherwise.
-    """
+    """integral L_m((1-lam) z) L_n(z) e^(-z) dz, exactly, on the pairing kernel."""
     nonneg_int("m", m)
     nonneg_int("n", n)
     lam = as_lambda(lam, lo_open=True)
-    p, q = lam.numerator, lam.denominator
-    value = _pair_rows(laguerre(m).scale_arg(Fraction(q - p, q)), laguerre(n), ONE)
-    # lam^(m-n) (1-lam)^n = p^(m-n) (q-p)^n / q^m
-    closed = Fraction(math.comb(m, n) * p ** (m - n) * (q - p) ** n, q**m) if m >= n else ZERO
-    if value != closed:  # pragma: no cover - internal consistency
-        raise AssertionError(f"mixed_orthogonality mismatch at ({m}, {n})")
-    return value
+    return _pair_rows(laguerre(m).scale_arg(1 - lam), laguerre(n), ONE)
 
 
 # -- the projector series identity -------------------------------------------
@@ -240,7 +223,6 @@ class GammaMomentReport(NamedTuple):
     formula_value: float
     formula_exact: str | None
     abs_diff: float
-    agrees: bool
 
 
 def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
@@ -292,12 +274,10 @@ def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
             return 2.0 * u ** (2.0 * pf + 1.0) * float(ln(z)) * math.exp(-z)
 
         res = integrate_decay(f, tol=tol, t_max=math.sqrt(60.0 + 5.0 * n))
-    diff = abs(res.value - formula_value)
     return GammaMomentReport(
         quad_value=res.value,
         panels=res.panels,
         formula_value=formula_value,
         formula_exact=formula_exact,
-        abs_diff=diff,
-        agrees=diff < max(tol * 10.0, 1e-6),
+        abs_diff=abs(res.value - formula_value),
     )

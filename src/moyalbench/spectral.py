@@ -369,10 +369,9 @@ def projector_negative_witness(n: int, lam):
     proj = projector_closed(n, lam)
     (rate, poly), = proj.form.terms.items()
     witness = find_negative_point(poly)
-    if witness is not None and witness == 0:
-        # want a strictly positive witness; nudge into the negative region
-        for cand in (Q(1, 10 ** k) for k in range(1, 12)):
-            if poly.sign_at(cand) < 0:
-                return cand
-        return None
+    if witness == 0:
+        # p(0) < 0: below |a_0| / (|a_0| + max_{i>=1} |a_i|), the Cauchy lower
+        # bound on the moduli of the roots, p keeps the sign of a_0
+        a0 = abs(poly.nums[0])
+        return Q(a0, a0 + max(map(abs, poly.nums[1:]), default=0))
     return witness

@@ -223,14 +223,15 @@ def check_weights_and_moments() -> bool:
     ok = True
     for p, q in ((1, 4), (1, 3), (1, 2)):
         lam = Q(p, q)
-        quadratic = unc._radial_square(lam)  # H *_lam H depends on lam alone
+        quadratic = unc.radial_square(lam)  # H *_lam H depends on lam alone
         for k in range(51):
-            mean, second, _ = unc.quantum_moments(k, lam)
-            # (k+1) lam and (k^2+k+1) lam^2 + k lam, lam = p/q
+            mean, second, variance = unc.quantum_moments(k, lam)
+            # (k+1) lam, (k^2+k+1) lam^2 + k lam and k lam(1-lam), lam = p/q
             ok &= mean == Fraction((k + 1) * p, q)
             ok &= second == Fraction((k * k + k + 1) * p * p + k * p * q, q * q)
+            ok &= variance == Fraction(k * p * (q - p), q * q)
             # integral of (H *_lam H) p_k against the level sums' second moment
-            ok &= unc._radial_square_moment(k, lam, quadratic) == second
+            ok &= unc.radial_square_moment(k, lam, quadratic) == second
     return ok
 
 
@@ -272,9 +273,6 @@ def check_negativity_witnesses() -> bool:
 def check_selection_scan() -> bool:
     grid = unc.default_lambda_grid(64)
     ok = all(e.matches_prediction for e in unc.scan_lambda(grid, 1000))
-    # lam = 1/2 = p/q: k p(q-p) < (k+1) p^2, both sides over q^2
-    p, q = 1, 2
-    ok &= all(k * p * (q - p) < (k + 1) * p * p for k in range(1001))
     rows = unc.gm_asymptotics(100)
     ok &= all(r.variance_difference == Q(1, 4) for r in rows)
     return ok and len(grid) == 630  # the count CHECKS names

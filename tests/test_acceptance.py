@@ -49,9 +49,11 @@ from moyalbench.spectral import (
 from moyalbench.uncertainty import (
     default_lambda_grid,
     gm_asymptotics,
+    quantum_moments,
+    radial_square,
+    radial_square_moment,
     scan_lambda,
     selection_inequality,
-    star_square_cross_check,
 )
 
 
@@ -154,12 +156,14 @@ def test_ac07_star_exponential():
 def test_ac08_quantum_weights_and_moments():
     with criterion("AC-08", "quantum weight sums and star-square link, k <= 50"):
         for lam in (Q(1, 4), Q(1, 3), Q(1, 2)):
+            quadratic = radial_square(lam)
             for k in range(51):
                 w = binomial_weights(k, lam)
                 assert sum((n + lam) * c for n, c in enumerate(w)) == (k + 1) * lam
                 assert sum((n + lam) ** 2 * c for n, c in enumerate(w)) == \
                     (k * k + k + 1) * lam ** 2 + k * lam
-                assert star_square_cross_check(k, lam).equal
+                assert radial_square_moment(k, lam, quadratic) == \
+                    quantum_moments(k, lam)[1]
 
 
 def test_ac09_selection_scan():

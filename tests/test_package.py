@@ -132,6 +132,23 @@ def test_table_command_loads_exactly_its_layers(argv, layers):
     assert "dataclasses" not in mods
 
 
+def test_no_module_raises_assertion_error():
+    # a library value is computed once and compared once, by a verify check
+    # or a test: an internal mismatch must read as a False verdict
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted(Path(moyalbench.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_records_are_immutable_named_tuples():
     from moyalbench.backend import Q
     from moyalbench.laguerre import GammaMomentReport
@@ -139,18 +156,17 @@ def test_records_are_immutable_named_tuples():
         BasisInversion, ObservabilityVerdict, basic_distribution, is_observable)
     from moyalbench.quadrature import QuadResult
     from moyalbench.spectral import Projector, projector_closed
-    from moyalbench.uncertainty import GMRow, ScanEntry, SelectionVerdict, StarSquareReport
+    from moyalbench.uncertainty import GMRow, ScanEntry, SelectionVerdict
     from moyalbench.verify import FAIL, CheckResult, SuiteReport
 
     records = {
         QuadResult: ("value", "panels", "est_error", "t_max"),
         GammaMomentReport: ("quad_value", "panels", "formula_value", "formula_exact",
-                            "abs_diff", "agrees"),
+                            "abs_diff"),
         Projector: ("n", "lam", "form"),
         ObservabilityVerdict: ("status", "lam", "checked_to", "coefficients",
                                "support_bound", "witness_index", "note"),
         BasisInversion: ("matrix", "inverse", "identity_ok", "has_negative_entries"),
-        StarSquareReport: ("quadratic", "integral_value", "equal"),
         SelectionVerdict: ("k", "lam", "quantum_variance", "classical_variance",
                            "passes", "boundary"),
         ScanEntry: ("lam", "first_fail_k", "predicted_k", "matches_prediction",

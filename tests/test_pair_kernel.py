@@ -190,11 +190,12 @@ def test_star_square_integral_matches_the_product_form(lam):
     coeffs = [ZERO, ZERO, ZERO]
     for (i, _, _), (re, _) in hh.terms.items():
         coeffs[i] += Q(re, hh.den)
+    quadratic = unc.radial_square(lam)
+    assert quadratic.coeffs == tuple(coeffs)
     for k in (0, 1, 7, 30):
-        rep = unc.star_square_cross_check(k, lam)
-        assert rep.quadratic == tuple(coeffs)
+        value = unc.radial_square_moment(k, lam, quadratic)
         expect = exp_integral_reference(basic_distribution_reference(k, lam) * Poly(coeffs))
-        assert rep.integral_value == expect and rep.equal
+        assert value == expect == unc.quantum_moments(k, lam)[1]
 
 
 @pytest.mark.parametrize("lam", LAMS, ids=str)

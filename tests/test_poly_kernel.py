@@ -260,10 +260,8 @@ def ref_projector_witness(n, lam):
     _, poly = ref_projector(n, lam)
     ok, witness = ref_nonneg_on_nonneg(poly)
     if not ok and witness == 0:
-        for cand in (Fraction(1, 10 ** k) for k in range(1, 12)):
-            if poly(cand) < 0:
-                return cand
-        return None
+        a = [abs(c) for c in poly.coeffs]
+        return a[0] / (a[0] + max(a[1:], default=0))
     return None if ok else witness
 
 

@@ -294,6 +294,24 @@ def test_negative_witnesses():
     assert projector_negative_witness(0, Q(1, 3)) is None
 
 
+def test_negative_witness_below_a_root_near_zero():
+    # pi_1 has its one root near 1e-13: no decimal 1/10 ... 1/10^11 is below it
+    lam = Q(1, 10 ** 13)
+    w = projector_negative_witness(1, lam)
+    assert w is not None and 0 < w < Q(1, 10 ** 13)
+    assert projector_closed(1, lam).form.sign_at(w) < 0
+
+
+@pytest.mark.parametrize("n", range(1, 42, 2))
+def test_negative_witness_at_odd_levels(n):
+    # odd n: pi_n(0) < 0, so the witness is the Cauchy lower root bound
+    for j in range(1, 33):
+        lam = Q(j, 64)
+        w = projector_negative_witness(n, lam)
+        assert w is not None and w > 0
+        assert projector_closed(n, lam).form.sign_at(w) < 0
+
+
 def test_energy_identity_where_the_float_decay_underflows():
     lam, mu = Q(1, 4), Q(700)
     # exp(-933.3) is 0 as a float; 300 levels hold almost none of mu = 700

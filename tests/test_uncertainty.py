@@ -10,9 +10,10 @@ from moyalbench.uncertainty import (
     default_lambda_grid,
     gm_asymptotics,
     quantum_moments,
+    radial_square,
+    radial_square_moment,
     scan_lambda,
     selection_inequality,
-    star_square_cross_check,
     threshold_k,
     uncertainty_gap,
 )
@@ -27,9 +28,12 @@ def test_classical_moment_examples():
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
+@pytest.mark.parametrize("k", range(51))
 def test_classical_variance_over_mean_is_lambda(k, lam):
-    mean, _, var = classical_moments(k, lam)
+    mean, second, var = classical_moments(k, lam)
+    assert mean == lam * (k + 1)
+    assert second == lam * lam * (k + 1) * (k + 2)
+    assert var == lam * lam * (k + 1)
     assert var / mean == lam
 
 
@@ -55,20 +59,20 @@ def test_moments_table_floats():
 
 
 def test_star_square_cross_check_examples():
-    r = star_square_cross_check(2, Q(1, 2))
-    assert r.equal and r.integral_value == Q(11, 4)
+    half = radial_square(Q(1, 2))
+    assert radial_square_moment(2, Q(1, 2), half) == Q(11, 4)
     # single-level case: second moment is E_0^2 = lam^2
     for lam in LAMBDAS:
-        r0 = star_square_cross_check(0, lam)
-        assert r0.equal and r0.integral_value == lam * lam
+        assert radial_square_moment(0, lam, radial_square(lam)) == lam * lam
     # GM deformed square: mu^2 - 1/4
-    assert star_square_cross_check(3, Q(1, 2)).quadratic == (Q(-1, 4), 0, 1)
+    assert half.coeffs == (Q(-1, 4), 0, 1)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_star_square_cross_check_range(lam):
+    quadratic = radial_square(lam)
     for k in range(12):
-        assert star_square_cross_check(k, lam).equal
+        assert radial_square_moment(k, lam, quadratic) == quantum_moments(k, lam)[1]
 
 
 def test_selection_examples():
@@ -140,8 +144,7 @@ def test_uncertainty_gap_away_from_zero_below_half():
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_three_way_moment_agreement_k50(lam):
-    # closed formulas, direct integrals, and binomial sums agree exactly;
-    # the integral and sum cross-checks run inside the moment functions
+    # the Gamma-moment integrals and the level sums against the closed forms
     for k in range(51):
         cm, cs, cv = classical_moments(k, lam)
         qm, qs, qv = quantum_moments(k, lam)

@@ -1,6 +1,8 @@
 import pytest
 
 from moyalbench import verify
+from moyalbench.exppoly import exp_integral
+from moyalbench.uncertainty import quantum_moments
 from moyalbench.verify import FAIL, run_suite
 
 
@@ -48,6 +50,26 @@ def test_crashing_check_is_reported_as_failure(monkeypatch, baseline, name, args
     others = [_stable(r) for k, r in enumerate(report.results) if k != index]
     expected = [_stable(r) for k, r in enumerate(baseline.results) if k != index]
     assert others == expected
+
+
+def _wrong_quantum_variance(k, lam):
+    mean, second, variance = quantum_moments(k, lam)
+    return mean, second, variance + 1
+
+
+@pytest.mark.parametrize("target, fault, name", [
+    ("moyalbench.laguerre.exp_integral", lambda f: exp_integral(f) + 1,
+     "laguerre-moment-table-20x20"),
+    ("moyalbench.uncertainty.quantum_moments", _wrong_quantum_variance,
+     "quantum-weights-moments-50"),
+], ids=["moment-integral", "quantum-variance"])
+def test_a_planted_wrong_value_is_a_false_verdict(monkeypatch, target, fault, name):
+    # the library computes the value once and the catalog check compares it,
+    # so the fault reads as the check's own False, not as a caught exception
+    monkeypatch.setattr(target, fault)
+    report = run_suite("exact")
+    (failed,) = report.failures
+    assert (failed.name, failed.status, failed.detail) == (name, FAIL, "")
 
 
 def test_verify_json_matches_the_golden_file(capsys):
