@@ -122,9 +122,6 @@ class BiSeries:
         poly, kx, ky = self._operand(other)
         return _series(self.poly - poly, kx, ky)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         if isinstance(other, BiSeries):
             return _cut_product(self.poly, other.poly,
@@ -132,19 +129,6 @@ class BiSeries:
         return _wrap(self.poly * Q(other), self.kx, self.ky)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if isinstance(n, int) and n < 0:
-            raise DomainError("use inverse() for negative powers")
-        nonneg_int("power", n)
-        out = BiSeries.constant(Q(1), self.kx, self.ky)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

@@ -221,7 +221,7 @@ class GammaMomentReport(NamedTuple):
     quad_value: float
     panels: int
     formula_value: float
-    formula_exact: str | None
+    formula_exact: str
     abs_diff: float
 
 
@@ -229,7 +229,8 @@ def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
     """Check  integral z^p L_n(z) e^(-z) dz = (-1)^n Gamma(p+1)^2 / (n! Gamma(p-n+1))
     by adaptive quadrature against the Gamma formula.
 
-    Non-integer exponents are integrated through z = u^2 (removes the branch
+    p is an integer or a half-integer, where the Gamma formula is exact.
+    Half-integer exponents are integrated through z = u^2 (removes the branch
     point at 0); that needs p > -1/2.
     """
     from .quadrature import integrate_decay
@@ -240,27 +241,16 @@ def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
     if p.denominator == 1 and p < 0:
         raise DomainError("nonnegative integer p only")
 
-    formula_exact = None
-    if p.denominator in (1, 2):
-        g1 = gamma_half_integer(p + 1)
-        g2 = gamma_half_integer(p - n + 1)
-        if g2 is None:
-            formula_value = 0.0
-            formula_exact = "0"
-        else:
-            r = Q(-1) ** n * g1[0] ** 2 / (qfact(n) * g2[0])
-            e = 2 * g1[1] - g2[1]  # sqrt(pi) exponent
-            formula_value = float(r) * math.pi ** (e / 2.0)
-            formula_exact = f"{rational_str(r)} * sqrt(pi)^{e}"
+    g1 = gamma_half_integer(p + 1)
+    g2 = gamma_half_integer(p - n + 1)
+    if g2 is None:
+        formula_value = 0.0
+        formula_exact = "0"
     else:
-        try:
-            formula_value = (
-                (-1.0) ** n
-                * math.gamma(float(p) + 1) ** 2
-                / (math.factorial(n) * math.gamma(float(p) - n + 1))
-            )
-        except ValueError:
-            formula_value = 0.0
+        r = Q(-1) ** n * g1[0] ** 2 / (qfact(n) * g2[0])
+        e = 2 * g1[1] - g2[1]  # sqrt(pi) exponent
+        formula_value = float(r) * math.pi ** (e / 2.0)
+        formula_exact = f"{rational_str(r)} * sqrt(pi)^{e}"
 
     ln = laguerre(n)
     pf = float(p)

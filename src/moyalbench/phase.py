@@ -114,10 +114,6 @@ class PhasePoly:
         return _from_parts(parts)
 
     @classmethod
-    def zero(cls) -> "PhasePoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "PhasePoly":
         return cls({(0, 0, 0): (1, 0)})
 
@@ -137,16 +133,6 @@ class PhasePoly:
     def hbar(cls) -> "PhasePoly":
         return cls({(0, 0, 1): (1, 0)})
 
-    @classmethod
-    def position(cls) -> "PhasePoly":
-        """q = (a + abar)/2 in the normalized holomorphic substitution."""
-        return cls({(1, 0, 0): (1, 0), (0, 1, 0): (1, 0)}, den=2)
-
-    @classmethod
-    def momentum(cls) -> "PhasePoly":
-        """p = -i(a - abar)."""
-        return cls({(1, 0, 0): (0, -1), (0, 1, 0): (0, 1)})
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -164,13 +150,6 @@ class PhasePoly:
     @property
     def hbar_degree(self) -> int:
         return max((d for _, _, d in self.terms), default=-1)
-
-    def hbar_coefficient(self, k: int) -> "PhasePoly":
-        """Coefficient of hbar^k, as an hbar-free PhasePoly."""
-        sub = {
-            (i, j, 0): v for (i, j, d), v in self.terms.items() if d == k
-        }
-        return _poly(sub, self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -442,11 +421,6 @@ def apply_equivalence_map(f: PhasePoly, lam, inverse: bool = False) -> PhasePoly
     return _poly(acc, f.den * q**top)
 
 
-def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """d_a f d_abar g - d_abar f d_a g (the first-order commutator, any lam)."""
-    return f.diff_a() * g.diff_abar() - f.diff_abar() * g.diff_a()
-
-
 def check_equivalence(f: PhasePoly, g: PhasePoly, lam) -> bool:
     """star_lam equals the transition-conjugated normal product, exactly."""
     lhs = star(f, g, lam)
@@ -468,16 +442,14 @@ def hamiltonian() -> PhasePoly:
 def random_phase_poly(
     rng: Random,
     max_total_degree: int = 4,
-    coeff_lo: int = -3,
-    coeff_hi: int = 3,
     gauss: bool = False,
 ) -> PhasePoly:
-    """Random polynomial with small integer coefficients, reproducible by seed."""
+    """Random polynomial with int coefficients in -3..3, reproducible by seed."""
     terms = {}
     for i in range(max_total_degree + 1):
         for j in range(max_total_degree + 1 - i):
-            re = rng.randint(coeff_lo, coeff_hi)
-            im = rng.randint(coeff_lo, coeff_hi) if gauss else 0
+            re = rng.randint(-3, 3)
+            im = rng.randint(-3, 3) if gauss else 0
             if re or im:
                 terms[(i, j, 0)] = (re, im)
     return PhasePoly(terms, 1)

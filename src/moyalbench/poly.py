@@ -54,10 +54,6 @@ class Poly:
         return cls((c,))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return _row((0, 1), 1)
-
-    @classmethod
     def monomial(cls, k: int, c=Q(1)) -> "Poly":
         c = Q(c)
         return _row([0] * nonneg_int("k", k) + [c.numerator], c.denominator)

@@ -18,6 +18,7 @@ from typing import NamedTuple
 from .errors import AccuracyError, DomainError
 
 _DEFAULT_T = 50.0
+_MAX_DOUBLINGS = 22
 
 
 class QuadResult(NamedTuple):
@@ -40,7 +41,6 @@ def integrate_decay(
     f,
     tol: float = 1e-10,
     t_max: float | None = None,
-    max_doublings: int = 22,
 ) -> QuadResult:
     """Integrate f over [0, inf) as the integral over [0, t_max]; f must have
     decayed below tol by t_max (default 50, for exp(-mu) tails)."""
@@ -58,7 +58,7 @@ def integrate_decay(
     even = _fsum(map(f, map(h.__mul__, range(2, n, 2))), n)
     estimate = h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
 
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         if not math.isfinite(estimate):
             raise AccuracyError(f"integrand not finite: {estimate} on {n} panels")
         n *= 2
@@ -73,6 +73,6 @@ def integrate_decay(
         if diff < tol:
             return QuadResult(value=refined, panels=n, est_error=diff, t_max=T)
     raise AccuracyError(
-        f"no convergence to {tol:g} within {max_doublings} doublings "
+        f"no convergence to {tol:g} within {_MAX_DOUBLINGS} doublings "
         f"({n} panels)"
     )

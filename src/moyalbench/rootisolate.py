@@ -99,10 +99,13 @@ def isolate_roots(chain, lo, hi):
         stack.append((a, mid, va, vm))
 
 
-def _negative_sample_near(p: Poly, chain, a, b, max_iter: int = 256):
+_MAX_BISECTIONS = 256
+
+
+def _negative_sample_near(p: Poly, chain, a, b):
     """p changes sign at the single root of the chain's polynomial inside
     (a, b]; return a rational point where p < 0 by shrinking the bracket."""
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         mid = (a + b) / 2
         for x in (a, b, b + (b - a), mid):
             if p.sign_at(x) < 0:
@@ -136,9 +139,3 @@ def nonneg_on_nonneg(p: Poly):
     if first is None:
         return True, None  # no positive root of odd: p never changes sign
     return False, _negative_sample_near(p, chain, *first)
-
-
-def find_negative_point(p: Poly):
-    """A rational x >= 0 with p(x) < 0, or None if p >= 0 on [0, inf)."""
-    ok, witness = nonneg_on_nonneg(p)
-    return None if ok else witness

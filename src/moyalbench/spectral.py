@@ -53,10 +53,6 @@ class Projector(NamedTuple):
     def __call__(self, mu) -> float:
         return self.form(mu)
 
-    @property
-    def energy(self):
-        return self.n + self.lam
-
 
 def projector_closed(n: int, lam) -> Projector:
     """Exact closed form; lam = 0 takes the Poisson branch."""
@@ -365,10 +361,10 @@ def energy_identity_gap(lam, mu, n_terms: int) -> float:
 
 def projector_negative_witness(n: int, lam):
     """A rational mu > 0 with pi_n(mu) < 0, or None (exact root isolation)."""
-    from .rootisolate import find_negative_point
+    from .rootisolate import nonneg_on_nonneg
     proj = projector_closed(n, lam)
     (rate, poly), = proj.form.terms.items()
-    witness = find_negative_point(poly)
+    _, witness = nonneg_on_nonneg(poly)  # (True, None) where pi_n >= 0
     if witness == 0:
         # p(0) < 0: below |a_0| / (|a_0| + max_{i>=1} |a_i|), the Cauchy lower
         # bound on the moduli of the roots, p keeps the sign of a_0

@@ -123,6 +123,8 @@ def pi_table(lam, n: int, mu, series: bool, terms: int,
     from .spectral import projector_closed, projector_series_eval
     if series and mu is None:
         raise DomainError("--series needs --mu")
+    if mu is not None and mu < 0:
+        raise DomainError(f"--mu must be >= 0, got {mu}")
     proj = projector_closed(n, lam)
     header = ["quantity", "value"]
     rows = [["n", str(n)], ["lambda", rational_str(lam)]]
@@ -150,6 +152,8 @@ def starexp_table(lam, mu, t: float, terms: int, prec: int = DEFAULT_FLOAT_PREC)
     """The star exponential at mu and time t: closed form against the
     terms-term Fourier-Dirichlet sum."""
     from .spectral import star_exp_closed, star_exp_series
+    if mu < 0:
+        raise DomainError(f"--mu must be >= 0, got {mu}")
     closed = star_exp_closed(lam, mu, t)
     series = star_exp_series(lam, mu, t, terms)
     header = ["quantity", "value"]

@@ -360,7 +360,6 @@ def check_gamma_quadrature() -> tuple:
     tol = 1e-6
     raw = integrate_decay(
         lambda z: math.sqrt(z) * (1.0 - z) * math.exp(-z), tol=1e-7,
-        max_doublings=26,
     )
     exact = -math.sqrt(math.pi) / 4.0
     d_raw = abs(raw.value - exact)

@@ -65,8 +65,10 @@ def test_geometric_inverts_one_minus_x():
 def test_binom_inverse_power():
     one = BiSeries.constant(1, 6, 6)
     x = BiSeries.var_x(6, 6)
+    power = one  # (1 - x)^m
     for m in range(4):
-        assert binom_inverse_power(m, 6, 6) * (one - x) ** m == one
+        assert binom_inverse_power(m, 6, 6) * power == one
+        power = power * (one - x)
 
 
 def test_exp_homomorphism():
@@ -153,9 +155,6 @@ class RefBiSeries:
     def __sub__(self, other):
         return self + (-_ref_coerce(other, self.kx, self.ky))
 
-    def __rsub__(self, other):
-        return _ref_coerce(other, self.kx, self.ky) - self
-
     def __mul__(self, other):
         if not isinstance(other, RefBiSeries):
             return RefBiSeries(
@@ -172,18 +171,6 @@ class RefBiSeries:
         return RefBiSeries(out, kx, ky)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("use inverse() for negative powers")
-        out = RefBiSeries.constant(Q(1), self.kx, self.ky)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, RefBiSeries):
@@ -307,7 +294,6 @@ def _ring_ops(x, y):
     _same(a + scalar, ra + scalar)
     _same(scalar + a, scalar + ra)
     _same(a - scalar, ra - scalar)
-    _same(scalar - a, scalar - ra)
     _same(a * scalar, ra * scalar)
     _same(scalar * a, scalar * ra)
     _same(a * 0, ra * 0)
@@ -327,8 +313,6 @@ def test_ring_ops_match_reference(orders, dense):
     y = _draw(rng, *orders, dense, size)
     _same(*x)
     _ring_ops(x, y)
-    for n in range(4 if orders != (12, 12) else 3):
-        _same(x[0] ** n, x[1] ** n)
 
 
 @pytest.mark.parametrize("left, right", [

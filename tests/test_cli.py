@@ -177,9 +177,12 @@ def test_negative_size_is_an_error(capsys):
      "argument --lambda: invalid Q value: '1/0'\n"),
     (["pi", "--lambda", "1/4", "--n", "2", "--mu", "1/0"],
      "argument --mu: invalid Q value: '1/0'\n"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--mu", "-1"], "--mu must be >= 0, got -1\n"),
+    (["starexp", "--lambda", "1/4", "--mu", "-2", "--t", "1", "--terms", "10"],
+     "--mu must be >= 0, got -2\n"),
 ], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
         "float-prec", "pi-series", "starexp-t", "table-out", "verify-out",
-        "lambda-zero-den", "mu-zero-den"])
+        "lambda-zero-den", "mu-zero-den", "pi-mu-negative", "starexp-mu-negative"])
 def test_invalid_input_is_an_error_line(capsys, argv, message):
     try:
         code = main(argv)

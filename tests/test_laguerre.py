@@ -36,7 +36,7 @@ def recurrence_laguerre(n_max: int) -> list:
     """[L_0, ..., L_nmax] from the three-term recurrence
     (m+1) L_{m+1} = (2m+1-z) L_m - m L_{m-1}, an oracle independent of the
     closed form that ``laguerre`` writes down."""
-    z = Poly.x()
+    z = Poly([Q(0), Q(1)])
     out = [Poly([Q(1)]), Poly([Q(1), Q(-1)])]
     for m in range(1, n_max):
         out.append(((2 * m + 1 - z) * out[m] - m * out[m - 1]) / Q(m + 1))
@@ -210,3 +210,5 @@ def test_gamma_moment_domain():
         gamma_moment(Q(-3, 4), 1)
     with pytest.raises(DomainError):
         gamma_moment(-1, 0)
+    with pytest.raises(DomainError):  # only integer and half-integer p are exact
+        gamma_moment(Q(1, 3), 1)

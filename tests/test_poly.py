@@ -5,7 +5,6 @@ from moyalbench.poly import Poly, divmod_poly, poly_gcd
 from moyalbench.rootisolate import (
     cauchy_bound,
     count_roots,
-    find_negative_point,
     nonneg_on_nonneg,
     odd_multiplicity_part,
     squarefree_decomposition,
@@ -93,7 +92,8 @@ def test_nonneg_verdicts():
 @given(polys)
 @settings(max_examples=80)
 def test_nonneg_witness_is_sound(p):
-    w = find_negative_point(p)
-    if w is not None:
+    ok, w = nonneg_on_nonneg(p)
+    assert ok == (w is None)
+    if not ok:
         assert w >= 0
         assert p(w) < 0

@@ -17,6 +17,8 @@ from moyalbench.backend import Q
 from moyalbench.phase import PhasePoly, random_phase_poly, star
 
 LAMBDAS = (Q(0), Q(1, 2), Q(1, 3), Q(17, 64), Q(30, 61), Q(1, 64))
+POSITION = PhasePoly({(1, 0, 0): (1, 0), (0, 1, 0): (1, 0)}, 2)  # (a + abar)/2
+MOMENTUM = PhasePoly({(1, 0, 0): (0, -1), (0, 1, 0): (0, 1)})  # -i(a - abar)
 
 
 def _derive(terms, r, s, first, second):
@@ -71,8 +73,20 @@ def _same(x, y):
     assert x.den == y.den and x.terms == y.terms
 
 
+def _wide_phase_poly(rng, degree, gauss):
+    """random_phase_poly's draw with coefficients in -9..9 instead of -3..3."""
+    terms = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            re = rng.randint(-9, 9)
+            im = rng.randint(-9, 9) if gauss else 0
+            if re or im:
+                terms[(i, j, 0)] = (re, im)
+    return PhasePoly(terms, 1)
+
+
 def _factors(rng, degree, gauss):
-    f = random_phase_poly(rng, degree, coeff_lo=-9, coeff_hi=9, gauss=gauss)
+    f = _wide_phase_poly(rng, degree, gauss)
     g = random_phase_poly(rng, degree, gauss=not gauss)
     return f, g
 
@@ -111,12 +125,12 @@ def test_star_of_factors_that_carry_hbar(lam):
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_star_with_fractional_zero_and_constant_factors(lam):
     rng = Random(f"kernel-den-{lam}")
-    q, p = PhasePoly.position(), PhasePoly.momentum()
+    q, p = POSITION, MOMENTUM
     f = random_phase_poly(rng, 5, gauss=True) * Q(5, 6)
-    special = (q, p, star(q, p, lam), PhasePoly.zero(), PhasePoly.one(),
+    special = (q, p, star(q, p, lam), PhasePoly(), PhasePoly.one(),
                PhasePoly.scalar(Q(-3, 7)), PhasePoly.hbar() * Q(1, 9))
     for x in special:
-        for y in (f, q, p, PhasePoly.zero(), PhasePoly.scalar(Q(2, 5))):
+        for y in (f, q, p, PhasePoly(), PhasePoly.scalar(Q(2, 5))):
             _same(star(x, y, lam), naive_star(x, y, lam))
             _same(star(y, x, lam), naive_star(y, x, lam))
 
@@ -129,8 +143,8 @@ def test_pointwise_product_matches_reference():
             fg = star(f, g, Q(1, 3)) * Q(1, 4) if degree < 8 else g
             _same(f * g, naive_mul(f, g))
             _same(fg * f, naive_mul(fg, f))
-            _same(PhasePoly.position() * fg, naive_mul(PhasePoly.position(), fg))
-            _same(f * PhasePoly.zero(), PhasePoly.zero())
+            _same(POSITION * fg, naive_mul(POSITION, fg))
+            _same(f * PhasePoly(), PhasePoly())
 
 
 def test_large_coefficients_keep_their_gaussian_parts():
