@@ -15,9 +15,28 @@ import sys
 
 from .backend import Q, rational_str
 from .errors import DomainError, MoyalBenchError
-from .params import SUITES, nonneg_int
+from .params import SUITES
 from . import tables
 
+
+def _int_upto(hi=None):
+    """An argparse type: an int >= 0, and <= hi when hi is given.  argparse
+    reports a value it rejects together with the flag that gave it."""
+    def parse(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-int reads "invalid int value", as with type=int
+    return parse
+
+
+_SIZE = _int_upto()
+# 17 significant digits tell every double apart; more would print digits of
+# its binary expansion, not of the value it stands for
+_FLOAT_PREC = _int_upto(17)
 
 # `export --what NAME`, and the direct command NAME where there is one: the
 # builder, then the flags it reads (as dests) in its argument order.
@@ -33,11 +52,11 @@ EXPORTS = {
 # default requires it.
 _FLAGS = {
     "lam": ("--lambda", Q, None),
-    "n": ("--n", int, None),
-    "k": ("--k", int, None),
-    "k_max": ("--k-max", int, 20),
-    "n_max": ("--n-max", int, 20),
-    "denominator_max": ("--denominator-max", int, 64),
+    "n": ("--n", _SIZE, None),
+    "k": ("--k", _SIZE, None),
+    "k_max": ("--k-max", _SIZE, 20),
+    "n_max": ("--n-max", _SIZE, 20),
+    "denominator_max": ("--denominator-max", _SIZE, 64),
 }
 
 
@@ -68,7 +87,7 @@ def _table_args(p: argparse.ArgumentParser, table):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument(
-        "--float-prec", type=int, default=tables.DEFAULT_FLOAT_PREC,
+        "--float-prec", type=_FLOAT_PREC, default=tables.DEFAULT_FLOAT_PREC,
         help="significant digits for floats",
     )
     p.set_defaults(table=table)
@@ -101,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="spectral projector (closed form / series)")
     p.add_argument("--lambda", dest="lam", type=Q, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--mu", type=Q, default=None)
     p.add_argument("--series", action="store_true")
-    p.add_argument("--terms", type=int, default=60)
+    p.add_argument("--terms", type=_SIZE, default=60)
     _table_args(p, _reads(tables.pi_table, "lam", "n", "mu", "series",
                           "terms", "float_prec"))
 
@@ -113,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="classical vs quantum moments of p_k")
     p.add_argument("--lambda", dest="lam", type=Q, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_SIZE, required=True)
     _table_args(p, _reads(tables.moments_table, "lam", "k", "float_prec"))
 
     _direct(sub, "duality", "projector pairing matrix", n_max=8)
@@ -123,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=Q, required=True)
     p.add_argument("--mu", type=Q, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--terms", type=int, default=200)
+    p.add_argument("--terms", type=_SIZE, default=200)
     _table_args(p, _reads(tables.starexp_table, "lam", "mu", "t", "terms",
                           "float_prec"))
 
@@ -149,7 +168,6 @@ def main(argv=None) -> int:
                 text = "\n".join(report.human_lines()) + "\n"
             tables.write_output(text, args.out)
             return report.exit_code
-        nonneg_int("--float-prec", args.float_prec)
         header, rows, meta = args.table(args)
         if args.format == "json":
             text = tables.render_json(header, rows, meta)

@@ -185,12 +185,8 @@ def generating_function_check(order: int) -> bool:
     from .biseries import BiSeries
     nonneg_int("order", order)
     kx = ky = order
-    lhs = BiSeries.constant(0, kx, ky)
-    for k in range(order + 1):
-        for j in range(min(k, ky) + 1):
-            lhs = lhs + BiSeries.monomial(
-                k, j, Q(-1) ** k * laguerre_coeff(k, j), kx, ky
-            )
+    lhs = BiSeries({(k, j): (-1) ** k * laguerre_coeff(k, j)
+                    for k in range(order + 1) for j in range(k + 1)}, kx, ky)
     one_plus = BiSeries.constant(1, kx, ky) + BiSeries.var_x(kx, ky)
     inv = one_plus.inverse()
     rhs = inv * (BiSeries.var_y(kx, ky) * BiSeries.var_x(kx, ky) * inv).exp()
@@ -200,21 +196,16 @@ def generating_function_check(order: int) -> bool:
 # -- Gamma-function generalization of the moments ------------------------------
 
 def gamma_half_integer(q):
-    """Gamma(q) for integer or half-integer rational q, as (r, e) with
-    Gamma(q) = r * sqrt(pi)^e; None at the poles (q a nonpositive integer)."""
+    """Gamma(q) for half-integer rational q, as the rational r with
+    Gamma(q) = r sqrt(pi)."""
     q = Q(q)
-    if q.denominator == 1:
-        m = int(q)
-        if m <= 0:
-            return None
-        return qfact(m - 1), 0
     if q.denominator != 2:
-        raise DomainError("only integer and half-integer arguments are exact")
+        raise DomainError(f"only half-integer arguments, got {rational_str(q)}")
     m = int(q - Q(1, 2))
     if m >= 0:
-        return qfact(2 * m) / (Q(4) ** m * qfact(m)), 1
+        return qfact(2 * m) / (Q(4) ** m * qfact(m))
     m = -m
-    return Q(-4) ** m * qfact(m) / qfact(2 * m), 1
+    return Q(-4) ** m * qfact(m) / qfact(2 * m)
 
 
 class GammaMomentReport(NamedTuple):
@@ -225,49 +216,36 @@ class GammaMomentReport(NamedTuple):
     abs_diff: float
 
 
-def gamma_moment(p, n: int, tol: float = 1e-8) -> GammaMomentReport:
+def gamma_moment(p, n: int) -> GammaMomentReport:
     """Check  integral z^p L_n(z) e^(-z) dz = (-1)^n Gamma(p+1)^2 / (n! Gamma(p-n+1))
-    by adaptive quadrature against the Gamma formula.
+    by adaptive quadrature (to 1e-9) against the Gamma formula.
 
-    p is an integer or a half-integer, where the Gamma formula is exact.
-    Half-integer exponents are integrated through z = u^2 (removes the branch
-    point at 0); that needs p > -1/2.
+    p is a half-integer > -1/2, where the Gamma formula is a rational times
+    sqrt(pi); the integral runs through z = u^2, which removes the branch
+    point at 0.  At integer p the formula is (-1)^n C(p, n) p!, which
+    ``moment_integral`` gives exactly.
     """
     from .quadrature import integrate_decay
     nonneg_int("n", n)
     p = Q(p)
-    if p <= Q(-1, 2) and p.denominator != 1:
-        raise DomainError("quadrature route needs p > -1/2")
-    if p.denominator == 1 and p < 0:
-        raise DomainError("nonnegative integer p only")
+    if p.denominator != 2 or p < 0:
+        raise DomainError(f"p must be a half-integer > -1/2, got {rational_str(p)}")
 
-    g1 = gamma_half_integer(p + 1)
-    g2 = gamma_half_integer(p - n + 1)
-    if g2 is None:
-        formula_value = 0.0
-        formula_exact = "0"
-    else:
-        r = Q(-1) ** n * g1[0] ** 2 / (qfact(n) * g2[0])
-        e = 2 * g1[1] - g2[1]  # sqrt(pi) exponent
-        formula_value = float(r) * math.pi ** (e / 2.0)
-        formula_exact = f"{rational_str(r)} * sqrt(pi)^{e}"
-
+    r = Q(-1) ** n * gamma_half_integer(p + 1) ** 2 / (
+        qfact(n) * gamma_half_integer(p - n + 1))
+    formula_value = float(r) * math.pi ** 0.5
     ln = laguerre(n)
     pf = float(p)
-    if p.denominator == 1:
-        kk = int(p)
-        f = lambda z: z**kk * float(ln(z)) * math.exp(-z)
-        res = integrate_decay(f, tol=tol, t_max=60.0 + 5.0 * n)
-    else:
-        def f(u):
-            z = u * u
-            return 2.0 * u ** (2.0 * pf + 1.0) * float(ln(z)) * math.exp(-z)
 
-        res = integrate_decay(f, tol=tol, t_max=math.sqrt(60.0 + 5.0 * n))
+    def f(u):
+        z = u * u
+        return 2.0 * u ** (2.0 * pf + 1.0) * float(ln(z)) * math.exp(-z)
+
+    res = integrate_decay(f, tol=1e-9, t_max=math.sqrt(60.0 + 5.0 * n))
     return GammaMomentReport(
         quad_value=res.value,
         panels=res.panels,
         formula_value=formula_value,
-        formula_exact=formula_exact,
+        formula_exact=f"{rational_str(r)} * sqrt(pi)",
         abs_diff=abs(res.value - formula_value),
     )

@@ -16,7 +16,7 @@ The deformed products live here:
   operator realizing the equivalence of *_lam with the normal product.
 
 Coefficients are stored as Gaussian integers over one common positive
-denominator, and are read and printed as strings by ``gauss``.
+denominator; ``repr``, the one text form, prints them with ``gauss``.
 
 ``star`` and the pointwise ``*`` share one integer kernel (``_product``;
 ``*`` is its (r, s) = (0, 0) case).  With lam = p/q the (r, s) factor is
@@ -40,7 +40,7 @@ from random import Random
 
 from .backend import Q, content_gcd, is_rational
 from .errors import DomainError
-from .gauss import format_gauss, parse_gauss
+from .gauss import format_gauss
 from .params import as_lambda, nonneg_int
 
 
@@ -55,25 +55,6 @@ def _poly(terms: dict, den: int) -> "PhasePoly":
     object.__setattr__(out, "terms", clean)
     object.__setattr__(out, "den", den // g)
     return out
-
-
-def _field(obj: dict, key: str):
-    try:
-        return obj[key]
-    except KeyError:
-        raise DomainError(f"PhasePoly JSON: missing key {key!r}") from None
-
-
-def _from_parts(parts: list) -> "PhasePoly":
-    """The sum of (key, re, im, den) parts, (re + im*i)/den at each key,
-    over the one lcm of their denominators."""
-    den = math.lcm(*(d for _, _, _, d in parts))
-    acc: dict = {}
-    for key, re, im, d in parts:
-        f = den // d
-        r0, m0 = acc.get(key, (0, 0))
-        acc[key] = (r0 + re * f, m0 + im * f)
-    return PhasePoly(acc, den)
 
 
 class PhasePoly:
@@ -103,15 +84,18 @@ class PhasePoly:
 
     @classmethod
     def build(cls, mapping) -> "PhasePoly":
-        """From {(i, j): c} or {(i, j, d): c} with rational c."""
+        """From {(i, j): c} or {(i, j, d): c} with rational c, over the one
+        lcm of their denominators."""
         parts = []
         for key, c in mapping.items():
             if not (type(key) is tuple and len(key) in (2, 3)):
                 raise DomainError(f"exponent key must be (i, j) or (i, j, d), got {key!r}")
-            q = Q(c)
-            parts.append((key if len(key) == 3 else (*key, 0), q.numerator, 0,
-                          q.denominator))
-        return _from_parts(parts)
+            parts.append((key if len(key) == 3 else (*key, 0), Q(c)))
+        den = math.lcm(*(c.denominator for _, c in parts))
+        acc: dict = {}
+        for key, c in parts:
+            acc[key] = acc.get(key, 0) + c.numerator * (den // c.denominator)
+        return cls({key: (re, 0) for key, re in acc.items()}, den)
 
     @classmethod
     def one(cls) -> "PhasePoly":
@@ -225,34 +209,6 @@ class PhasePoly:
     @property
     def is_radial(self) -> bool:
         return all(i == j for i, j, _ in self.terms)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_obj(self):
-        by_ij: dict = {}
-        for (i, j, d), v in self.terms.items():
-            by_ij.setdefault((i, j), {})[d] = v
-        out = []
-        for (i, j), ds in sorted(by_ij.items()):
-            out.append(
-                {
-                    "a": i,
-                    "abar": j,
-                    "coeff": [
-                        format_gauss(*ds.get(d, (0, 0)), self.den)
-                        for d in range(max(ds) + 1)
-                    ],
-                }
-            )
-        return {"terms": out}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "PhasePoly":
-        return _from_parts([
-            ((_field(t, "a"), _field(t, "abar"), d), *parse_gauss(s))
-            for t in _field(obj, "terms")
-            for d, s in enumerate(_field(t, "coeff"))
-        ])
 
     def __repr__(self):
         if self.is_zero:

@@ -262,22 +262,6 @@ def star_exp_series(lam, mu, t: float, terms: int) -> complex:
     return total
 
 
-def star_exp_closed_displayed(lam, mu, t: float) -> complex:
-    """The often-quoted closed form with the doubled energy coefficient 2*mu.
-
-    Kept only for the discrepancy report; it does not match the series.
-    """
-    lam_f, mu_f = float(as_lambda(lam)), float(Q(mu))
-    den = _denominator(lam_f, t)
-    if abs(den) < 1e-12:
-        raise PoleError("singular time")
-    return (
-        cmath.exp(-1j * lam_f * t)
-        / den
-        * cmath.exp(2.0 * mu_f * (cmath.exp(-1j * t) - 1.0) / den)
-    )
-
-
 def star_exp_gm_displayed(mu, t: float) -> complex:
     """The Groenewold-Moyal display sec(t/2) exp(2 i mu tan(t/2)).
 

@@ -42,7 +42,6 @@ from moyalbench.spectral import (
     projector_negative_witness,
     radial_star_apply,
     star_exp_closed,
-    star_exp_closed_displayed,
     star_exp_normal_closed,
     star_exp_series,
 )
@@ -145,9 +144,10 @@ def test_ac07_star_exponential():
             for wt in (0.3, 1.0, 2.0):
                 assert abs(star_exp_closed(0, mu, wt)
                            - star_exp_normal_closed(mu, wt)) < 1e-12
-        # the doubled-coefficient display is a documented discrepancy
+        # the doubled-coefficient display (2*mu in place of mu) is a
+        # documented discrepancy
         s = star_exp_series(Q(1, 4), Q(1), 1.0, 300)
-        displayed = star_exp_closed_displayed(Q(1, 4), Q(1), 1.0)
+        displayed = star_exp_closed(Q(1, 4), 2 * Q(1), 1.0)
         assert abs(displayed - s) > 1e-2
         print(f"    doubled-coefficient display deviates by "
               f"{abs(displayed - s):.2e} (documented erratum)")
@@ -226,5 +226,5 @@ def test_ac12_gamma_quadrature():
             tol=1e-7,
         )
         assert abs(raw.value - exact) < 1e-6
-        rep = gamma_moment(Q(1, 2), 1, tol=1e-9)
+        rep = gamma_moment(Q(1, 2), 1)
         assert abs(rep.quad_value - exact) < 1e-6

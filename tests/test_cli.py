@@ -149,11 +149,13 @@ def test_verify_unknown_suite():
 
 
 def test_negative_size_is_an_error(capsys):
-    code = main(["spectrum", "--lambda", "1/4", "--n-max", "-3"])
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--lambda", "1/4", "--n-max", "-3"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: n_max must be >= 0")
+    assert captured.err.endswith(
+        "moyalbench spectrum: error: argument --n-max: must be >= 0, got -3\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -162,10 +164,12 @@ def test_negative_size_is_an_error(capsys):
     (["export", "--what", "nope"],
      "unknown table 'nope'; expected one of ['duality', 'fund', 'laguerre', "
      "'scan', 'spectrum', 'weights']\n"),
-    (["export", "--what", "fund", "--k-max", "-1"], "k_max must be >= 0"),
-    (["export", "--what", "fund", "--n-max", "-2"], "n_max must be >= 0"),
+    (["export", "--what", "fund", "--k-max", "-1"],
+     "argument --k-max: must be >= 0, got -1\n"),
+    (["export", "--what", "fund", "--n-max", "-2"],
+     "argument --n-max: must be >= 0, got -2\n"),
     (["moments", "--lambda", "1/3", "--k", "2", "--float-prec", "-1"],
-     "--float-prec must be >= 0"),
+     "argument --float-prec: must be >= 0, got -1\n"),
     (["pi", "--lambda", "1/4", "--n", "2", "--series"], "--series needs --mu"),
     (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "inf"],
      "t must be finite"),
@@ -180,9 +184,27 @@ def test_negative_size_is_an_error(capsys):
     (["pi", "--lambda", "1/4", "--n", "2", "--mu", "-1"], "--mu must be >= 0, got -1\n"),
     (["starexp", "--lambda", "1/4", "--mu", "-2", "--t", "1", "--terms", "10"],
      "--mu must be >= 0, got -2\n"),
+    (["pi", "--lambda", "1/4", "--n", "-1"], "argument --n: must be >= 0, got -1\n"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--mu", "1", "--series", "--terms", "-5"],
+     "argument --terms: must be >= 0, got -5\n"),
+    (["weights", "--lambda", "1/4", "--k", "-2"], "argument --k: must be >= 0, got -2\n"),
+    (["moments", "--lambda", "1/4", "--k", "-3"], "argument --k: must be >= 0, got -3\n"),
+    (["scan", "--k-max", "-4"], "argument --k-max: must be >= 0, got -4\n"),
+    (["scan", "--k-max", "5", "--denominator-max", "-1"],
+     "argument --denominator-max: must be >= 0, got -1\n"),
+    (["duality", "--lambda", "1/3", "--n-max", "-1"],
+     "argument --n-max: must be >= 0, got -1\n"),
+    (["export", "--what", "laguerre", "--n", "-6"], "argument --n: must be >= 0, got -6\n"),
+    (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "1", "--terms", "-1"],
+     "argument --terms: must be >= 0, got -1\n"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--mu", "1", "--float-prec", "18"],
+     "argument --float-prec: must be <= 17, got 18\n"),
 ], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
         "float-prec", "pi-series", "starexp-t", "table-out", "verify-out",
-        "lambda-zero-den", "mu-zero-den", "pi-mu-negative", "starexp-mu-negative"])
+        "lambda-zero-den", "mu-zero-den", "pi-mu-negative", "starexp-mu-negative",
+        "pi-n", "pi-terms", "weights-k", "moments-k", "scan-k-max",
+        "scan-denominator-max", "duality-n-max", "laguerre-n", "starexp-terms",
+        "float-prec-18"])
 def test_invalid_input_is_an_error_line(capsys, argv, message):
     try:
         code = main(argv)
@@ -204,6 +226,14 @@ def test_float_prec_zero_still_prints(capsys):
                         "--float-prec", "0")
     assert code == 0
     assert out.splitlines()[4] == "classical_std,,0.9"
+
+
+def test_float_prec_17_is_the_largest_that_prints(capsys):
+    # 17 digits tell every double apart; 18 is rejected (test above)
+    code, out = run_cli(capsys, "pi", "--lambda", "1/4", "--n", "2", "--mu", "1",
+                        "--float-prec", "17")
+    assert code == 0
+    assert out.splitlines()[-1] == "value_at_mu,0.17790094918098434"
 
 
 def test_pi_past_the_float_exponent_range_exits_zero(capsys):

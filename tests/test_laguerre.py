@@ -178,31 +178,32 @@ def test_generating_function():
 
 
 def test_gamma_half_integer_values():
-    assert gamma_half_integer(Q(1, 2)) == (Q(1), 1)          # sqrt(pi)
-    assert gamma_half_integer(Q(3, 2)) == (Q(1, 2), 1)       # sqrt(pi)/2
-    assert gamma_half_integer(Q(-1, 2)) == (Q(-2), 1)        # -2 sqrt(pi)
-    assert gamma_half_integer(4) == (Q(6), 0)
-    assert gamma_half_integer(0) is None
-    assert gamma_half_integer(-3) is None
+    assert gamma_half_integer(Q(1, 2)) == 1                  # sqrt(pi)
+    assert gamma_half_integer(Q(3, 2)) == Q(1, 2)            # sqrt(pi)/2
+    assert gamma_half_integer(Q(-1, 2)) == -2                # -2 sqrt(pi)
+    for q in (4, 0, -3, Q(1, 3)):
+        with pytest.raises(DomainError):
+            gamma_half_integer(q)
 
 
 def test_gamma_moment_plain():
-    rep = gamma_moment(Q(1, 2), 0, tol=1e-9)
+    rep = gamma_moment(Q(1, 2), 0)
     assert abs(rep.formula_value - math.sqrt(math.pi) / 2) < 1e-14
     assert rep.abs_diff < 1e-6
 
 
 def test_gamma_moment_first_laguerre():
-    rep = gamma_moment(Q(1, 2), 1, tol=1e-9)
+    rep = gamma_moment(Q(1, 2), 1)
     assert abs(rep.formula_value + math.sqrt(math.pi) / 4) < 1e-14
     assert rep.abs_diff < 1e-6
 
 
 def test_gamma_moment_integer_sanity():
-    rep = gamma_moment(3, 2, tol=1e-9)
-    assert rep.formula_exact is not None
-    assert abs(rep.formula_value - float(moment_integral(3, 2))) < 1e-12
-    assert rep.abs_diff < 1e-6
+    # at integer p the Gamma formula is (-1)^n C(p, n) p!, which the exact
+    # moment table gives; the quadrature takes half-integer p only
+    assert moment_integral(3, 2) == math.comb(3, 2) * math.factorial(3)
+    with pytest.raises(DomainError):
+        gamma_moment(3, 2)
 
 
 def test_gamma_moment_domain():
@@ -210,5 +211,5 @@ def test_gamma_moment_domain():
         gamma_moment(Q(-3, 4), 1)
     with pytest.raises(DomainError):
         gamma_moment(-1, 0)
-    with pytest.raises(DomainError):  # only integer and half-integer p are exact
+    with pytest.raises(DomainError):  # only half-integer p is exact
         gamma_moment(Q(1, 3), 1)

@@ -154,7 +154,6 @@ def test_no_module_raises_assertion_error():
 NO_CALLER_YET = {
     "observables.is_observable": "item 1",
     "exppoly.ExpPoly.from_json_obj": "item 1",
-    "phase.PhasePoly.from_json_obj": "item 5",
     "uncertainty.selection_inequality": "item 2",
 }
 

@@ -76,9 +76,6 @@ PINNED_RUNS = [
         ("-0x1.c5bf8ae690cbfp-2", "0x1.a3deaf7800000p-25", 1048576),
         ("-0x1.c5bf891b4ef6ap-2", "0x1.9100000000000p-46", 64),
     ]),
-    (lambda: laguerre.gamma_moment(3, 2), [
-        ("0x1.1ffffffff3cb5p+4", "0x1.6d8fa00000000p-29", 8192),
-    ]),
     (lambda: laguerre.gamma_moment(Q(5, 2), 1), [
         ("-0x1.09de3a5600449p+3", "0x1.b118000000000p-36", 64),
     ]),
@@ -86,7 +83,7 @@ PINNED_RUNS = [
 
 
 @pytest.mark.parametrize("call, expected", PINNED_RUNS, ids=[
-    "check_gamma_quadrature", "gamma_moment(3, 2)", "gamma_moment(5/2, 1)"])
+    "check_gamma_quadrature", "gamma_moment(5/2, 1)"])
 def test_simpson_sums_are_pinned_bit_for_bit(monkeypatch, call, expected):
     runs = []
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import warnings
@@ -28,7 +29,6 @@ from moyalbench.spectral import (
     radial_star_on_polynomial,
     spectrum,
     star_exp_closed,
-    star_exp_closed_displayed,
     star_exp_gm_displayed,
     star_exp_normal_closed,
     star_exp_series,
@@ -236,9 +236,22 @@ def test_star_exp_pole():
         star_exp_gm_displayed(Q(1), math.pi)
 
 
+def displayed_closed(lam, mu, t):
+    """The closed form as displayed, with the doubled energy coefficient 2*mu."""
+    den = 1.0 - lam + lam * cmath.exp(-1j * t)
+    return cmath.exp(-1j * lam * t) / den * cmath.exp(
+        2.0 * mu * (cmath.exp(-1j * t) - 1.0) / den)
+
+
 def test_displayed_forms_disagree_with_series():
+    # the display is the closed form at 2*mu in place of mu, to the bit
+    for lam in (Q(0), Q(1, 4), Q(1, 3), Q(1, 2), Q(5, 7)):
+        for mu in (Q(0), Q(1, 3), Q(1), Q(7, 2)):
+            for t in (-2.5, 0.3, 1.0, 4.0):
+                assert (star_exp_closed(lam, 2 * mu, t)
+                        == displayed_closed(float(lam), float(mu), t))
     s = star_exp_series(Q(1, 4), Q(1), 1.0, 300)
-    assert abs(star_exp_closed_displayed(Q(1, 4), Q(1), 1.0) - s) > 1e-2
+    assert abs(star_exp_closed(Q(1, 4), 2 * Q(1), 1.0) - s) > 1e-2
     assert abs(star_exp_closed(Q(1, 4), Q(1), 1.0) - s) < 1e-10
     # GM display is the complex conjugate of the corrected value
     for wt in (0.4, 1.1):
