@@ -104,8 +104,16 @@ def _direct(sub, name: str, summary: str, **defaults):
     _table_args(p, _reads(*EXPORTS[name]))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argv as the one line `main` gives a rejected value,
+    with no usage block; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="moyalbench",
         description="Exact workbench for the lambda-family of oscillator "
                     "star products",

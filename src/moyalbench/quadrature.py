@@ -4,8 +4,9 @@ Truncates [0, inf) to [0, T], T = t_max or 50 (for a unit decay rate the
 tail is then below ~2e-22 relative; a slower integrand passes a larger
 t_max), and doubles the panel count until two successive
 composite estimates differ by less than the tolerance.  Function values are
-reused across doublings, so the total cost is ~2x the final grid.  A
-composite estimate that is not finite stops the refinement at once.
+reused across doublings: a run that stops at n panels evaluates f exactly
+n + 1 times.  A composite estimate that is not finite stops the refinement
+at once.
 Points are summed by ``math.fsum``, correctly rounded and so the same bits
 on every CPython (the builtin ``sum`` of floats changed in 3.12).
 """
@@ -37,6 +38,26 @@ def _fsum(values, n: int) -> float:
         raise AccuracyError(f"integrand not finite: {exc} on {n} panels") from exc
 
 
+def _simpson_doublings(f, T: float):
+    """The composite Simpson estimates of the integral of f over [0, T] on
+    16, 32, 64, ... panels, as (panels, estimate).  Each doubling evaluates f
+    only at the new odd points."""
+    n = 16
+    h = T / n
+    ends = f(0.0) + f(T)
+    # int * h is the same float as (2k+1) * h, with no generator frame per point
+    odd = _fsum(map(f, map(h.__mul__, range(1, n, 2))), n)
+    even = _fsum(map(f, map(h.__mul__, range(2, n, 2))), n)
+    while True:
+        yield n, h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
+        n *= 2
+        h = T / n
+        new_odd = _fsum(map(f, map(h.__mul__, range(1, n, 2))), n)
+        # old odd+even interior points all become even points of the finer grid
+        even = even + odd
+        odd = new_odd
+
+
 def integrate_decay(
     f,
     tol: float = 1e-10,
@@ -50,24 +71,12 @@ def integrate_decay(
     if not (math.isfinite(T) and T > 0):
         raise DomainError(f"t_max must be finite and positive, got {T}")
 
-    n = 16
-    h = T / n
-    ends = f(0.0) + f(T)
-    # int * h is the same float as (2k+1) * h, with no generator frame per point
-    odd = _fsum(map(f, map(h.__mul__, range(1, n, 2))), n)
-    even = _fsum(map(f, map(h.__mul__, range(2, n, 2))), n)
-    estimate = h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
-
+    steps = _simpson_doublings(f, T)
+    n, estimate = next(steps)
     for _ in range(_MAX_DOUBLINGS):
         if not math.isfinite(estimate):
             raise AccuracyError(f"integrand not finite: {estimate} on {n} panels")
-        n *= 2
-        h = T / n
-        new_odd = _fsum(map(f, map(h.__mul__, range(1, n, 2))), n)
-        # old odd+even interior points all become even points of the finer grid
-        even = even + odd
-        odd = new_odd
-        refined = h / 3.0 * (ends + 4.0 * odd + 2.0 * even)
+        n, refined = next(steps)
         diff = abs(refined - estimate)
         estimate = refined
         if diff < tol:

@@ -90,6 +90,13 @@ def test_verify_loads_verify():
     assert "dataclasses" not in mods
 
 
+def test_numeric_suite_loads_no_mpmath():
+    # the gamma check's Navot model takes its zeta values as literals
+    code, out, mods = cold("verify", "--suite", "numeric")
+    assert code == 0 and "gamma-moment-quadrature" in out
+    assert "mpmath" not in mods
+
+
 def test_pi_past_the_float_exponent_range_in_a_cold_child():
     # the value is formed in mpmath's exponent range, imported on first use
     code, out, mods = cold("pi", "--lambda", "17/64", "--n", "390", "--mu", "801")

@@ -68,12 +68,33 @@ def test_range_errors_are_typed():
         integrate_decay(lambda z: math.exp(-z), tol=0.0)
 
 
+def test_a_run_evaluates_f_once_per_grid_point():
+    # values are reused across doublings: f runs at the final grid's
+    # panels + 1 points and nowhere else
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        return math.exp(-z)
+
+    res = integrate_decay(f, tol=1e-10)
+    assert len(calls) == res.panels + 1
+    assert sorted(calls) == [k * (50.0 / res.panels) for k in range(res.panels + 1)]
+
+
+def _sqrt_l1(z):
+    # sqrt(z) L_1(z) e^-z, whose integral is -sqrt(pi)/4
+    return math.sqrt(z) * (1.0 - z) * math.exp(-z)
+
+
 # (float.hex(value), float.hex(est_error), panels) of every integrate_decay
 # call: the raw-Simpson sums must stay bit for bit.  Recorded with math.fsum,
 # which gives these bits on CPython 3.11, 3.12 and 3.13 alike.
 PINNED_RUNS = [
-    (verify.check_gamma_quadrature, [
+    (lambda: quadrature.integrate_decay(_sqrt_l1, tol=1e-7), [
         ("-0x1.c5bf8ae690cbfp-2", "0x1.a3deaf7800000p-25", 1048576),
+    ]),
+    (verify.check_gamma_quadrature, [
         ("-0x1.c5bf891b4ef6ap-2", "0x1.9100000000000p-46", 64),
     ]),
     (lambda: laguerre.gamma_moment(Q(5, 2), 1), [
@@ -83,7 +104,7 @@ PINNED_RUNS = [
 
 
 @pytest.mark.parametrize("call, expected", PINNED_RUNS, ids=[
-    "check_gamma_quadrature", "gamma_moment(5/2, 1)"])
+    "sqrt-L1-to-1e-7", "check_gamma_quadrature", "gamma_moment(5/2, 1)"])
 def test_simpson_sums_are_pinned_bit_for_bit(monkeypatch, call, expected):
     runs = []
 
@@ -93,6 +114,25 @@ def test_simpson_sums_are_pinned_bit_for_bit(monkeypatch, call, expected):
         return res
 
     monkeypatch.setattr(quadrature, "integrate_decay", recording)
-    monkeypatch.setattr(verify, "integrate_decay", recording)
     call()
     assert runs == expected
+
+
+def test_navot_estimates_are_pinned_bit_for_bit(monkeypatch):
+    # the three Simpson estimates the gamma check draws from the doubling
+    # loop that integrate_decay runs
+    drawn = []
+
+    def recording(f, T):
+        for n, s in quadrature._simpson_doublings(f, T):
+            drawn.append((n, float.hex(s)))
+            yield n, s
+
+    monkeypatch.setattr(verify, "_simpson_doublings", recording)
+    verify.check_gamma_quadrature()
+    assert drawn[6:] == [
+        (1024, "-0x1.c6a9407df5635p-2"),
+        (2048, "-0x1.c6116cfdc54b5p-2"),
+        (4096, "-0x1.c5dc5c9e5ca8bp-2"),
+    ]
+    assert [n for n, _ in drawn] == [16 << k for k in range(9)]

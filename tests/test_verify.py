@@ -2,6 +2,7 @@ import pytest
 
 from moyalbench import verify
 from moyalbench.exppoly import exp_integral
+from moyalbench.quadrature import _simpson_doublings
 from moyalbench.uncertainty import quantum_moments
 from moyalbench.verify import FAIL, run_suite
 
@@ -70,6 +71,36 @@ def test_a_planted_wrong_value_is_a_false_verdict(monkeypatch, target, fault, na
     report = run_suite("exact")
     (failed,) = report.failures
     assert (failed.name, failed.status, failed.detail) == (name, FAIL, "")
+
+
+def test_navot_constants_match_mpmath():
+    # the check writes them as literals so that verify never loads mpmath
+    import mpmath
+
+    for j, (zeta, g) in enumerate(zip(verify._NAVOT_ZETA, verify._NAVOT_G)):
+        assert abs(zeta - float(mpmath.zeta(-j - 0.5))) < 1e-15
+        assert abs(g - mpmath.diff(lambda z: (1 - z) * mpmath.exp(-z), 0, j)) < 1e-12
+
+
+def _perturbed_4096(factor):
+    """The Simpson estimates, with the 4096-panel one scaled by `factor`."""
+    def doublings(f, T):
+        for n, s in _simpson_doublings(f, T):
+            yield n, s * factor if n == 4096 else s
+    return doublings
+
+
+@pytest.mark.parametrize("name, value", [
+    ("_NAVOT_ZETA", (0.207886224977355,) + verify._NAVOT_ZETA[1:]),
+    ("_NAVOT_G", (1.0, 2.0) + verify._NAVOT_G[2:]),
+    ("_simpson_doublings", _perturbed_4096(1 + 1e-9)),
+    ("_simpson_doublings", _perturbed_4096(1 - 1e-9)),
+], ids=["zeta-sign", "g-prime-sign", "estimate-up-1e-9", "estimate-down-1e-9"])
+def test_a_planted_navot_fault_fails_the_gamma_check(monkeypatch, name, value):
+    monkeypatch.setattr(verify, name, value)
+    report = run_suite("numeric")
+    (failed,) = report.failures
+    assert (failed.name, failed.status) == ("gamma-moment-quadrature", FAIL)
 
 
 def test_verify_json_matches_the_golden_file(capsys):
