@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .backend import Q, rational_str
@@ -106,7 +107,15 @@ def _direct(sub, name: str, summary: str, **defaults):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a rejected argv as the one line `main` gives a rejected value,
-    with no usage block; the subcommand parsers are of this class too."""
+    with no usage block; the subcommand parsers are of this class too.
+
+    A token of "-" and then a digit, such as -1/4 or -1e-3, is a flag's
+    value (argparse takes only -1 and -0.5 as such), so the flag's range
+    check can reject it; no flag starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -18,7 +18,7 @@ The deformed products live here:
 Coefficients are stored as Gaussian integers over one common positive
 denominator; ``repr``, the one text form, prints them with ``gauss``.
 
-``star`` and the pointwise ``*`` share one integer kernel (``_product``;
+``star`` and the pointwise ``*`` share one integer kernel (``_star``;
 ``*`` is its (r, s) = (0, 0) case).  With lam = p/q the (r, s) factor is
 (q-p)^r (-p)^s / (q^(r+s) r! s!).  The 1/(r! s!) goes to f's side as
 binomials C(i, r) C(j, s) and g's side carries falling factorials, so every
@@ -29,6 +29,14 @@ dense list.  Each weight is scaled by q^(T-r-s), T the largest r+s used, and
 the result's denominator is f.den * g.den * q^T.  Gaussian coefficients are
 packed as re + im*2^w with w wide enough for every accumulated part, so one
 int product per pair of terms serves real and Gaussian inputs alike.
+
+``star`` and ``apply_equivalence_map`` read lam = p/q and call the cores
+``_star(f, g, p, q)`` and ``_equivalence(f, p, q)``, which take any int p.
+At q = 1 every weight is an int polynomial in p, so on int inputs each
+coefficient of a result is the value at L = p of an int polynomial in L.
+``verify``'s star check evaluates both identities once, at an L = X larger
+than twice a bound on those polynomials' coefficients, which decides them
+for every lam, and ties ``star`` to the digits of the result at sampled lam.
 """
 
 from __future__ import annotations
@@ -166,7 +174,7 @@ class PhasePoly:
     def __mul__(self, other):
         """Pointwise (commutative, hbar -> 0 limit) product or scalar scale."""
         if isinstance(other, PhasePoly):
-            return _product(self, other, 0, 1, 0, 0)
+            return _star(self, other, 0, 1, pointwise=True)
         c = Q(other)
         n = c.numerator
         acc = {k: (re * n, im * n) for k, (re, im) in self.terms.items()}
@@ -237,16 +245,16 @@ def _factor_table(n: int, left: bool):
     return tuple(tuple(fn(m, k) for k in range(m + 1)) for m in range(n + 1))
 
 
-def _rows(terms: dict, r_max: int, s_max: int, I: int, J: int, left: bool):
+def _rows(terms: dict, r_max: int, s_max: int, I: int, J: int, left: bool, top: int):
     """The (r, s) derivative rows of one factor, built in one pass.
 
     rows[r][s] lists (key, re, im) with key = (d*I + i)*J + j flattened from
     the surviving exponents.  The left factor gets d_a^r d_abar^s divided by
     r! s!, i.e. binomials C(i, r) C(j, s); the right factor gets d_abar^r d_a^s
     as falling factorials l^(r) k^(s), so every coefficient stays an int.
+    top is the factor's largest exponent of a or abar.
     """
     rows = [[[] for _ in range(s_max + 1)] for _ in range(r_max + 1)]
-    top = max(max(i, j) for i, j, _ in terms)
     tab = _factor_table(top, left)
     for (i, j, d), (re, im) in terms.items():
         # left: r lowers i, s lowers j; right: r lowers j, s lowers i
@@ -274,7 +282,7 @@ def _unpacked(v: int, width) -> tuple:
     """(re, im) of an accumulated A + C 2^width + E 2^(2 width): (A - E, C).
 
     A, C and E are read as balanced base-2^width digits, low first; each
-    lies within 2^(width-1), which is what ``_product`` sizes width for.
+    lies within 2^(width-1), which is what ``_star`` sizes width for.
     """
     if width is None:
         return v, 0
@@ -288,21 +296,26 @@ def _unpacked(v: int, width) -> tuple:
     return digits[0] - v, digits[1]
 
 
-def _product(f: "PhasePoly", g: "PhasePoly", p: int, q: int, r_max: int, s_max: int):
-    """Sum over (r, s) of hbar^(r+s) w_rs (left row rs of f)(right row rs of g).
+def _star(f: "PhasePoly", g: "PhasePoly", p: int, q: int, pointwise: bool = False):
+    """f *_(p/q) g for any int p and int q > 0; with pointwise, f * g.
 
-    With lam = p/q the weight is w_rs = (q-p)^r (-p)^s / q^(r+s); it is
-    scaled by q^T (T the largest r+s used) so that the accumulation runs on
-    ints and the result's denominator is f.den * g.den * q^T.  (r, s) = (0, 0)
-    alone is the pointwise product.
+    The sum over (r, s) of hbar^(r+s) w_rs (left row rs of f)(right row rs
+    of g), with w_rs = (q-p)^r (-p)^s / q^(r+s); pointwise keeps (r, s) =
+    (0, 0) alone.  Each weight is scaled by q^T (T the largest r+s used) so
+    that the accumulation runs on ints and the result's denominator is
+    f.den * g.den * q^T.  At q = 1 every weight is an int polynomial in p.
     """
     if not f.terms or not g.terms:
         return _poly({}, 1)
-    I = f.deg_a + g.deg_a + 1
-    J = f.deg_abar + g.deg_abar + 1
+    fa, fb, fd = f.deg_a, f.deg_abar, f.hbar_degree  # each scan once per call
+    ga, gb, gd = g.deg_a, g.deg_abar, g.hbar_degree
+    r_max = 0 if pointwise else min(fa, gb)
+    s_max = 0 if pointwise or not p else min(fb, ga)
+    I = fa + ga + 1
+    J = fb + gb + 1
     IJ = I * J
-    fr = _rows(f.terms, r_max, s_max, I, J, True)
-    gr = _rows(g.terms, r_max, s_max, I, J, False)
+    fr = _rows(f.terms, r_max, s_max, I, J, True, max(fa, fb))
+    gr = _rows(g.terms, r_max, s_max, I, J, False, max(ga, gb))
     pairs = [
         (r, s, fr[r][s], gr[r][s])
         for r in range(r_max + 1)
@@ -323,7 +336,7 @@ def _product(f: "PhasePoly", g: "PhasePoly", p: int, q: int, r_max: int, s_max: 
             bound += abs(w) * mass_a * mass_b
         width = bound.bit_length() + 2
     # one dense accumulator; key (d*I + i)*J + j, so hbar^(r+s) is a shift
-    acc = [0] * ((f.hbar_degree + g.hbar_degree + T + 1) * IJ)
+    acc = [0] * ((fd + gd + T + 1) * IJ)
     for w, (r, s, a, b) in zip(weights, pairs):
         shift = (r + s) * IJ
         inner = _packed(b, width)
@@ -344,10 +357,7 @@ def _product(f: "PhasePoly", g: "PhasePoly", p: int, q: int, r_max: int, s_max: 
 def star(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:
     """The deformed product f *_lam g, expanded exactly (always terminates)."""
     lam = as_lambda(lam)
-    p, q = lam.numerator, lam.denominator
-    r_max = min(f.deg_a, g.deg_abar)
-    s_max = min(f.deg_abar, g.deg_a) if p else 0
-    return _product(f, g, p, q, r_max, s_max)
+    return _star(f, g, lam.numerator, lam.denominator)
 
 
 def star_commutator(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:
@@ -355,17 +365,20 @@ def star_commutator(f: PhasePoly, g: PhasePoly, lam) -> PhasePoly:
 
 
 def apply_equivalence_map(f: PhasePoly, lam, inverse: bool = False) -> PhasePoly:
-    """exp(+-lam * hbar * d_a d_abar) applied to f (finite exact expansion).
-
-    Order m sends a^i abar^j hbar^d to C(i,m) C(j,m) m! lam^m a^(i-m) abar^(j-m)
-    hbar^(d+m); for lam = +-p/q that is an int weight over f.den q^top.  It
-    shares no code with ``star``, so ``check_equivalence`` has two sides.
-    """
+    """exp(+-lam * hbar * d_a d_abar) applied to f (finite exact expansion)."""
     lam = as_lambda(lam)
-    p, q = lam.numerator, lam.denominator
-    if inverse:
-        p = -p
-    top = max(min(f.deg_a, f.deg_abar), 0)
+    p = -lam.numerator if inverse else lam.numerator
+    return _equivalence(f, p, lam.denominator)
+
+
+def _equivalence(f: PhasePoly, p: int, q: int) -> PhasePoly:
+    """exp((p/q) hbar d_a d_abar) applied to f, for any int p and int q > 0.
+
+    Order m sends a^i abar^j hbar^d to C(i,m) C(j,m) m! (p/q)^m a^(i-m)
+    abar^(j-m) hbar^(d+m), an int weight over f.den q^top.  It shares no
+    code with ``_star``, so ``check_equivalence`` has two sides.
+    """
+    top = max((min(i, j) for i, j, _ in f.terms), default=0)
     powers = [p**m * q ** (top - m) for m in range(top + 1)]
     acc: dict = {}
     for (i, j, d), (re, im) in f.terms.items():

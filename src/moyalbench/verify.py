@@ -49,8 +49,8 @@ from . import spectral as spec
 from . import uncertainty as unc
 from .phase import (
     PhasePoly,
-    check_associativity,
-    check_equivalence,
+    _equivalence,
+    _star,
     hamiltonian,
     random_phase_poly,
     star,
@@ -279,18 +279,102 @@ def check_selection_scan() -> bool:
     return ok and len(grid) == 630  # the count CHECKS names
 
 
+def _star_growth(left: tuple, right: tuple) -> int:
+    """A factor G with ||x *_L y|| <= G ||x|| ||y|| for x, y of (deg_a,
+    deg_abar) at most left and right, where ||.|| sums the absolute values of
+    every L-coefficient of every part.  The (r, s) weight (1-L)^r (-L)^s has
+    norm 2^r, x's row binomials are at most C(a, r) C(b, s) and y's falling
+    factorials at most d^(r) c^(s)."""
+    (a, b), (c, d) = left, right
+    return sum(2**r * math.comb(a, r) * math.comb(b, s) * math.perm(d, r) * math.perm(c, s)
+               for r in range(min(a, d) + 1) for s in range(min(b, c) + 1))
+
+
+def _map_growth(deg: tuple) -> int:
+    """A factor E with ||T x|| <= E ||x|| for T = exp(+-L hbar d_a d_abar) and
+    x of (deg_a, deg_abar) at most deg: the sum of C(i,m) C(j,m) m!."""
+    a, b = deg
+    return sum(math.comb(a, m) * math.comb(b, m) * math.factorial(m)
+               for m in range(min(a, b) + 1))
+
+
+def _height_bound(triples) -> int:
+    """M >= |every L-coefficient| of (f*g)*h, f*(g*h), f*g and T^-1(Tf *_0 Tg)
+    over *_L, for each (f, g, h) of ints, from the inputs' degrees and norms
+    alone (a product's degrees are at most the sums of its factors')."""
+    M = 0
+    for f, g, h in triples:
+        nf, ng, nh = (sum(abs(re) + abs(im) for re, im in x.terms.values())
+                      for x in (f, g, h))
+        df, dg, dh = ((max(x.deg_a, 0), max(x.deg_abar, 0)) for x in (f, g, h))
+        dfg = (df[0] + dg[0], df[1] + dg[1])
+        dgh = (dg[0] + dh[0], dg[1] + dh[1])
+        fg = _star_growth(df, dg) * nf * ng
+        M = max(M, fg,
+                _star_growth(dfg, dh) * fg * nh,
+                _star_growth(df, dgh) * _star_growth(dg, dh) * nf * ng * nh,
+                _map_growth(dfg) * fg * _map_growth(df) * _map_growth(dg))
+    return M
+
+
+def _lambda_digits(v: int, X: int) -> list:
+    """v's balanced base-X digits, low first, each in [-X/2, X/2)."""
+    digits = []
+    while v:
+        digits.append((v + X // 2) % X - X // 2)
+        v = (v - digits[-1]) // X
+    return digits
+
+
+def _at_lambda(poly: PhasePoly, X: int, lam) -> PhasePoly:
+    """The value at lam of the int polynomials in L whose values at L = X are
+    poly's parts, read as balanced base-X digits (so each L-coefficient must
+    lie within X/2)."""
+    digits = {key: [_lambda_digits(v, X) for v in parts]
+              for key, parts in poly.terms.items()}
+    K = max((len(ds) for pair in digits.values() for ds in pair), default=1)
+    p, q = lam.numerator, lam.denominator
+    powers = [p**k * q ** (K - 1 - k) for k in range(K)]
+    return PhasePoly({key: tuple(sum(d * w for d, w in zip(ds, powers)) for ds in pair)
+                      for key, pair in digits.items()}, q ** (K - 1))
+
+
 def check_algebra_properties(seed: int) -> bool:
+    """[a, abar] = hbar at lam in {0, 1/4, 1/2}; associativity and the
+    equivalence f*g = T^-1(Tf *_0 Tg), T = exp(lam hbar d_a d_abar), proved
+    for every lam at once on 100 seeded triples of int polynomials.
+
+    With q = 1 every weight of ``_star`` and ``_equivalence`` is an int
+    polynomial in p, so each compared side is an int polynomial in L, and the
+    cores at p = X return its value at L = X.  ``_height_bound`` gives M >=
+    every L-coefficient of every side from the inputs alone, and X > 2M.  Two
+    sides equal at X then have the same balanced base-X digits, so they are
+    equal polynomials: both identities hold for every lam (Kronecker
+    substitution in lam).  The link ties the public ``star`` to those
+    polynomials: at each sampled lam, star(f, g, lam) on 10 triples and
+    star(star(f, g, lam), h, lam) on one equal the digits evaluated at lam.
+    """
     rng = Random(seed)
-    ok = True
     hb = PhasePoly.hbar()
     a, ab = PhasePoly.a(), PhasePoly.abar()
-    for lam in (Q(0), Q(1, 4), Q(1, 2)):
-        ok &= star_commutator(a, ab, lam) == hb
+    lams = (Q(0), Q(1, 4), Q(1, 2))
+    ok = all(star_commutator(a, ab, lam) == hb for lam in lams)
     triples = [tuple(random_phase_poly(rng) for _ in range(3)) for _ in range(100)]
-    for lam in (Q(0), Q(1, 4), Q(1, 2)):
-        for f, g, h in triples:
-            ok &= check_associativity(f, g, h, lam)
-            ok &= check_equivalence(f, g, lam)
+    ok &= all(x.den == 1 for triple in triples for x in triple)
+    X = 1 << (_height_bound(triples).bit_length() + 2)
+    products = []
+    for f, g, h in triples:
+        fg = _star(f, g, X, 1)
+        products.append(fg)
+        ok &= _star(fg, h, X, 1) == _star(f, _star(g, h, X, 1), X, 1)
+        normal = _star(_equivalence(f, X, 1), _equivalence(g, X, 1), 0, 1)
+        ok &= fg == _equivalence(normal, -X, 1)
+    f, g, h = triples[0]
+    fg_h = _star(products[0], h, X, 1)
+    for lam in lams:
+        for (x, y, _), xy in zip(triples[:10], products):
+            ok &= star(x, y, lam) == _at_lambda(xy, X, lam)
+        ok &= star(star(f, g, lam), h, lam) == _at_lambda(fg_h, X, lam)
     return ok
 
 

@@ -200,12 +200,26 @@ def test_negative_size_is_an_error(capsys):
      "argument --float-prec: must be <= 17, got 18\n"),
     (["pi", "--lambda", "1/4"], "the following arguments are required: --n\n"),
     (["tables"], "argument command: invalid choice: 'tables' (choose from "),
+    # a negative rational is a value for its flag's range check, not a flag
+    (["pi", "--lambda", "-1/4", "--n", "2", "--mu", "1"], "lambda=-1/4 outside [0, 1)\n"),
+    (["pi", "--lambda=-1/4", "--n", "2", "--mu", "1"], "lambda=-1/4 outside [0, 1)\n"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--mu", "-1/2"], "--mu must be >= 0, got -1/2\n"),
+    (["starexp", "--lambda", "1/4", "--mu", "-1/2", "--t", "1", "--terms", "10"],
+     "--mu must be >= 0, got -1/2\n"),
+    (["weights", "--lambda", "-1/3", "--k", "2"], "lambda=-1/3 outside (0, 1)\n"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--mu", "-1e-3"],
+     "--mu must be >= 0, got -1/1000\n"),
+    (["pi", "--lambda", "1/4", "--n", "2", "--mu", "-1x"],
+     "argument --mu: invalid Q value: '-1x'\n"),
 ], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
         "float-prec", "pi-series", "starexp-t", "table-out", "verify-out",
         "lambda-zero-den", "mu-zero-den", "pi-mu-negative", "starexp-mu-negative",
         "pi-n", "pi-terms", "weights-k", "moments-k", "scan-k-max",
         "scan-denominator-max", "duality-n-max", "laguerre-n", "starexp-terms",
-        "float-prec-18", "pi-missing-n", "unknown-command"])
+        "float-prec-18", "pi-missing-n", "unknown-command", "pi-lambda-negative-rational",
+        "pi-lambda-equals-negative-rational", "pi-mu-negative-rational",
+        "starexp-mu-negative-rational", "weights-lambda-negative-rational",
+        "pi-mu-negative-exponent", "pi-mu-negative-malformed"])
 def test_invalid_input_is_an_error_line(capsys, argv, message):
     try:
         code = main(argv)

@@ -289,3 +289,48 @@ def test_equivalence_map_matches_the_order_by_order_loop(f, lam, inverse):
     got = apply_equivalence_map(f, lam, inverse=inverse)
     want = reference_equivalence_map(f, lam, inverse=inverse)
     assert got.den == want.den and got.terms == want.terms
+
+
+# -- the height bound behind the star check's one evaluation point --------------
+
+def _balanced_digits(v, bits):
+    """v in base 2^bits with digits in [-2^(bits-1), 2^(bits-1)), low first."""
+    half, out = 1 << (bits - 1), []
+    while v:
+        d = ((v + half) & ((1 << bits) - 1)) - half
+        out.append(d)
+        v = (v - d) >> bits
+    return out
+
+
+def _height_triples(draw):
+    """The star check's 100 triples at a seed, or Gaussian ones of degree <= 4."""
+    if draw == "gauss":
+        rng = Random("height-gauss")
+        return [tuple(random_phase_poly(rng, degree, gauss=True) for _ in range(3))
+                for degree in range(5) for _ in range(8)]
+    rng = Random(draw)
+    return [tuple(random_phase_poly(rng) for _ in range(3)) for _ in range(100)]
+
+
+@pytest.mark.parametrize("draw", [0, 1, 2, 3, 4, "gauss"])
+def test_height_bound_caps_every_lambda_coefficient_of_every_side(draw):
+    # at 2^400 every L-coefficient of a side is one digit, far wider than any
+    # M here, so a coefficient above M would be read as itself
+    from moyalbench.phase import _equivalence, _star
+    from moyalbench.verify import _height_bound
+
+    bits = 400
+    X = 1 << bits
+    for f, g, h in _height_triples(draw):
+        M = _height_bound([(f, g, h)])
+        assert 0 < M < 1 << (bits - 2)
+        fg = _star(f, g, X, 1)
+        normal = _star(_equivalence(f, X, 1), _equivalence(g, X, 1), 0, 1)
+        sides = (fg, _star(fg, h, X, 1), _star(f, _star(g, h, X, 1), X, 1),
+                 _equivalence(normal, -X, 1))
+        for side in sides:
+            assert side.den == 1
+            for parts in side.terms.values():
+                for v in parts:
+                    assert all(abs(d) <= M for d in _balanced_digits(v, bits))

@@ -1,6 +1,10 @@
+import math
+import types
+
 import pytest
 
-from moyalbench import verify
+from moyalbench import phase, verify
+from moyalbench.backend import Q
 from moyalbench.exppoly import exp_integral
 from moyalbench.quadrature import _simpson_doublings
 from moyalbench.uncertainty import quantum_moments
@@ -101,6 +105,61 @@ def test_a_planted_navot_fault_fails_the_gamma_check(monkeypatch, name, value):
     report = run_suite("numeric")
     (failed,) = report.failures
     assert (failed.name, failed.status) == ("gamma-moment-quadrature", FAIL)
+
+
+STAR_CHECK = "star-associativity+equivalence-100x3"
+
+
+def _flip_row_2_0(rows):
+    """phase._rows with the sign of f's (r, s) = (2, 0) row flipped: the
+    kernel weight (1-lam)^2 of every star product negated."""
+    def flipped(terms, r_max, s_max, I, J, left, top):
+        out = rows(terms, r_max, s_max, I, J, left, top)
+        if left and r_max >= 2:
+            out[2][0] = [(k, -re, -im) for k, re, im in out[2][0]]
+        return out
+    return flipped
+
+
+def _star_at_one_eighth(star):
+    """phase.star with q doubled at lam = 1/4, so it computes *_(1/8)."""
+    def faulty(f, g, lam):
+        if lam == Q(1, 4):
+            return phase._star(f, g, 1, 8)
+        return star(f, g, lam)
+    return faulty
+
+
+def _plant(monkeypatch, fault):
+    if fault == "kernel-weight-sign":
+        monkeypatch.setattr(phase, "_rows", _flip_row_2_0(phase._rows))
+    elif fault == "equivalence-factorial":
+        wrong = types.SimpleNamespace(**vars(math))
+        wrong.factorial = lambda m: math.factorial(m) + (m == 2)  # 2! read as 3
+        monkeypatch.setattr(phase, "math", wrong)
+    else:
+        faulty = _star_at_one_eighth(phase.star)
+        monkeypatch.setattr(phase, "star", faulty)
+        monkeypatch.setattr(verify, "star", faulty)
+
+
+@pytest.mark.parametrize("fault", ["kernel-weight-sign", "equivalence-factorial",
+                                   "star-q-scaling"])
+def test_a_planted_star_fault_fails_the_star_check(monkeypatch, fault):
+    _plant(monkeypatch, fault)
+    report = run_suite("exact")
+    (result,) = [r for r in report.results if r.name == STAR_CHECK]
+    # the check's own False, not a caught exception
+    assert (result.status, result.detail) == (FAIL, "")
+
+
+def test_only_the_link_sees_a_q_scaling_fault(monkeypatch):
+    # the fault is real, but [a, abar] = hbar holds at every lam and the
+    # identities at L = X never call star: the check fails through its link
+    _plant(monkeypatch, "star-q-scaling")
+    a, ab = phase.PhasePoly.a(), phase.PhasePoly.abar()
+    assert phase.star(a, ab, Q(1, 4)) != phase._star(a, ab, 1, 4)
+    assert phase.star_commutator(a, ab, Q(1, 4)) == phase.PhasePoly.hbar()
 
 
 def test_verify_json_matches_the_golden_file(capsys):
