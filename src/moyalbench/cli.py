@@ -110,12 +110,14 @@ class _Parser(argparse.ArgumentParser):
     with no usage block; the subcommand parsers are of this class too.
 
     A token of "-" and then a digit, such as -1/4 or -1e-3, is a flag's
-    value (argparse takes only -1 and -0.5 as such), so the flag's range
-    check can reject it; no flag starts with a digit."""
+    value (argparse takes only -1 and -0.5 as such), and so are -inf,
+    -infinity and -nan in any case, so the flag's range check can reject
+    it; no flag starts with a digit or is named inf, infinity or nan."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\.?\d|(?:inf|infinity|nan)$)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -3,9 +3,17 @@
 Sturm chains, kept as primitive int rows that are positive multiples of the
 rational elements, count distinct real roots in half-open intervals.
 Nonnegativity on [0, inf) is decided exactly: a polynomial changes sign only
-at roots of odd multiplicity (Yun squarefree decomposition); a witness where
-it is negative comes from bisecting toward the first positive such root
-until a sample lands on the negative side.  No floats anywhere.
+at roots of odd multiplicity; a witness where it is negative comes from
+bisecting toward the first positive such root until a sample lands on the
+negative side.  No floats anywhere.
+
+One remainder sequence serves a squarefree polynomial: its Sturm chain ends
+in a constant, so it is its own odd-multiplicity part and that chain is the
+one to bisect with; Yun's squarefree decomposition runs only when the chain
+ends in a nonconstant gcd.  The bisection evaluates the chain only where the
+count can differ from one already known: V(0) is read from the constant
+terms, and at every point from a dyadic Fujiwara bound U on the root moduli
+upward, V is V(+inf), read from the leading coefficients.
 """
 
 from __future__ import annotations
@@ -29,9 +37,13 @@ def sturm_chain(p: Poly):
     return [q for q in chain if not q.is_zero]
 
 
-def _variations(chain, x):
-    signs = [s for s in (q.sign_at(x) for q in chain) if s]
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _variations(chain, x):
+    return _sign_changes([q.sign_at(x) for q in chain])
 
 
 def count_roots(p: Poly, a, b) -> int:
@@ -46,6 +58,17 @@ def cauchy_bound(p: Poly):
     """All real roots lie strictly inside (-B, B)."""
     lead = abs(p.nums[-1])
     return Fraction(lead + max((abs(n) for n in p.nums[:-1]), default=0), lead)
+
+
+def _dyadic_root_bound(p: Poly) -> Fraction:
+    """U = 2^(max_k t_k + 1), t_k = ceil((bits(a_(n-k)) - bits(a_n) + 1) / k):
+    Fujiwara's 2 max_k |a_(n-k) / a_n|^(1/k), rounded up to a power of two
+    on bit lengths alone, so every complex root of p has modulus <= U."""
+    nums = p.nums
+    lead_bits = nums[-1].bit_length()
+    top = max((-((lead_bits - a.bit_length() - 1) // k)
+               for k, a in enumerate(reversed(nums[:-1]), 1) if a), default=0)
+    return Fraction(2) ** (top + 1)
 
 
 def squarefree_decomposition(p: Poly):
@@ -84,8 +107,25 @@ def odd_multiplicity_part(p: Poly) -> Poly:
 def isolate_roots(chain, lo, hi):
     """Disjoint rational intervals (a, b], one distinct root of the chain's
     polynomial in each, yielded left to right by a depth-first bisection that
-    splits nothing to the right of where its caller stops."""
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    splits nothing to the right of where its caller stops.  The chain is any
+    `sturm_chain` result, such as the one `nonneg_on_nonneg` built to learn
+    that its polynomial is squarefree.
+
+    V(x), the sign changes of the chain at x, is read without evaluating the
+    chain where it is known: at x = 0 from the constant terms, and at
+    x >= U, the dyadic bound on the root moduli of chain[0], from the leading
+    coefficients, since V(x) - V(+inf) counts the roots in (x, inf)."""
+    top = _dyadic_root_bound(chain[0])
+    v_inf = _sign_changes([q.nums[-1] for q in chain])
+
+    def variations(x):
+        if x >= top:
+            return v_inf
+        if not x:
+            return _sign_changes([q.nums[0] for q in chain])
+        return _variations(chain, x)
+
+    stack = [(lo, hi, variations(lo), variations(hi))]
     while stack:
         a, b, va, vb = stack.pop()
         if va == vb:
@@ -94,7 +134,7 @@ def isolate_roots(chain, lo, hi):
             yield a, b
             continue
         mid = (a + b) / 2
-        vm = _variations(chain, mid)
+        vm = variations(mid)
         stack.append((mid, b, vm, vb))
         stack.append((a, mid, va, vm))
 
@@ -131,10 +171,15 @@ def nonneg_on_nonneg(p: Poly):
         return True, None
     if p.nums[-1] < 0:
         return False, cauchy_bound(p)  # beyond every root, sign = leading
-    odd = odd_multiplicity_part(p)
-    if odd.degree <= 0:
-        return True, None
-    chain = sturm_chain(odd)
+    # a constant last row means gcd(p, p') = 1: p is its own odd-multiplicity
+    # part, with the same primitive chain rows since its leading coefficient
+    # is positive; otherwise p has a repeated factor and Yun's algorithm runs
+    chain, odd = sturm_chain(p), p
+    if chain[-1].degree > 0:
+        odd = odd_multiplicity_part(p)
+        if odd.degree <= 0:
+            return True, None
+        chain = sturm_chain(odd)
     first = next(isolate_roots(chain, ZERO, cauchy_bound(odd)), None)
     if first is None:
         return True, None  # no positive root of odd: p never changes sign

@@ -211,6 +211,17 @@ def test_negative_size_is_an_error(capsys):
      "--mu must be >= 0, got -1/1000\n"),
     (["pi", "--lambda", "1/4", "--n", "2", "--mu", "-1x"],
      "argument --mu: invalid Q value: '-1x'\n"),
+    # so is a negative infinity or nan for a float flag, in any case
+    (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "-inf", "--terms", "3"],
+     "t must be finite, got -inf\n"),
+    (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "-Infinity", "--terms", "3"],
+     "t must be finite, got -inf\n"),
+    (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "-INF", "--terms", "3"],
+     "t must be finite, got -inf\n"),
+    (["starexp", "--lambda", "1/4", "--mu", "1", "--t", "-nan", "--terms", "3"],
+     "t must be finite, got nan\n"),
+    (["starexp", "--lambda", "1/4", "--mu", "1", "--t=-inf", "--terms", "3"],
+     "t must be finite, got -inf\n"),
 ], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
         "float-prec", "pi-series", "starexp-t", "table-out", "verify-out",
         "lambda-zero-den", "mu-zero-den", "pi-mu-negative", "starexp-mu-negative",
@@ -219,7 +230,9 @@ def test_negative_size_is_an_error(capsys):
         "float-prec-18", "pi-missing-n", "unknown-command", "pi-lambda-negative-rational",
         "pi-lambda-equals-negative-rational", "pi-mu-negative-rational",
         "starexp-mu-negative-rational", "weights-lambda-negative-rational",
-        "pi-mu-negative-exponent", "pi-mu-negative-malformed"])
+        "pi-mu-negative-exponent", "pi-mu-negative-malformed", "starexp-t-negative-inf",
+        "starexp-t-negative-infinity", "starexp-t-negative-inf-upper",
+        "starexp-t-negative-nan", "starexp-t-equals-negative-inf"])
 def test_invalid_input_is_an_error_line(capsys, argv, message):
     try:
         code = main(argv)
