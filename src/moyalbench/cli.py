@@ -175,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.11+: print exact ints whole
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":

@@ -17,7 +17,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 
 from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
@@ -57,32 +57,49 @@ def _wide_decayed(num: int, den: int, rate) -> float:
     return out
 
 
-def _bound_sign(n0: int, parts, prec: int, lower: bool) -> int:
-    """Sign of a lower (or upper) bound of n0 + sum n exp(num/den) over parts,
-    on ints, for exponents num/den < 0.
+def _bound_signs(n0: int, parts, prec: int):
+    """Signs of a lower and an upper bound of n0 + sum n exp(num/den) over
+    parts, on ints, for exponents num/den < 0.
 
-    Each exponent is cut by one int division to s = prec + 8 fractional bits:
-    q 2^-s <= num/den <= (q + (rem > 0)) 2^-s.  The exp is taken at whichever
-    exact end keeps n * exp on the bound's side, rounded at prec bits the same
-    way (down at the lower end, up at the upper end).  A term under 2^floor,
-    2*prec bits below the largest, counts as -2^floor (or +2^floor), so no
-    shift grows with the exponents' spread."""
-    from mpmath import libmp
+    Each exponent is cut by one int division to s = prec + 8 fractional bits,
+    q = floor(num 2^s / den), and one exp, exp(q 2^-s) rounded down at prec
+    bits, is rescaled to M 2^e with M exactly prec bits long.  Then
+    exp(num/den) lies in [M 2^e, (M + 2) 2^e]: one ulp, and a little more,
+    covers the rounding (mpmath rounds an approximation carried with 14
+    guard bits, so M can lie a hair over one ulp below exp(q 2^-s)), and
+    exp(2^-s) - 1 < 2^-7 ulp covers the cut.  The lower bound and
+    the width, sum 2|n| 2^e, are summed in one pass; the upper bound is their
+    sum.  A part whose larger end, under |n| 2^(prec + 1 + e), lies below
+    2^floor, 2*prec bits under the largest, counts as -2^floor and widens the
+    sum by 2^(floor + 1), so no shift grows with the exponents' spread."""
+    import mpmath.libmp as libmp
     s = prec + 8
-    terms = [(n0, 0)]
+    ends = []
+    top = n0.bit_length()
     for n, num, den in parts:
-        q, rem = divmod(num << s, den)
-        if (n > 0) == lower:
-            m = libmp.mpf_exp(libmp.from_man_exp(q, -s), prec, "f")
+        _, man, e, bc = libmp.mpf_exp(libmp.from_man_exp((num << s) // den, -s), prec, "f")
+        size = n.bit_length() + bc + 1 + e  # bits of |n| 2^(prec + 1 + e), e rescaled
+        ends.append((n, man << (prec - bc), e + bc - prec, size))
+        if size > top:
+            top = size
+    floor = top - 2 * prec
+    base = min([floor, 0] + [e for _, _, e, size in ends if size > floor])
+    dropped = 0
+    if n0.bit_length() > floor:
+        low = n0 << -base
+    else:
+        low, dropped = 0, 1
+    wide = 0
+    for n, man, e, size in ends:
+        if size > floor:
+            m = abs(n) << (e - base)
+            low += (n * (man + 1) << (e - base)) - m
+            wide += m
         else:
-            m = libmp.mpf_exp(libmp.from_man_exp(q + (rem > 0), -s), prec, "c")
-        terms.append((n * m[1], m[2]))  # exp > 0: m = (0, man, exp, bc)
-    floor = max(e + v.bit_length() for v, e in terms) - 2 * prec
-    kept = [(v, e) for v, e in terms if e + v.bit_length() > floor]
-    base = min([floor] + [e for _, e in kept])
-    total = sum(v << (e - base) for v, e in kept)
-    total += (-1 if lower else 1) * (len(terms) - len(kept)) << (floor - base)
-    return (total > 0) - (total < 0)
+            dropped += 1
+    low -= dropped << (floor - base)
+    high = low + 2 * (wide + (dropped << (floor - base)))
+    return (low > 0) - (low < 0), (high > 0) - (high < 0)
 
 
 class ExpPoly:
@@ -210,44 +227,45 @@ class ExpPoly:
         over one denominator, are divided by exp(-r0*mu) > 0, r0 the slowest
         rate whose part is nonzero at mu: that part is the exact int n0, and
         each other exponent -(r - r0)*a/b < 0 is formed on ints.  The sum is
-        bounded with one directed-rounding exp per other part and bound
-        (see _bound_sign) until a bound decides the sign.  A point a/b can
-        lie within about 2^-bits(b) of a root, so the bounds start at
-        64 + bits(b) bits and double up to max(4096, start).
+        bracketed with one exp per other part, rounded down, which bounds it
+        from both sides (see _bound_signs), until a bound decides the sign.
+        A point a/b can lie within about 2^-bits(b) of a root, so the bounds
+        start at 64 + bits(b) bits and double up to max(4096, 4 * start).
         """
         x = Q(mu)
-        if x < 0:
+        a, b = x.numerator, x.denominator
+        if a < 0:
             raise DomainError("sign_at is defined on [0, inf)")
-        if len(self.terms) == 1:  # one exact part: its sign, on ints
-            return next(iter(self.terms.values())).sign_at(x)
-        if not x:  # every term lands on exp(0) = 1: one exact rational
+        terms = self.terms
+        if len(terms) == 1:  # one exact part: its sign, on ints
+            return next(iter(terms.values())).sign_at(x)
+        if not a:  # every term lands on exp(0) = 1: one exact rational
             v = self.at_zero()
             return (v > 0) - (v < 0)
-        a, b = x.numerator, x.denominator
         # p_r(a/b) = h_r / (den_r b^deg_r), as ints over the common denominator
         # lcm(den_r) b^deg; distinct rates keep distinct exponents r*x, so no
         # parts merge
-        deg = max(p.degree for p in self.terms.values())
-        dens = math.lcm(*[p.den for p in self.terms.values()])
-        parts = [(r, n) for r, p in self.terms.items()
+        deg = max([p.degree for p in terms.values()])
+        dens = math.lcm(*[p.den for p in terms.values()])
+        parts = [(r, n) for r, p in terms.items()
                  if (n := _homogeneous(p.nums, a, b) * (dens // p.den)
                      * b ** (deg - p.degree))]
         if not parts:
             return 0
-        if len({n > 0 for _, n in parts}) == 1:  # one sign throughout
-            return 1 if parts[0][1] > 0 else -1
-        parts.sort()
-        (r0, n0), rest = parts[0], parts[1:]
+        r0, n0 = min(parts, key=itemgetter(0))
+        if all((n > 0) == (n0 > 0) for _, n in parts):  # one sign throughout
+            return 1 if n0 > 0 else -1
         u, v = r0.numerator, r0.denominator
         # -(r - r0) a/b = -(r.num v - u r.den) a / (r.den v b), on ints
         rest = [(n, (u * r.denominator - r.numerator * v) * a, r.denominator * v * b)
-                for r, n in rest]
+                for r, n in parts if r is not r0]
         prec = 64 + b.bit_length()
-        top = max(4096, prec)
+        top = max(4096, 4 * prec)
         while True:
-            if _bound_sign(n0, rest, prec, lower=True) > 0:
+            lower, upper = _bound_signs(n0, rest, prec)
+            if lower > 0:
                 return 1
-            if _bound_sign(n0, rest, prec, lower=False) < 0:
+            if upper < 0:
                 return -1
             if prec >= top:
                 raise AccuracyError(f"sign did not resolve at {top} bits")  # pragma: no cover

@@ -46,11 +46,23 @@ def _variations(chain, x):
     return _sign_changes([q.sign_at(x) for q in chain])
 
 
+def _distinct_roots_chain(chain):
+    """The chain divided through by its last row g = gcd(p, p'), when g is
+    not constant.  At a root of g every row vanishes, so the chain itself
+    reads no sign change there; the quotients are a Sturm sequence of the
+    squarefree part p/g, whose sign changes count each distinct root of p
+    once.  A chain ending in a constant comes back as it is."""
+    g = chain[-1]
+    if g.degree <= 0:
+        return chain
+    return [divmod_poly(q, g)[0].primitive() for q in chain]
+
+
 def count_roots(p: Poly, a, b) -> int:
     """Number of distinct real roots of p in (a, b]."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
-    chain = sturm_chain(p)
+    chain = _distinct_roots_chain(sturm_chain(p))
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -109,12 +121,14 @@ def isolate_roots(chain, lo, hi):
     polynomial in each, yielded left to right by a depth-first bisection that
     splits nothing to the right of where its caller stops.  The chain is any
     `sturm_chain` result, such as the one `nonneg_on_nonneg` built to learn
-    that its polynomial is squarefree.
+    that its polynomial is squarefree; a chain that ends in a nonconstant
+    gcd is first divided through by it (see _distinct_roots_chain).
 
     V(x), the sign changes of the chain at x, is read without evaluating the
     chain where it is known: at x = 0 from the constant terms, and at
     x >= U, the dyadic bound on the root moduli of chain[0], from the leading
     coefficients, since V(x) - V(+inf) counts the roots in (x, inf)."""
+    chain = _distinct_roots_chain(chain)
     top = _dyadic_root_bound(chain[0])
     v_inf = _sign_changes([q.nums[-1] for q in chain])
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import sys
+from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -265,6 +268,36 @@ def test_pi_past_the_float_exponent_range_exits_zero(capsys):
                         "--mu", "801")
     assert code == 0
     assert out.splitlines()[-1] == "value_at_mu,4.87810307113e-98"
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """The interpreter's default int-to-str digit limit (3.11+), put back
+    as it was afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi", "--lambda", "1/4", "--n", "1291", "--mu", "1"],
+    ["export", "--what", "laguerre", "--n", "1559"],
+], ids=["pi-n1291", "laguerre-n1559"])
+def test_exact_values_past_4300_digits_print_whole(capsys, default_int_str_limit, argv):
+    # the first n whose table holds an int of more than 4300 digits
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    last = out.splitlines()[-1]
+    if argv[0] == "pi":
+        assert last.startswith("value_at_mu,")
+    else:
+        k, c = last.split(",")
+        assert int(k) == 1559
+        assert Fraction(c) == Fraction((-1) ** 1559, factorial(1559))
 
 
 @pytest.mark.parametrize("argv", [

@@ -156,6 +156,32 @@ def test_argument_with_a_denominator_above_4032_bits(side):
     assert _form(terms).sign_at(x) == ref_sign_at(terms, x) == (1 if side else -1)
 
 
+def _wide_ref_sign_at(terms, x):
+    """ref_sign_at's outward-rounded interval sum on a ladder that goes on
+    past 4096 bits, for values below its reach."""
+    ctx = mpmath.iv.__class__()
+    for prec in (4096, 8192, 16384, 32768):
+        ctx.prec = prec
+        iv = sum((ctx.mpf(p(x).numerator) / p(x).denominator
+                  * ctx.exp(-ctx.mpf((r * x).numerator) / (r * x).denominator)
+                  for r, p in terms), ctx.mpf(0))
+        if iv.b < 0:
+            return -1
+        if iv.a > 0:
+            return 1
+    raise AssertionError("reference sign did not resolve")
+
+
+@pytest.mark.parametrize("k", [3000, 5000])
+def test_value_below_2_to_the_minus_4096_at_a_point_with_a_long_denominator(k):
+    # (x - 1) e^-x + e^-2x = x^2/2 + O(x^3) > 0: at x = 2^-k the value is
+    # near 2^(-2k - 1), below the 64 + k bits the bounds start at, so they
+    # must double to a precision above both 4096 bits and the start
+    terms = [(Fraction(1), RefPoly([-1, 1])), (Fraction(2), RefPoly([1]))]
+    x = Fraction(1, 2**k)
+    assert _form(terms).sign_at(x) == _wide_ref_sign_at(terms, x) == 1
+
+
 @pytest.mark.parametrize("x", [Fraction(2**100), Fraction(3**80, 7), Fraction(2**200),
                                Fraction(2**200 + 1, 3), Fraction(2**199 + 5, 2**7)])
 def test_far_argument_with_exponents_spread_over_2_to_the_100_bits(x):
@@ -254,7 +280,7 @@ def test_bound_sign_brackets_the_4096_bit_value(prec, sign):
     # of the parts is irrational, so with n0 = -floor(V) the sum lies in
     # (0, 1) and with n0 = -floor(V) - 1 in (-1, 0): a bound rounded or cut
     # the wrong way gives the wrong sign there
-    from moyalbench.exppoly import _bound_sign
+    from moyalbench.exppoly import _bound_signs
 
     n = sign << (prec + 40)
     cases = _cut_cases(prec, 40, prec)
@@ -263,28 +289,59 @@ def test_bound_sign_brackets_the_4096_bit_value(prec, sign):
         parts = [(n if i % 2 == 0 else -n // 3, num, den) for i, (num, den) in enumerate(exps)]
         m = _floor_4096(parts)
         for n0, true in ((-m, 1), (-m - 1, -1)):
-            lower = _bound_sign(n0, parts, prec, lower=True)
-            upper = _bound_sign(n0, parts, prec, lower=False)
+            lower, upper = _bound_signs(n0, parts, prec)
             assert lower <= true <= upper, (n0, parts)
 
 
+def _rounded_exp(num, den, prec):
+    """(M, e): exp at the cut of num/den to prec + 8 bits, rounded down at
+    prec bits, as M 2^e with M exactly prec bits long."""
+    from mpmath import libmp
+
+    s = prec + 8
+    _, man, e, bc = libmp.mpf_exp(libmp.from_man_exp((num << s) // den, -s), prec, "f")
+    return man << (prec - bc), e - (prec - bc)
+
+
+@pytest.mark.parametrize("prec", [24, 64, 365])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bound_signs_keep_a_part_whose_upper_end_alone_reaches_the_floor(prec, sign):
+    # the second part's lower end |n2| M2 2^e2 lies under 2^floor, 2*prec bits
+    # below the largest part's larger end, but its larger end, under
+    # |n2| 2^(prec + 1 + e2), does not: sized by its lower end it would be
+    # dropped as -2^floor, which holds its lower end but not its upper one
+    from moyalbench.exppoly import _bound_signs
+
+    n1, (num1, den1), (num2, den2) = sign << (3 * prec), (-1, 3), (-29, 7)
+    m1, e1 = _rounded_exp(num1, den1, prec)
+    m2, e2 = _rounded_exp(num2, den2, prec)
+    floor = n1.bit_length() + prec + 1 + e1 - 2 * prec
+    n2 = -sign * ((1 << (floor - prec - e2 - 1)) + 1)  # bits(n2) + prec + 1 + e2 = floor + 1
+    assert abs(n2) * m2 < 2**(floor - e2) <= abs(n2) << (prec + 1)
+    parts = [(n1, num1, den1), (n2, num2, den2)]
+    m = _floor_4096(parts)
+    for n0, true in ((-m, 1), (-m - 1, -1)):
+        lower, upper = _bound_signs(n0, parts, prec)
+        assert lower <= true <= upper, (n0, parts)
+
+
 def _counting(monkeypatch):
-    """Wrap _bound_sign, mpf_exp and from_rational: [(parts, exps), ...] per
-    bound, and the from_rational calls."""
+    """Wrap _bound_signs, mpf_exp and from_rational: [(parts, exps), ...] per
+    precision level, and the from_rational calls."""
     from mpmath import libmp
 
     from moyalbench import exppoly
 
     calls, rationals, exps = [], [], []
-    bound, exp, from_rational = exppoly._bound_sign, libmp.mpf_exp, libmp.from_rational
+    bounds, exp, from_rational = exppoly._bound_signs, libmp.mpf_exp, libmp.from_rational
 
-    def counted_bound(n0, parts, prec, lower):
+    def counted_bounds(n0, parts, prec):
         before = len(exps)
-        out = bound(n0, parts, prec, lower)
+        out = bounds(n0, parts, prec)
         calls.append((parts, len(exps) - before))
         return out
 
-    monkeypatch.setattr(exppoly, "_bound_sign", counted_bound)
+    monkeypatch.setattr(exppoly, "_bound_signs", counted_bounds)
     monkeypatch.setattr(libmp, "mpf_exp", lambda *a, **k: exps.append(1) or exp(*a, **k))
     monkeypatch.setattr(libmp, "from_rational",
                         lambda *a, **k: rationals.append(1) or from_rational(*a, **k))
@@ -292,6 +349,7 @@ def _counting(monkeypatch):
 
 
 def test_two_rate_bisection_makes_one_exp_per_bound(monkeypatch):
+    # one exp per precision level gives both bounds
     n, l1, l2 = _projector_pairs(7, 1)[0]
     form = projector_closed(n, l1).form - projector_closed(n, l2).form
     points = _bisection_points(form, 300)
@@ -299,13 +357,14 @@ def test_two_rate_bisection_makes_one_exp_per_bound(monkeypatch):
     for x in points:
         form.sign_at(x)
     assert len(calls) > 300
-    assert all(exps <= 1 for _, exps in calls)
+    assert all(exps == 1 for _, exps in calls)
     assert not rationals
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_k_rate_forms_make_k_minus_1_exps_per_bound_on_negative_exponents(
         seed, monkeypatch):
+    # k - 1 exps per precision level, one for each rate but the slowest
     rng = Random(seed)
     terms, _ = _near_cancelling(Fraction(3, 7), ODD_RATES[1:2 + seed % 3], ODD_RATES[0],
                                 150 * (1 + seed), seed % 2)
@@ -317,7 +376,7 @@ def test_k_rate_forms_make_k_minus_1_exps_per_bound_on_negative_exponents(
         del calls[:]
         form.sign_at(x)
         k = sum(1 for _, p in terms if p(x))  # the rates nonzero at x
-        assert calls and all(len(parts) == k - 1 and exps <= k - 1 for parts, exps in calls)
+        assert calls and all(len(parts) == k - 1 and exps == k - 1 for parts, exps in calls)
         # the slowest nonzero part is divided out: every other exponent is < 0
         assert all(num < 0 < den for parts, _ in calls for _, num, den in parts)
     assert not rationals

@@ -3,7 +3,9 @@
 The dyadic bound U must cap every root of the chain's first element, or the
 bisection would read V(+inf) where a root lies above the point.  A squarefree
 input is isolated on its own Sturm chain without Yun's decomposition; an input
-with a repeated factor still takes the Yun path.
+with a repeated factor still takes the Yun path.  A chain that ends in a
+nonconstant gcd counts and isolates each distinct root once, against roots
+known by construction.
 """
 
 from fractions import Fraction
@@ -158,3 +160,74 @@ def test_a_squarefree_input_never_calls_yun(spies):
 def test_repeated_roots_isolate_as_before(p, intervals):
     found = list(isolate_roots(sturm_chain(p), Fraction(0), cauchy_bound(p)))
     assert found == [(Fraction(a), Fraction(b)) for a, b in intervals]
+
+
+# -- repeated roots: every row of the chain vanishes at a root of its gcd ------
+
+def test_a_chain_with_a_nonconstant_gcd_counts_each_distinct_root_once():
+    p = X * X * A * (X + ONE) * B  # x^2 (x - 1)(x + 1)(x - 3)
+    assert sturm_chain(p)[-1].degree > 0
+    assert count_roots(p, -4, 0) == 2
+    assert count_roots(p, 0, 4) == 2
+    found = list(isolate_roots(sturm_chain(p), Fraction(-4), Fraction(4)))
+    assert len(found) == 4
+
+
+ROOTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
+)
+
+
+@st.composite
+def factored_polys(draw):
+    """(p, roots): p = c prod (x - r_i)^(m_i) over its distinct rational
+    roots r_i, m_i <= 4, among them 0, negatives, small and large
+    denominators, and pairs 2^-60..2^-10 apart."""
+    roots = set()
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(ROOTS)
+        roots.add(r)
+        if draw(st.booleans()):
+            roots.add(r + Fraction(1, 2 ** draw(st.integers(10, 60))))
+    p = Poly([Fraction(draw(st.sampled_from((1, -1, 3, -7))), draw(st.integers(1, 9)))])
+    for r in roots:
+        for _ in range(draw(st.integers(1, 4))):
+            p = p * Poly([-r, 1])
+    return p, sorted(roots)
+
+
+def _bisection_depth(roots, bound):
+    """The depth past which a bisection of (-bound, bound] holds no interval
+    with two of the roots."""
+    gaps = [b - a for a, b in zip(roots, roots[1:])] or [bound]
+    ratio = 2 * bound / min(gaps)
+    return (ratio.numerator // ratio.denominator).bit_length() + 1
+
+
+@given(factored_polys(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_repeated_roots_are_counted_and_isolated_once_each(case, data):
+    p, roots = case
+    points = roots + [r + d for r in roots for d in (Fraction(-1, 3), Fraction(1, 2**70))]
+    a, b = sorted(data.draw(st.lists(st.sampled_from(points + [Fraction(-(2**41)), Fraction(2**41)]),
+                                     min_size=2, max_size=2)))
+    assert count_roots(p, a, b) == sum(1 for r in roots if a < r <= b)
+
+    # the bisection ends: at each depth at most len(roots) intervals split
+    bound = cauchy_bound(p)
+    most = 2 + len(roots) * (_bisection_depth(roots, bound) + 1)
+    evaluations = []
+    variations = rootisolate._variations
+
+    def bounded(chain, x):
+        evaluations.append(x)
+        assert len(evaluations) <= most, "isolate_roots does not end"
+        return variations(chain, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootisolate, "_variations", bounded)
+        found = list(isolate_roots(sturm_chain(p), -bound, bound))
+    assert len(found) == len(roots)
+    assert all(lo < r <= hi for (lo, hi), r in zip(found, roots))
