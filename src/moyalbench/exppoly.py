@@ -17,7 +17,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 
 from .backend import Q, ZERO, is_rational, rational_str
 from .errors import AccuracyError, DomainError, IntegrabilityError
@@ -103,7 +103,7 @@ def _bound_signs(n0: int, parts, prec: int):
 
 
 class ExpPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_plan")
 
     def __init__(self, terms=()):
         """terms: iterable of (poly, rate); rates must be positive rationals."""
@@ -231,6 +231,11 @@ class ExpPoly:
         from both sides (see _bound_signs), until a bound decides the sign.
         A point a/b can lie within about 2^-bits(b) of a root, so the bounds
         start at 64 + bits(b) bits and double up to max(4096, 4 * start).
+
+        What no point changes is built on the first multi-rate call and
+        kept in the _plan slot (see _sign_plan): the rows over one
+        denominator and padded to one degree, slowest rate first, and the
+        rate differences.  It depends on terms alone, so it never goes stale.
         """
         x = Q(mu)
         a, b = x.numerator, x.denominator
@@ -242,23 +247,22 @@ class ExpPoly:
         if not a:  # every term lands on exp(0) = 1: one exact rational
             v = self.at_zero()
             return (v > 0) - (v < 0)
-        # p_r(a/b) = h_r / (den_r b^deg_r), as ints over the common denominator
-        # lcm(den_r) b^deg; distinct rates keep distinct exponents r*x, so no
-        # parts merge
-        deg = max([p.degree for p in terms.values()])
-        dens = math.lcm(*[p.den for p in terms.values()])
-        parts = [(r, n) for r, p in terms.items()
-                 if (n := _homogeneous(p.nums, a, b) * (dens // p.den)
-                     * b ** (deg - p.degree))]
-        if not parts:
+        try:
+            rows, exps = self._plan
+        except AttributeError:
+            rows, exps = self._sign_plan()
+        # b^deg times each part at a/b, over the common denominator; distinct
+        # rates keep distinct exponents r*x, so no parts merge
+        parts = [_homogeneous(row, a, b) * scale for row, scale in rows]
+        for i, n0 in enumerate(parts):  # the slowest nonzero part
+            if n0:
+                break
+        else:
             return 0
-        r0, n0 = min(parts, key=itemgetter(0))
-        if all((n > 0) == (n0 > 0) for _, n in parts):  # one sign throughout
+        later = parts[i + 1:]
+        if min(later, default=0) >= 0 if n0 > 0 else max(later, default=0) <= 0:  # one sign
             return 1 if n0 > 0 else -1
-        u, v = r0.numerator, r0.denominator
-        # -(r - r0) a/b = -(r.num v - u r.den) a / (r.den v b), on ints
-        rest = [(n, (u * r.denominator - r.numerator * v) * a, r.denominator * v * b)
-                for r, n in parts if r is not r0]
+        rest = [(n, d * a, e * b) for n, (d, e) in zip(later, exps[i]) if n]
         prec = 64 + b.bit_length()
         top = max(4096, 4 * prec)
         while True:
@@ -270,6 +274,26 @@ class ExpPoly:
             if prec >= top:
                 raise AccuracyError(f"sign did not resolve at {top} bits")  # pragma: no cover
             prec = min(2 * prec, top)
+
+    def _sign_plan(self):
+        """sign_at's per-form setup, kept in the _plan slot: (rows, exps),
+        slowest rate first.  rows holds each factor's int row, padded with
+        zero coefficients up to the largest degree so that _homogeneous
+        gives every part times the same b^deg, and its scale to the common
+        denominator lcm(den_r); a padded row shares the factor's ints.
+        exps[i] holds, for each faster rate u'/v' after the i-th rate u/v,
+        the pair (u v' - u' v, v v'): the exponent -(u'/v' - u/v) a/b is
+        (u v' - u' v) a / (v v' b)."""
+        terms = sorted(self.terms.items())
+        size = max([len(p.nums) for _, p in terms])
+        den = math.lcm(*[p.den for _, p in terms])
+        rows = tuple([(p.nums + (0,) * (size - len(p.nums)), den // p.den) for _, p in terms])
+        exps = tuple([
+            tuple([(r.numerator * s.denominator - s.numerator * r.denominator,
+                    r.denominator * s.denominator) for s, _ in terms[i + 1:]])
+            for i, (r, _) in enumerate(terms)])
+        object.__setattr__(self, "_plan", (rows, exps))
+        return rows, exps
 
     def nonneg_on_nonneg(self):
         """Exact verdict when decidable: (True|False|None, witness).

@@ -29,11 +29,22 @@ def _row(nums, den: int) -> "Poly":
 
 
 def _homogeneous(nums, a: int, b: int) -> int:
-    """sum nums[k] a^k b^(d-k): b^d times the row's value at a/b."""
-    acc, bp = 0, 1
+    """sum nums[k] a^k b^(d-k): b^d times the row's value at a/b.
+
+    At a dyadic point, b = 2^k (every bisection midpoint), the powers of b
+    are shifts: Horner adds nums[d-j] << (k j) in place of nums[d-j] b^j."""
+    acc = 0
+    if b & (b - 1):
+        bp = 1
+        for n in reversed(nums):
+            acc = acc * a + n * bp
+            bp *= b
+        return acc
+    k = b.bit_length() - 1
+    s = 0
     for n in reversed(nums):
-        acc = acc * a + n * bp
-        bp *= b
+        acc = acc * a + (n << s)
+        s += k
     return acc
 
 

@@ -139,6 +139,7 @@ def isolate_roots(chain, lo, hi):
             return _sign_changes([q.nums[0] for q in chain])
         return _variations(chain, x)
 
+    lo, hi = Q(lo), Q(hi)  # int ends would halve into floats
     stack = [(lo, hi, variations(lo), variations(hi))]
     while stack:
         a, b, va, vb = stack.pop()

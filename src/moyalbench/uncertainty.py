@@ -19,11 +19,13 @@ sqrt(k))/2 tends to zero; for any fixed lam < 1/2 it does not.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
 from .backend import Q, rceil
+from .errors import AccuracyError
 from .exppoly import _pair_rows, exp_integral, mu_times
 from .observables import basic_distribution, binomial_weight_ints
 from .params import as_lambda, nonneg_int
@@ -197,8 +199,29 @@ def gm_asymptotics(k_max: int) -> list:
 
 
 def uncertainty_gap(lam, k: int) -> float:
-    """classical std - quantum std at level-count parameter k (float)."""
+    """classical std - quantum std at level-count parameter k (float).
+
+    Where k + 1 converts to a float the two roots are taken in floats.  Past
+    that, the gap is lam ((2 lam - 1) k + lam), exact, over lam sqrt(k + 1) +
+    sqrt(k lam (1 - lam)) = isqrt(k) (lam + sqrt(lam (1 - lam))) to within
+    2^-511 relative; a value outside the normal floats raises AccuracyError.
+    """
     nonneg_int("k", k)
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     lf = float(lam)
-    return math.sqrt(lf * lf * (k + 1)) - math.sqrt(k * lf * (1 - lf))
+    try:
+        return math.sqrt(lf * lf * (k + 1)) - math.sqrt(k * lf * (1 - lf))
+    except OverflowError:  # k + 1 >= 2^1024
+        pass
+    num = lam * ((2 * lam - 1) * k + lam)
+    if not num:
+        return 0.0
+    try:
+        v = float(num / math.isqrt(k)) / (lf + math.sqrt(lf * (1 - lf)))
+    except OverflowError:
+        v = math.inf
+    if not sys.float_info.min <= abs(v) < math.inf:
+        raise AccuracyError(
+            f"the uncertainty gap at a {k.bit_length()}-bit k is outside the float range"
+        )
+    return v

@@ -227,6 +227,33 @@ def test_slowest_part_vanishing_leaves_one_sign_or_two_rates(x):
     assert _form(two_rates).sign_at(x) == ref_sign_at(two_rates, x)
 
 
+# -- the cached sign plan --------------------------------------------------------
+
+PLAN_ROOT = Fraction(3, 8)  # a dyadic root of the slowest part
+PLAN_POINTS = [PLAN_ROOT, Fraction(3, 7), Fraction(1), Fraction(5, 2**20), Fraction(0),
+               Fraction(2**60 + 1, 2**20), Fraction(3**190 + 1, 2**300),
+               Fraction(10**6, 999_983), Fraction(2**200 + 1, 3**120)]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_the_cached_plan_gives_the_interval_oracle_signs_in_any_order(order):
+    # three rates with rows of degrees 2, 1 and 0, so the plan pads; at
+    # PLAN_ROOT the slowest part vanishes and the next entry is divided out
+    terms, _ = _near_cancelling(PLAN_ROOT, (Fraction(1, 3), Fraction(5, 2)), Fraction(7, 4),
+                                150, 0)
+    terms.append(_vanishing_at(PLAN_ROOT, Fraction(1, 9)))
+    form = _form(terms)
+    assert not hasattr(form, "_plan")  # the constructor builds no plan
+    for x in PLAN_POINTS[::order]:
+        assert form.sign_at(x) == ref_sign_at(terms, x), x
+    assert hasattr(form, "_plan")
+    fresh = _form(terms)
+    assert form == fresh and hash(form) == hash(fresh)
+    for name in ("terms", "_plan"):
+        with pytest.raises(AttributeError):
+            setattr(form, name, None)
+
+
 # rates whose differences all have odd denominators > 1: no exponent
 # -(r - r0) mu is a dyadic rational at a dyadic mu, so every cut is inexact
 ODD_RATES = (Fraction(2, 3), Fraction(5, 7), Fraction(9, 11), Fraction(13, 5))

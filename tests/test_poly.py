@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from moyalbench.backend import Q
-from moyalbench.poly import Poly, divmod_poly, poly_gcd
+from moyalbench.poly import Poly, _homogeneous, divmod_poly, poly_gcd
 from moyalbench.rootisolate import (
     cauchy_bound,
     count_roots,
@@ -97,3 +99,31 @@ def test_nonneg_witness_is_sound(p):
     if not ok:
         assert w >= 0
         assert p(w) < 0
+
+
+# -- the shift Horner at dyadic points -------------------------------------------
+
+big_rows = st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=13)  # degree <= 12
+
+
+def _product_form(nums, a, b):
+    """sum nums[j] a^j b^(d-j), term by term."""
+    d = len(nums) - 1
+    return sum(n * a**j * b ** (d - j) for j, n in enumerate(nums))
+
+
+@given(big_rows, st.integers(-(2**300), 2**300), st.integers(0, 400))
+@settings(max_examples=200, deadline=None)
+def test_shift_horner_matches_the_product_form(nums, a, k):
+    assert _homogeneous(nums, a, 2**k) == _product_form(nums, a, 2**k)
+    # the generic Horner on an odd b next to it, and b = 1
+    assert _homogeneous(nums, a, 2**k + 1) == _product_form(nums, a, 2**k + 1)
+    assert _homogeneous(nums, a, 1) == _product_form(nums, a, 1)
+
+
+@given(big_rows, st.integers(-(2**300), 2**300), st.integers(0, 400))
+@settings(max_examples=100, deadline=None)
+def test_poly_sign_at_dyadic_points_matches_the_exact_value(nums, a, k):
+    x = Fraction(a, 2**k)
+    value = sum(Fraction(n, 7) * x**j for j, n in enumerate(nums))
+    assert Poly([Fraction(n, 7) for n in nums]).sign_at(x) == (value > 0) - (value < 0)

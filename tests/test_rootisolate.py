@@ -173,6 +173,32 @@ def test_a_chain_with_a_nonconstant_gcd_counts_each_distinct_root_once():
     assert len(found) == 4
 
 
+# -- int endpoints are halved exactly ------------------------------------------
+
+def test_int_endpoints_give_fraction_intervals():
+    p = X * X - Poly([2])
+    found = list(isolate_roots(sturm_chain(p), -4, 4))
+    assert found == [(Fraction(-4), Fraction(0)), (Fraction(0), Fraction(4))]
+    assert all(type(end) is Fraction for interval in found for end in interval)
+
+
+def test_int_endpoints_isolate_four_roots_each_in_its_interval():
+    # (x^2 - 2)(x^2 - 3) needs a second split, which a float end cannot feed
+    # to the chain's exact evaluation
+    p = (X * X - Poly([2])) * (X * X - Poly([3]))
+    found = list(isolate_roots(sturm_chain(p), -4, 4))
+    assert len(found) == 4
+    for (lo, hi), root in zip(found, (-3, -2, 2, 3)):  # root: -sqrt(3), ..., sqrt(3)
+        assert type(lo) is Fraction and type(hi) is Fraction
+        assert _below_signed_sqrt(lo, root) and not _below_signed_sqrt(hi, root)
+
+
+def _below_signed_sqrt(x, root):
+    """x < sign(root) sqrt(|root|), exactly."""
+    q = abs(root)
+    return x < 0 and x * x > q if root < 0 else x < 0 or x * x < q
+
+
 ROOTS = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-60, 60), st.integers(1, 9)),

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import pytest
 
 from moyalbench.backend import Q
-from moyalbench.errors import DomainError
+from moyalbench.errors import AccuracyError, DomainError
 from moyalbench.tables import format_float, moments_table
 from moyalbench.uncertainty import (
     classical_moments,
@@ -140,6 +141,38 @@ def test_uncertainty_gap_away_from_zero_below_half():
     g4 = uncertainty_gap(Q(1, 4), 10000)
     assert abs(g3) > 0.05
     assert abs(g4) > abs(g3)  # the gap grows, it does not vanish
+
+
+def test_uncertainty_gap_keeps_its_bits_where_k_is_a_float():
+    # the values the gm-uncertainty-gap-asymptotics check reads
+    assert uncertainty_gap(Q(1, 4), 1000).hex() == "-0x1.722384f2ce144p+2"
+    assert uncertainty_gap(Q(1, 4), 10000).hex() == "-0x1.24cce200b0f17p+4"
+
+
+def _wide_gap(lam, k):
+    with mpmath.workdps(1000):  # k has up to 617 digits
+        lf = mpmath.mpf(lam.numerator) / lam.denominator
+        return lf * mpmath.sqrt(k + 1) - mpmath.sqrt(k * lf * (1 - lf))
+
+
+@pytest.mark.parametrize("k", [2**1024 - 1, 10**400, 2**2046], ids=["2^1024-1", "10^400", "2^2046"])
+@pytest.mark.parametrize("lam", [Q(1, 4), Q(1, 3), Q(49, 100), Q(1, 2)], ids=str)
+def test_uncertainty_gap_past_the_float_range_of_k(lam, k):
+    # about -0.183 sqrt(k) at lam = 1/4: -1.83e199 at k = 10^400; at lam = 1/2
+    # it is 1/(4 sqrt(k)) to within 1/k, 2.5e-201 at k = 10^400
+    true = _wide_gap(lam, k)
+    if abs(true) < 2.3e-308:  # below the normal floats: lam = 1/2, k = 2^2046
+        with pytest.raises(AccuracyError):
+            uncertainty_gap(lam, k)
+        return
+    assert abs(uncertainty_gap(lam, k) - true) <= 4e-16 * abs(true)
+
+
+@pytest.mark.parametrize("lam", [Q(1, 4), Q(1, 2)], ids=str)
+def test_uncertainty_gap_outside_the_float_range_is_an_accuracy_error(lam):
+    # at k = 10^700 about -1.8e349 and 2.5e-351
+    with pytest.raises(AccuracyError):
+        uncertainty_gap(lam, 10**700)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
