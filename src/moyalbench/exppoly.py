@@ -27,19 +27,19 @@ from .poly import Poly, _homogeneous, _row
 _ONE = _row([1], 1)
 
 
-def _decayed(num: int, den: int, rate, decay: float) -> float:
-    """num/den * exp(-rate) for ints num, den > 0 and an exact rational rate,
-    where decay = exp(-rate).
+def _decayed(num: int, den: int, rate) -> float:
+    """num/den * exp(-rate) for ints num, den > 0 and an exact rational rate.
 
-    The float product is used while decay is a normal float and num/den
-    converts (correctly rounded, whether or not num/den is in lowest terms);
-    otherwise the product is formed in mpmath's exponent range.
+    The float product is used while rate and num/den convert (correctly
+    rounded, whether or not num/den is in lowest terms) and exp(-rate) is a
+    normal float; otherwise the product is formed in mpmath's exponent range.
     """
-    if decay >= sys.float_info.min:
-        try:
+    try:
+        decay = math.exp(-float(rate))
+        if decay >= sys.float_info.min:
             return num / den * decay
-        except OverflowError:
-            pass
+    except OverflowError:
+        pass
     return _wide_decayed(num, den, rate)
 
 

@@ -201,17 +201,26 @@ def _denominator(lam_f: float, t: float) -> complex:
     return 1.0 - lam_f + lam_f * cmath.exp(-1j * t)
 
 
-def _finite_time(t: float) -> None:
+def _float_mu(mu, t: float = 0.0) -> float:
+    """float(mu) for a star exponential at time t or a level sum: a
+    non-finite t raises DomainError, and a mu that no float can hold
+    AccuracyError."""
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t}")
+    mu = Q(mu)
+    try:
+        return float(mu)
+    except OverflowError:
+        from mpmath import libmp
+        wide = libmp.to_str(libmp.from_rational(mu.numerator, mu.denominator, 20), 5)
+        raise AccuracyError(f"mu = {wide} exceeds the float range") from None
 
 
 def star_exp_closed(lam, mu, t: float) -> complex:
     """Closed-form exp_star(-iHt/hbar) at dimensionless energy mu; t is in
     units of 1/omega."""
     lam = as_lambda(lam)
-    _finite_time(t)
-    lam_f, mu_f = float(lam), float(Q(mu))
+    lam_f, mu_f = float(lam), _float_mu(mu, t)
     den = _denominator(lam_f, t)
     if abs(den) < 1e-12:
         raise PoleError(f"singular time: 1-lam+lam e^(-i omega t) = {den}")
@@ -224,7 +233,7 @@ def star_exp_closed(lam, mu, t: float) -> complex:
 
 def star_exp_normal_closed(mu, t: float) -> complex:
     """Normal-order special case, written independently: exp(mu(e^{-it}-1))."""
-    return cmath.exp(float(Q(mu)) * (cmath.exp(-1j * t) - 1.0))
+    return cmath.exp(_float_mu(mu, t) * (cmath.exp(-1j * t) - 1.0))
 
 
 def star_exp_series(lam, mu, t: float, terms: int) -> complex:
@@ -233,8 +242,7 @@ def star_exp_series(lam, mu, t: float, terms: int) -> complex:
     At lam = 1/2 the sum converges only conditionally."""
     lam = as_lambda(lam, hi=Q(1, 2), hi_open=False)
     nonneg_int("terms", terms)
-    _finite_time(t)
-    lam_f, mu_f = float(lam), float(Q(mu))
+    lam_f, mu_f = float(lam), _float_mu(mu, t)
     phase = cmath.exp(-1j * t)
     total = 0.0 + 0.0j
     if lam == 0:
@@ -268,10 +276,10 @@ def star_exp_gm_displayed(mu, t: float) -> complex:
     Matches the series only up to complex conjugation (a sign convention);
     kept for the discrepancy report.
     """
-    half = t / 2.0
+    mu_f, half = _float_mu(mu, t), t / 2.0
     if abs(math.cos(half)) < 1e-12:
         raise PoleError("singular time")
-    return (1.0 / math.cos(half)) * cmath.exp(2j * float(Q(mu)) * math.tan(half))
+    return (1.0 / math.cos(half)) * cmath.exp(2j * mu_f * math.tan(half))
 
 
 # -- radial evolution equation --------------------------------------------------
@@ -315,10 +323,9 @@ def partition_of_unity(lam, mu, tol: float = 1e-6, n_cap: int = 500) -> tuple:
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
     nonneg_int("n_cap", n_cap)
     rate = Q(mu) / (1 - lam)
-    decay = math.exp(-float(rate))
     best_gap = math.inf
     for n, (total, den) in zip(range(n_cap + 1), level_sums(lam, mu)):
-        gap = abs(_decayed(total, den, rate, decay) - 1.0)
+        gap = abs(_decayed(total, den, rate) - 1.0)
         best_gap = min(best_gap, gap)
         if gap < tol:
             return n, gap
@@ -336,11 +343,9 @@ def energy_identity_gap(lam, mu, n_terms: int) -> float:
     from .exppoly import _decayed
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=True)
     nonneg_int("n_terms", n_terms)
-    mu = Q(mu)
+    mu, mu_f = Q(mu), _float_mu(mu)
     total, den = next(islice(level_sums(lam, mu, weighted=True), n_terms, None))
-    rate = mu / (1 - lam)
-    decay = math.exp(-float(rate))
-    return abs(_decayed(total, den, rate, decay) - float(mu))
+    return abs(_decayed(total, den, mu / (1 - lam)) - mu_f)
 
 
 def projector_negative_witness(n: int, lam):

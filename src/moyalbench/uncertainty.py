@@ -92,6 +92,21 @@ def _variance_numerators(k: int, p: int, q: int):
     return k * p * (q - p), (k + 1) * p * p
 
 
+_FLOAT_END = (1 << 1024) - (1 << 970)  # the least magnitude that rounds to inf
+
+
+def _std_gap(qv: int, cv: int, q: int) -> float:
+    """(sqrt(cv) - sqrt(qv))/q for ints cv >= 1, qv >= 0, as the quotient
+    (cv - qv)/(q (sqrt(cv) + sqrt(qv))), which does not cancel."""
+    if qv == cv:
+        return 0.0
+    num = (cv - qv) << 64
+    den = q * (math.isqrt(cv << 128) + math.isqrt(qv << 128))
+    if abs(num) < den * _FLOAT_END and abs(v := num / den) >= sys.float_info.min:
+        return v
+    raise AccuracyError("the std gap is outside the normal floats")
+
+
 def selection_inequality(k: int, lam) -> SelectionVerdict:
     """Strict test  k lam (1-lam) < (k+1) lam^2, with boundary equality flagged."""
     nonneg_int("k", k)
@@ -183,45 +198,19 @@ class GMRow(NamedTuple):
 def gm_asymptotics(k_max: int) -> list:
     """Exact variance gap 1/4 at lam = 1/2, plus the shrinking std gap."""
     nonneg_int("k_max", k_max)
-    rows = []
-    for k in range(k_max + 1):
-        qv, cv = (Fraction(v, 4) for v in _variance_numerators(k, 1, 2))
-        rows.append(
-            GMRow(
-                k=k,
-                classical_variance=cv,
-                quantum_variance=qv,
-                variance_difference=cv - qv,
-                uncertainty_difference=(math.sqrt(k + 1) - math.sqrt(k)) / 2.0,
-            )
-        )
-    return rows
+    nums = (_variance_numerators(k, 1, 2) for k in range(k_max + 1))
+    return [GMRow(k, Fraction(cv, 4), Fraction(qv, 4), Fraction(cv - qv, 4), _std_gap(qv, cv, 2))
+            for k, (qv, cv) in enumerate(nums)]
 
 
 def uncertainty_gap(lam, k: int) -> float:
-    """classical std - quantum std at level-count parameter k (float).
-
-    Where k + 1 converts to a float the two roots are taken in floats.  Past
-    that, the gap is lam ((2 lam - 1) k + lam), exact, over lam sqrt(k + 1) +
-    sqrt(k lam (1 - lam)) = isqrt(k) (lam + sqrt(lam (1 - lam))) to within
-    2^-511 relative; a value outside the normal floats raises AccuracyError.
-    """
+    """classical std - quantum std at level-count parameter k, a float within
+    one ulp for every int k >= 0: with lam = p/q it is the quotient
+    (cv - qv)/(q (sqrt(cv) + sqrt(qv))) of cv = (k+1) p^2 and qv = k p (q-p),
+    roots as int floors at 64 guard bits, one rounding int division; exactly
+    0.0 at k = p/(q - 2p).  Past k = 2^2040 the gap can leave the normal
+    floats, which raises AccuracyError."""
     nonneg_int("k", k)
     lam = as_lambda(lam, lo_open=True, hi=Q(1, 2), hi_open=False)
-    lf = float(lam)
-    try:
-        return math.sqrt(lf * lf * (k + 1)) - math.sqrt(k * lf * (1 - lf))
-    except OverflowError:  # k + 1 >= 2^1024
-        pass
-    num = lam * ((2 * lam - 1) * k + lam)
-    if not num:
-        return 0.0
-    try:
-        v = float(num / math.isqrt(k)) / (lf + math.sqrt(lf * (1 - lf)))
-    except OverflowError:
-        v = math.inf
-    if not sys.float_info.min <= abs(v) < math.inf:
-        raise AccuracyError(
-            f"the uncertainty gap at a {k.bit_length()}-bit k is outside the float range"
-        )
-    return v
+    q = lam.denominator
+    return _std_gap(*_variance_numerators(k, lam.numerator, q), q)

@@ -225,6 +225,11 @@ def test_negative_size_is_an_error(capsys):
      "t must be finite, got nan\n"),
     (["starexp", "--lambda", "1/4", "--mu", "1", "--t=-inf", "--terms", "3"],
      "t must be finite, got -inf\n"),
+    # a mu that no float holds is a typed error, not a traceback
+    (["starexp", "--lambda", "1/4", "--mu", "1e400", "--t", "0.5"],
+     "mu = 1.0e+400 exceeds the float range\n"),
+    (["starexp", "--lambda", "0", "--mu", "1e400", "--t", "0.5"],
+     "mu = 1.0e+400 exceeds the float range\n"),
 ], ids=["weights-needs", "unknown-table", "fund-k-max", "fund-n-max",
         "float-prec", "pi-series", "starexp-t", "table-out", "verify-out",
         "lambda-zero-den", "mu-zero-den", "pi-mu-negative", "starexp-mu-negative",
@@ -235,7 +240,8 @@ def test_negative_size_is_an_error(capsys):
         "starexp-mu-negative-rational", "weights-lambda-negative-rational",
         "pi-mu-negative-exponent", "pi-mu-negative-malformed", "starexp-t-negative-inf",
         "starexp-t-negative-infinity", "starexp-t-negative-inf-upper",
-        "starexp-t-negative-nan", "starexp-t-equals-negative-inf"])
+        "starexp-t-negative-nan", "starexp-t-equals-negative-inf",
+        "starexp-mu-past-floats", "starexp-lambda-0-mu-past-floats"])
 def test_invalid_input_is_an_error_line(capsys, argv, message):
     try:
         code = main(argv)

@@ -269,6 +269,35 @@ def test_star_exponential_rejects_a_non_finite_time(t):
         star_exp_series(Q(1, 4), Q(1), t, 20)
 
 
+STAR_EXPONENTIALS = {
+    "closed": lambda mu, t: star_exp_closed(Q(1, 4), mu, t),
+    "closed-lam-0": lambda mu, t: star_exp_closed(0, mu, t),
+    "series": lambda mu, t: star_exp_series(Q(1, 4), mu, t, 20),
+    "series-lam-0": lambda mu, t: star_exp_series(0, mu, t, 20),
+    "normal-closed": star_exp_normal_closed,
+    "gm-displayed": star_exp_gm_displayed,
+}
+
+
+@pytest.mark.parametrize("star_exp", STAR_EXPONENTIALS.values(), ids=STAR_EXPONENTIALS)
+def test_star_exponential_at_a_mu_no_float_holds_is_an_accuracy_error(star_exp):
+    with pytest.raises(AccuracyError, match=r"^mu = 1\.0e\+400 exceeds the float range$"):
+        star_exp(Q(10**400), 0.5)
+    with pytest.raises(AccuracyError, match=r"^mu = 3\.3333e\+399 exceeds the float range$"):
+        star_exp(Q(10**400, 3), 0.5)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("star_exp", STAR_EXPONENTIALS.values(), ids=STAR_EXPONENTIALS)
+def test_every_star_exponential_rejects_a_non_finite_time(star_exp, t):
+    # at t = inf the normal-order form was nan+nanj and the displayed form a
+    # bare ValueError from math.cos
+    with pytest.raises(DomainError, match="t must be finite"):
+        star_exp(Q(1), t)
+    with pytest.raises(DomainError, match="t must be finite"):
+        star_exp(Q(10**400), t)
+
+
 def test_radial_pde_report():
     corrected_zero, displayed_zero = verify_radial_pde()
     assert corrected_zero
@@ -444,3 +473,20 @@ def test_level_sum_floats_match_the_fraction_reference(lam, mu, levels):
             partition_of_unity(lam, mu, tol=tol, n_cap=levels)
     if (mu, levels) == (Q(700), 300):
         assert energy_identity_gap(lam, mu, levels) == 700.0
+
+
+@pytest.mark.parametrize("mu", [Q(17 * 10**307), Q(10**400)], ids=["rate-past-floats", "mu-past-floats"])
+def test_level_sums_where_mu_or_the_rate_is_past_the_float_range(mu):
+    # exp(-rate) is far below the floats and the first levels hold none of the
+    # mass, so each partial sum times exp(-rate) reads 0
+    with pytest.raises(AccuracyError, match="partition of unity not within 1e-06 after 2 levels"):
+        partition_of_unity(Q(1, 4), mu, n_cap=2)
+    assert partition_of_unity(Q(1, 2), mu, n_cap=2) == (None, 1.0)
+
+
+def test_energy_identity_where_mu_or_the_rate_is_past_the_float_range():
+    # mu/(1 - lam) = 2.27e308 is past the floats while mu = 1.7e308 is not:
+    # the five levels hold none of the mass, so the gap is mu itself
+    assert energy_identity_gap(Q(1, 4), Q(17 * 10**307), 5) == 1.7e308
+    with pytest.raises(AccuracyError, match=r"^mu = 1\.0e\+400 exceeds the float range$"):
+        energy_identity_gap(Q(1, 4), Q(10**400), 5)

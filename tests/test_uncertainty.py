@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from moyalbench.backend import Q
 from moyalbench.errors import AccuracyError, DomainError
@@ -173,6 +174,57 @@ def test_uncertainty_gap_outside_the_float_range_is_an_accuracy_error(lam):
     # at k = 10^700 about -1.8e349 and 2.5e-351
     with pytest.raises(AccuracyError):
         uncertainty_gap(lam, 10**700)
+
+
+def _outside_the_normal_floats(true) -> bool:
+    # below 2^-1022, or at or above the least magnitude that rounds to inf
+    return not 2.0 ** -1022 <= abs(true) < 2 ** 1024 - 2 ** 970
+
+
+def _within_one_ulp(value: float, true) -> bool:
+    with mpmath.workdps(1000):
+        return abs(mpmath.mpf(value) - true) <= math.ulp(float(true))
+
+
+@pytest.mark.parametrize("k", [10**12, 10**17], ids=["10^12", "10^17"])
+def test_uncertainty_gap_near_the_gm_point_keeps_its_digits(k):
+    # two float roots cancel here: 2.500019e-07 at k = 10^12 and 0.0 at
+    # 10^17, where the gap is about 1/(4 sqrt(k)), 7.9e-10
+    gap = uncertainty_gap(Q(1, 2), k)
+    assert gap > 0
+    assert _within_one_ulp(gap, _wide_gap(Q(1, 2), k))
+
+
+lambdas_up_to_64 = st.integers(2, 64).flatmap(
+    lambda q: st.integers(1, q // 2).map(lambda p: Q(p, q)))
+log_uniform_k = st.integers(0, 2100).flatmap(
+    lambda bits: st.integers((1 << bits) >> 1, 1 << bits))
+
+
+@given(lambdas_up_to_64, log_uniform_k)
+@example(Q(1, 3), 1)  # the boundary k = p/(q - 2p)
+@example(Q(2, 5), 2)
+@example(Q(1, 2), 2**2046)  # 2.5e-309, subnormal
+@example(Q(1, 64), 2**2100)  # about -1.5e315
+@settings(max_examples=200)
+def test_uncertainty_gap_is_within_one_ulp_or_an_accuracy_error(lam, k):
+    if (lam.denominator - 2 * lam.numerator) * k == lam.numerator:
+        assert uncertainty_gap(lam, k) == 0.0  # equal variances, k = p/(q - 2p)
+        return
+    true = _wide_gap(lam, k)
+    if _outside_the_normal_floats(true):
+        with pytest.raises(AccuracyError):
+            uncertainty_gap(lam, k)
+    else:
+        assert _within_one_ulp(uncertainty_gap(lam, k), true)
+
+
+def test_gm_rows_are_within_one_ulp_of_the_std_gap():
+    # the float formula (sqrt(k + 1) - sqrt(k))/2 was up to 233 ulps off here
+    for k, row in enumerate(gm_asymptotics(200)):
+        with mpmath.workdps(50):
+            true = (mpmath.sqrt(k + 1) - mpmath.sqrt(k)) / 2
+        assert _within_one_ulp(row.uncertainty_difference, true)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
