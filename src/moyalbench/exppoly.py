@@ -45,16 +45,32 @@ def _decayed(num: int, den: int, rate) -> float:
 
 def _wide_decayed(num: int, den: int, rate) -> float:
     """num/den * exp(-rate) formed in mpmath's exponent range, with guard
-    bits for the size of rate; a value no float can hold raises
-    AccuracyError instead of turning into 0 or inf."""
+    bits for the size of rate (see _wide_exp).  A value past the largest
+    float raises AccuracyError; one below the floats rounds as to_float
+    rounds it, to a subnormal or to a signed 0.0 (e^-800 gives 0.0).  A
+    value that bit lengths alone put under 2^-1076 is that 0.0 without the
+    product, which at a huge rate divides ints of a million bits."""
     from mpmath import libmp
-    prec = 64 + (rate.numerator // rate.denominator).bit_length()
-    scale = libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
+    prec, scale = _wide_exp(rate)
+    _, _, exp, bc = scale  # exp(-rate) < 2^(exp + bc)
+    if num.bit_length() - den.bit_length() + 1 + exp + bc <= -1076:
+        return -0.0 if num < 0 else 0.0
     v = libmp.mpf_mul(libmp.from_rational(num, den, prec), scale, prec)
     out = libmp.to_float(v)
     if not math.isfinite(out):
         raise AccuracyError(f"{libmp.to_str(v, 5)} exceeds the float range")
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _wide_exp(rate):
+    """(prec, exp(-rate) at prec bits), prec = 64 + the bits of rate's int
+    part.  Kept for the last few rates: partition_of_unity asks one rate at
+    every level, and at an integer rate past 2^536 mpmath's exp takes a
+    power path about 100 times slower than at a non-integer one."""
+    from mpmath import libmp
+    prec = 64 + (rate.numerator // rate.denominator).bit_length()
+    return prec, libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
 
 
 def _bound_signs(n0: int, parts, prec: int):

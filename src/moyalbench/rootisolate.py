@@ -7,34 +7,62 @@ at roots of odd multiplicity; a witness where it is negative comes from
 bisecting toward the first positive such root until a sample lands on the
 negative side.  No floats anywhere.
 
+A chain carries the steps of its remainder recurrence,
+qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1) with kappa_i > 0, read off the
+divisions that built it.  An evaluation at a/b runs Horner on c_0, c_1 and
+the quotients of degree > 1 only; every later row's value follows from the two
+before it by one exact int division.
+
 One remainder sequence serves a squarefree polynomial: its Sturm chain ends
 in a constant, so it is its own odd-multiplicity part and that chain is the
 one to bisect with; Yun's squarefree decomposition runs only when the chain
-ends in a nonconstant gcd.  The bisection evaluates the chain only where the
-count can differ from one already known: V(0) is read from the constant
-terms, and at every point from a dyadic Fujiwara bound U on the root moduli
-upward, V is V(+inf), read from the leading coefficients.
+ends in a nonconstant gcd.  The bisection runs on int coordinates j/2^k of
+its interval and evaluates the chain only where the count can differ from one
+already known: V(0) is read from the constant terms, and at every point from
+a dyadic Fujiwara bound U on the root moduli upward, V is V(+inf), read from
+the leading coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .backend import Q, ZERO
 from .errors import AccuracyError
-from .poly import Poly, divmod_poly, poly_gcd
+from .poly import Poly, _homogeneous, _row, divmod_poly, poly_gcd
+
+
+class _Chain(list):
+    """Sturm chain rows c_0, c_1, ... with the steps of their recurrence:
+    step i (from 1) is (q_i, qd_i, kappa_i, d_(i-1) - d_(i+1)), the int
+    quotient row q_i over qd_i > 0 of c_(i-1) by c_i and the int kappa_i > 0,
+    with qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1)."""
+    __slots__ = ("steps",)
+
+    def __init__(self, rows, steps):
+        super().__init__(rows)
+        self.steps = steps
 
 
 def sturm_chain(p: Poly):
     """The Sturm chain of p as primitive int rows, each a positive multiple
-    of the rational element p, p', -rem(p, p'), ..."""
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, r = divmod_poly(chain[-2], chain[-1])
+    of the rational element p, p', -rem(p, p'), ..., with its steps.
+
+    divmod_poly gives c_(i-1) = (q_i/qd_i) c_i + r/rd; the next row is
+    c_(i+1) = -r/g, g = gcd(r), so kappa_i = qd_i g / rd.  That is an int:
+    from m c_(i-1) = Q c_i + R, q_i/qd_i = Q/m and r/rd = R/m in lowest
+    terms, kappa_i = gcd(R) / gcd(m, gcd(Q)), and what divides both m and Q
+    divides R."""
+    rows, steps = [p.primitive(), p.derivative().primitive()], []
+    while not rows[-1].is_zero and rows[-1].degree > 0:
+        q, r = divmod_poly(rows[-2], rows[-1])
         if r.is_zero:
             break
-        chain.append(-r.primitive())
-    return [q for q in chain if not q.is_zero]
+        g = math.gcd(*r.nums)
+        rows.append(_row([n // -g for n in r.nums], 1))
+        steps.append((q.nums, q.den, q.den * g // r.den, rows[-3].degree - rows[-1].degree))
+    return _Chain([row for row in rows if not row.is_zero], steps)
 
 
 def _sign_changes(values):
@@ -42,8 +70,25 @@ def _sign_changes(values):
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
+def _chain_values(chain, x):
+    """[H_j]: H_j = b^(d_j) c_j(a/b), an int, for x = (a, b), the point a/b
+    with b > 0.  Horner gives H_0 and H_1; each step then gives
+    H_(i+1) = (Q_i H_i - qd_i H_(i-1)) / (kappa_i b^(d_(i-1) - d_(i+1))),
+    Q_i = b^(deg q_i) q_i(a/b), a division with no remainder."""
+    a, b = x
+    values = [_homogeneous(q.nums, a, b) for q in chain[:2]]
+    if chain.steps:
+        h0, h1 = values
+        for q, qd, kappa, s in chain.steps:
+            hq = q[1] * a + q[0] * b if len(q) == 2 else _homogeneous(q, a, b)
+            h0, h1 = h1, (hq * h1 - qd * h0) // (kappa * b ** s)
+            values.append(h1)
+    return values
+
+
 def _variations(chain, x):
-    return _sign_changes([q.sign_at(x) for q in chain])
+    """Sign changes of the chain at x = (a, b), the point a/b with b > 0."""
+    return _sign_changes(_chain_values(chain, x))
 
 
 def _distinct_roots_chain(chain):
@@ -51,11 +96,12 @@ def _distinct_roots_chain(chain):
     not constant.  At a root of g every row vanishes, so the chain itself
     reads no sign change there; the quotients are a Sturm sequence of the
     squarefree part p/g, whose sign changes count each distinct root of p
-    once.  A chain ending in a constant comes back as it is."""
+    once.  A chain ending in a constant comes back as it is.  By Gauss's
+    lemma each quotient is the int row c_j/g, so the steps carry over."""
     g = chain[-1]
     if g.degree <= 0:
         return chain
-    return [divmod_poly(q, g)[0].primitive() for q in chain]
+    return _Chain([divmod_poly(q, g)[0].primitive() for q in chain], chain.steps)
 
 
 def count_roots(p: Poly, a, b) -> int:
@@ -63,7 +109,8 @@ def count_roots(p: Poly, a, b) -> int:
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
     chain = _distinct_roots_chain(sturm_chain(p))
-    return _variations(chain, a) - _variations(chain, b)
+    return (_variations(chain, (a.numerator, a.denominator))
+            - _variations(chain, (b.numerator, b.denominator)))
 
 
 def cauchy_bound(p: Poly):
@@ -124,34 +171,45 @@ def isolate_roots(chain, lo, hi):
     that its polynomial is squarefree; a chain that ends in a nonconstant
     gcd is first divided through by it (see _distinct_roots_chain).
 
+    The bisection runs on ints: the point at coordinate j/2^k of (lo, hi]
+    is (n_lo 2^k + j w) / (m 2^k), lo = n_lo/m and hi = (n_lo + w)/m, and a
+    Fraction is built only for the ends of an interval that is yielded.
     V(x), the sign changes of the chain at x, is read without evaluating the
     chain where it is known: at x = 0 from the constant terms, and at
     x >= U, the dyadic bound on the root moduli of chain[0], from the leading
     coefficients, since V(x) - V(+inf) counts the roots in (x, inf)."""
     chain = _distinct_roots_chain(chain)
     top = _dyadic_root_bound(chain[0])
+    tn, td = top.numerator, top.denominator
     v_inf = _sign_changes([q.nums[-1] for q in chain])
+    lo, hi = Q(lo), Q(hi)
+    m = math.lcm(lo.denominator, hi.denominator)
+    base = lo.numerator * (m // lo.denominator)
+    w = hi.numerator * (m // hi.denominator) - base
 
-    def variations(x):
-        if x >= top:
+    def point(j, k):
+        return (base << k) + j * w, m << k
+
+    def variations(j, k):
+        a, b = point(j, k)
+        if a * td >= tn * b:
             return v_inf
-        if not x:
+        if not a:
             return _sign_changes([q.nums[0] for q in chain])
-        return _variations(chain, x)
+        return _variations(chain, (a, b))
 
-    lo, hi = Q(lo), Q(hi)  # int ends would halve into floats
-    stack = [(lo, hi, variations(lo), variations(hi))]
+    stack = [(0, 0, variations(0, 0), variations(1, 0))]
     while stack:
-        a, b, va, vb = stack.pop()
+        j, k, va, vb = stack.pop()
         if va == vb:
             continue
         if va - vb == 1:
-            yield a, b
+            yield Fraction(*point(j, k)), Fraction(*point(j + 1, k))
             continue
-        mid = (a + b) / 2
-        vm = variations(mid)
-        stack.append((mid, b, vm, vb))
-        stack.append((a, mid, va, vm))
+        j, k = 2 * j, k + 1
+        vm = variations(j + 1, k)
+        stack.append((j + 1, k, vm, vb))
+        stack.append((j, k, va, vm))
 
 
 _MAX_BISECTIONS = 256
@@ -159,13 +217,18 @@ _MAX_BISECTIONS = 256
 
 def _negative_sample_near(p: Poly, chain, a, b):
     """p changes sign at the single root of the chain's polynomial inside
-    (a, b]; return a rational point where p < 0 by shrinking the bracket."""
+    (a, b]; return a rational point where p < 0 by shrinking the bracket.
+    V(a) is read once, in the first round that bisects: a moves only to a
+    midpoint with V(mid) = V(a), so a round evaluates the chain once."""
+    va = None
     for _ in range(_MAX_BISECTIONS):
         mid = (a + b) / 2
         for x in (a, b, b + (b - a), mid):
             if p.sign_at(x) < 0:
                 return x
-        if _variations(chain, a) > _variations(chain, mid):
+        if va is None:
+            va = _variations(chain, (a.numerator, a.denominator))
+        if va > _variations(chain, (mid.numerator, mid.denominator)):
             b = mid
         else:
             a = mid

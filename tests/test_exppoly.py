@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moyalbench.backend import Q
 from moyalbench.errors import IntegrabilityError
-from moyalbench.exppoly import ExpPoly, exp_integral, mu_times
+from moyalbench.exppoly import ExpPoly, _wide_decayed, exp_integral, mu_times
 from moyalbench.poly import Poly
 
 coeff = st.integers(-5, 5).map(Q)
@@ -203,3 +204,21 @@ def test_subnormal_exp_keeps_the_digits_of_the_term():
         ref = mpmath.mpf(c.numerator) / c.denominator * mpmath.exp(-mpmath.mpf(e.numerator) / e.denominator)
         assert form(mu) == float(ref)
     assert f"{form(mu):.11e}" == "1.83782170856e-26"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("rate", [Q(1000), Q(3001, 3)])
+def test_wide_decay_at_the_bottom_of_the_floats(rate, sign):
+    # num e^-rate = 1.3 * 2^bits from 2^-1080 to 2^-1070, clear of the ties
+    # between subnormals: a signed 0.0 below 2^-1075, half the least
+    # subnormal, and within one subnormal of the value above it
+    with mpmath.workprec(600):
+        decay = mpmath.exp(-mpmath.mpf(rate.numerator) / rate.denominator)
+        for bits in range(-1080, -1069):
+            num = sign * int(mpmath.floor(mpmath.ldexp(1.3, bits) / decay))
+            value = num * decay
+            out = _wide_decayed(num, 1, rate)
+            if abs(value) < mpmath.ldexp(1, -1075):
+                assert out == 0.0 and math.copysign(1.0, out) == sign
+            else:
+                assert out != 0.0 and abs(out - value) <= mpmath.ldexp(1, -1074)

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from moyalbench import rootisolate
 from moyalbench.laguerre import laguerre
-from moyalbench.poly import Poly
+from moyalbench.poly import Poly, _homogeneous
 from moyalbench.rootisolate import (
     _dyadic_root_bound,
     cauchy_bound,
@@ -257,3 +257,127 @@ def test_repeated_roots_are_counted_and_isolated_once_each(case, data):
         found = list(isolate_roots(sturm_chain(p), -bound, bound))
     assert len(found) == len(roots)
     assert all(lo < r <= hi for (lo, hi), r in zip(found, roots))
+
+
+# -- the chain's remainder recurrence ------------------------------------------
+
+@st.composite
+def recurrence_chains(draw):
+    """A Sturm chain with its steps: of a hard int polynomial, of x^4 + c (a
+    degree drop of 4), of x^5 - x + c (a drop of 3 and a cubic quotient), or
+    of a factored polynomial, then divided through its gcd row or not."""
+    kind = draw(st.sampled_from(("hard", "x^4 + c", "x^5 - x + c", "factored")))
+    c = draw(st.one_of(st.integers(-9, 9), huge).filter(bool))
+    if kind == "hard":
+        p = draw(hard_int_polys())
+    elif kind == "x^4 + c":
+        p = Poly([c, 0, 0, 0, draw(st.sampled_from((1, -1, 3)))])
+    elif kind == "x^5 - x + c":
+        p = Poly([c, -1, 0, 0, 0, 1])
+    else:
+        p, _ = draw(factored_polys())
+    chain = sturm_chain(p)
+    if draw(st.booleans()):
+        chain = rootisolate._distinct_roots_chain(chain)
+    return chain
+
+
+def _linear_row_roots(chain):
+    """(a, b), b > 0, for the root -v/u of every row u x + v: points where a
+    row vanishes, a middle one where the row is not the last."""
+    return [(-v, u) if u > 0 else (v, -u) for v, u in (row.nums for row in chain if row.degree == 1)]
+
+
+@given(recurrence_chains(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_recurrence_gives_every_row_its_value(chain, data):
+    dyadic = st.tuples(st.one_of(st.integers(-9, 9), huge), st.integers(0, 90).map(lambda k: 2**k))
+    other = st.tuples(st.one_of(st.integers(-9, 9), huge), st.integers(1, 2**70))
+    points = data.draw(st.lists(st.one_of(dyadic, other), min_size=1, max_size=4))
+    points += _linear_row_roots(chain)
+    scale = data.draw(st.sampled_from((1, 3, 2**5)))  # unreduced points too
+    for a, b in points:
+        values = rootisolate._chain_values(chain, (a * scale, b * scale))
+        x = Fraction(a, b)
+        assert [(v > 0) - (v < 0) for v in values] == [row.sign_at(x) for row in chain]
+        assert values == [_homogeneous(row.nums, a * scale, b * scale) for row in chain]
+
+
+def test_the_recurrence_reads_a_vanishing_middle_row():
+    # x^3 - 3x + 1: rows x^3 - 3x + 1, x^2 - 1, 2x - 1, 1; x = +-1 zero the
+    # second row, x = 1/2 the third, and neither is a root of p
+    p = Poly([1, -3, 0, 1])
+    chain = sturm_chain(p)
+    assert [row.nums for row in chain] == [(1, -3, 0, 1), (-1, 0, 1), (-1, 2), (1,)]
+    for x, zero in ((Fraction(-1), 1), (Fraction(1, 2), 2), (Fraction(1), 1)):
+        values = rootisolate._chain_values(chain, (x.numerator, x.denominator))
+        assert [j for j, v in enumerate(values) if not v] == [zero]
+        assert [(v > 0) - (v < 0) for v in values] == [row.sign_at(x) for row in chain]
+    assert count_roots(p, -2, 2) == 3
+
+
+def test_a_constant_has_one_row_and_no_steps():
+    chain = sturm_chain(Poly([-6]))
+    assert [row.nums for row in chain] == [(-1,)] and chain.steps == []
+    assert rootisolate._chain_values(chain, (5, 3)) == [-1]
+    assert count_roots(Poly([-6]), -1, 1) == 0
+
+
+def test_a_linear_polynomial_has_two_rows_and_no_steps():
+    p = Poly([-4, 6])  # 6x - 4, a root at 2/3
+    chain = sturm_chain(p)
+    assert [row.nums for row in chain] == [(-2, 3), (1,)] and chain.steps == []
+    assert rootisolate._chain_values(chain, (5, 7)) == [3 * 5 - 2 * 7, 1]
+    assert count_roots(p, 0, Fraction(2, 3)) == 1
+    assert count_roots(p, Fraction(2, 3), 1) == 0
+    assert list(isolate_roots(chain, 0, 1)) == [(Fraction(0), Fraction(1))]
+
+
+@pytest.fixture
+def horner_rows(monkeypatch):
+    lengths = []
+    homogeneous = rootisolate._homogeneous
+
+    def spy(nums, a, b):
+        lengths.append(len(nums))
+        return homogeneous(nums, a, b)
+
+    monkeypatch.setattr(rootisolate, "_homogeneous", spy)
+    return lengths
+
+
+def test_one_chain_evaluation_runs_horner_on_two_rows(horner_rows):
+    (_, p), = projector_closed(20, Fraction(7, 47)).form.terms.items()
+    chain = sturm_chain(p)
+    assert len(chain) == 21
+    assert all(len(q) == 2 for q, *_ in chain.steps)  # every quotient is linear
+    x = Fraction(3, 7) * cauchy_bound(p)
+    v = rootisolate._variations(chain, (x.numerator, x.denominator))
+    assert horner_rows == [21, 20]  # c_0 and c_1, and no other row
+    assert v == rootisolate._sign_changes([row.sign_at(x) for row in chain])
+
+
+def test_a_quotient_of_degree_three_is_the_one_more_horner_run(horner_rows):
+    chain = sturm_chain(Poly([1, -1, 0, 0, 0, 1]))  # x^5 - x + 1
+    assert [row.degree for row in chain] == [5, 4, 1, 0]
+    rootisolate._variations(chain, (-5, 4))
+    assert horner_rows == [6, 5, 4]  # c_0, c_1 and the cubic quotient of c_1 by c_2
+
+
+def test_the_witness_search_evaluates_no_point_twice():
+    # p < 0 only on (1, 1 + 2^-20): from (0, 1] the search moves its left end
+    # up 21 times before 2b - a lands there; V(0) is read once, and V(mid)
+    # once a round
+    p = Poly([-1, 1]) * Poly([-1 - Fraction(1, 2**20), 1])
+    points = []
+    variations = rootisolate._variations
+
+    def spy(chain, x):
+        points.append(x)
+        return variations(chain, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootisolate, "_variations", spy)
+        witness = rootisolate._negative_sample_near(p, sturm_chain(p), Fraction(0), Fraction(1))
+    assert witness == Fraction(2**21 + 1, 2**21) and p.sign_at(witness) < 0
+    assert len(points) == 22 and len(set(points)) == 22

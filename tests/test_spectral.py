@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import time
 import warnings
 
 import mpmath
@@ -13,7 +14,7 @@ from moyalbench.errors import (
     DomainError,
     PoleError,
 )
-from moyalbench.exppoly import ExpPoly, exp_integral
+from moyalbench.exppoly import ExpPoly, _wide_exp, exp_integral
 from moyalbench.laguerre import laguerre
 from moyalbench.phase import PhasePoly, hamiltonian, star
 from moyalbench.poly import Poly
@@ -482,6 +483,16 @@ def test_level_sums_where_mu_or_the_rate_is_past_the_float_range(mu):
     with pytest.raises(AccuracyError, match="partition of unity not within 1e-06 after 2 levels"):
         partition_of_unity(Q(1, 4), mu, n_cap=2)
     assert partition_of_unity(Q(1, 2), mu, n_cap=2) == (None, 1.0)
+
+
+def test_gm_partition_at_an_integer_rate_past_the_floats_is_quick():
+    # the rate 2 10^400 is an int, where mpmath's exp takes a power path about
+    # 100 times slower than at a fraction: the 500 levels must not pay it each,
+    # nor divide their million-bit sums to learn that they read 0
+    _wide_exp.cache_clear()
+    start = time.process_time()
+    assert partition_of_unity(Q(1, 2), Q(10**400), n_cap=500) == (None, 1.0)
+    assert time.process_time() - start < 1.0
 
 
 def test_energy_identity_where_mu_or_the_rate_is_past_the_float_range():
