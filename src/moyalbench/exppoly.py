@@ -73,48 +73,93 @@ def _wide_exp(rate):
     return prec, libmp.mpf_exp(libmp.from_rational(-rate.numerator, rate.denominator, prec), prec)
 
 
+@functools.lru_cache(maxsize=64)
+def _exp_prefix(h: int, cls: int):
+    """(lo, e): exp(h 2^-64) lies in [lo 2^e, (lo + 3) 2^e], 2^(cls - 2) <
+    lo < 2^cls, from one exp rounded down at cls bits.  mpmath rounds an
+    approximation carried with 14 guard bits, which can lie a hair to either
+    side of the value, so the rounded M 2^e gives lo = M - 1 and lo + 3.
+    Kept per (h, cls): past its first steps a bisection's exponents share
+    their leading 64 fractional bits, and a class lasts it 64 steps.  Only
+    a miss imports mpmath."""
+    from mpmath import libmp
+    _, man, e, bc = libmp.mpf_exp(libmp.from_man_exp(h, -64), cls, "f")
+    return (man << (cls - bc)) - 1, e - (cls - bc)
+
+
+def _cut_exp(q: int, prec: int):
+    """(lo, hi, e): exp(x) lies in [lo 2^e, hi 2^e] for every x in
+    [q 2^-s, (q + 1) 2^-s], s = prec + 8, q < 0, and hi - lo is a small int,
+    under an ulp at prec bits.
+
+    q splits as h 2^(s - 64) + l, 0 <= l < 2^(s - 64) (l = 0 when s <= 64),
+    so exp(q 2^-s) = exp(h 2^-64) exp(l 2^-s), the second under exp(2^-64).
+    The first is _exp_prefix's [p, p + 3] at the class cls, the least
+    multiple of 64 at least prec + 16, so its rounding lies 16 bits under
+    the ulp.  The second is a Taylor sum on ints started at p, each term
+    floored from the one before: the sum lo is a lower bound, each of its j
+    terms lies under its true value by less than a unit and a hair, and the
+    terms left out add less than a hair, so p exp(l 2^-s) < lo + j + 1.  The
+    prefix's upper end p + 3 adds under 4 units, and the cut factor
+    exp(2^-s) < 1 + 2^-s + 2^-2s takes v = lo + j + 5 to under
+    v + (v >> s) + (v >> 2s) + 2."""
+    s = prec + 8
+    cut = s - 64
+    if cut > 0:
+        h, l = q >> cut, q & ((1 << cut) - 1)
+    else:
+        h, l = q << -cut, 0
+    lo, e = _exp_prefix(h, (prec + 79) & -64)
+    term = lo
+    j = 0
+    while term:
+        j += 1
+        term = (term * l >> s) // j
+        lo += term
+    v = lo + j + 5
+    return lo, v + (v >> s) + (v >> 2 * s) + 2, e
+
+
 def _bound_signs(n0: int, parts, prec: int):
     """Signs of a lower and an upper bound of n0 + sum n exp(num/den) over
     parts, on ints, for exponents num/den < 0.
 
-    Each exponent is cut by one int division to s = prec + 8 fractional bits,
-    q = floor(num 2^s / den), and one exp, exp(q 2^-s) rounded down at prec
-    bits, is rescaled to M 2^e with M exactly prec bits long.  Then
-    exp(num/den) lies in [M 2^e, (M + 2) 2^e]: one ulp, and a little more,
-    covers the rounding (mpmath rounds an approximation carried with 14
-    guard bits, so M can lie a hair over one ulp below exp(q 2^-s)), and
-    exp(2^-s) - 1 < 2^-7 ulp covers the cut.  The lower bound and
-    the width, sum 2|n| 2^e, are summed in one pass; the upper bound is their
-    sum.  A part whose larger end, under |n| 2^(prec + 1 + e), lies below
-    2^floor, 2*prec bits under the largest, counts as -2^floor and widens the
-    sum by 2^(floor + 1), so no shift grows with the exponents' spread."""
-    import mpmath.libmp as libmp
+    Each exponent is cut by one int division to s = prec + 8 fractional
+    bits, q = floor(num 2^s / den), and _cut_exp brackets exp over [q 2^-s,
+    (q + 1) 2^-s] as [lo 2^e, hi 2^e]: the cached prefix's bracket times a
+    Taylor tail's, whose width hi - lo is a small int.  The lower bound, sum
+    n lo 2^e for n > 0 and n hi 2^e for n < 0, and the width, sum |n| (hi -
+    lo) 2^e, are summed in one pass; the upper bound is their sum.  A part
+    whose larger end |n| hi 2^e lies below 2^floor, 2*prec bits under the
+    largest, counts as -2^floor and widens the sum by 2^(floor + 1), so no
+    shift grows with the exponents' spread."""
     s = prec + 8
     ends = []
     top = n0.bit_length()
     for n, num, den in parts:
-        _, man, e, bc = libmp.mpf_exp(libmp.from_man_exp((num << s) // den, -s), prec, "f")
-        size = n.bit_length() + bc + 1 + e  # bits of |n| 2^(prec + 1 + e), e rescaled
-        ends.append((n, man << (prec - bc), e + bc - prec, size))
+        lo, hi, e = _cut_exp((num << s) // den, prec)
+        size = n.bit_length() + hi.bit_length() + e  # |n| hi 2^e < 2^size
         if size > top:
             top = size
+        ends.append((n * (lo if n > 0 else hi), abs(n) * (hi - lo), e, size))
     floor = top - 2 * prec
-    base = min([floor, 0] + [e for _, _, e, size in ends if size > floor])
-    dropped = 0
+    base = min(floor, 0)
+    for _, _, e, size in ends:
+        if size > floor and e < base:
+            base = e
     if n0.bit_length() > floor:
-        low = n0 << -base
+        low, dropped = n0 << -base, 0
     else:
         low, dropped = 0, 1
     wide = 0
-    for n, man, e, size in ends:
+    for end, wid, e, size in ends:
         if size > floor:
-            m = abs(n) << (e - base)
-            low += (n * (man + 1) << (e - base)) - m
-            wide += m
+            low += end << (e - base)
+            wide += wid << (e - base)
         else:
             dropped += 1
     low -= dropped << (floor - base)
-    high = low + 2 * (wide + (dropped << (floor - base)))
+    high = low + wide + (dropped << (floor + 1 - base))
     return (low > 0) - (low < 0), (high > 0) - (high < 0)
 
 
@@ -242,11 +287,17 @@ class ExpPoly:
         polynomial factor vanishes at mu.  Otherwise the parts, exact ints
         over one denominator, are divided by exp(-r0*mu) > 0, r0 the slowest
         rate whose part is nonzero at mu: that part is the exact int n0, and
-        each other exponent -(r - r0)*a/b < 0 is formed on ints.  The sum is
-        bracketed with one exp per other part, rounded down, which bounds it
-        from both sides (see _bound_signs), until a bound decides the sign.
-        A point a/b can lie within about 2^-bits(b) of a root, so the bounds
-        start at 64 + bits(b) bits and double up to max(4096, 4 * start).
+        each other exponent -(r - r0)*a/b < 0 is formed on ints.  Each other
+        part's exp is bracketed under an ulp wide: a cached exp of the cut
+        exponent's leading 64 fractional bits, whose bracket holds mpmath's
+        rounding, times a short Taylor sum of the rest on ints, whose bracket
+        holds the floors and the cut (see _cut_exp).  The brackets bound the
+        sum from both sides (see _bound_signs) until a bound decides the
+        sign.  A point a/b can lie within about 2^-bits(b) of a root, so the
+        bounds start at 64 + bits(b) bits and double up to max(4096, 4 *
+        start); a bisection's exponents share their leading bits after its
+        first steps, so it asks mpmath for an exp about once per 64-bit
+        prefix and class, not once per point.
 
         What no point changes is built on the first multi-rate call and
         kept in the _plan slot (see _sign_plan): the rows over one

@@ -1,12 +1,16 @@
 """Exact signs of mixed-rate exponential polynomials against the interval oracle.
 
 ``ExpPoly.sign_at`` forms the exact parts on ints over one denominator and
-bounds each exp(-r*mu) with directed rounding, starting at the precision the
-argument's denominator calls for.  ``test_poly_kernel.ref_sign_at`` is the
-method it replaced: Fraction parts and mpmath interval arithmetic on the
-fixed 64...4096-bit ladder.  Every sign here must agree with it.  The
-near-cancelling cases put the value below the rounding error of the lower
-rungs, so bounds rounded the wrong way for a negative part give a wrong sign.
+brackets each exp(-r*mu), starting at the precision the argument's
+denominator calls for: the exponent is cut to a dyadic rational, and its exp
+is a cached exp of the cut's leading 64 fractional bits, rounded down by
+mpmath, times a short Taylor sum of the rest on ints.
+``test_poly_kernel.ref_sign_at`` is the method it replaced: Fraction parts
+and mpmath interval arithmetic on the fixed 64...4096-bit ladder.  Every sign
+here must agree with it.  The near-cancelling cases put the value below the
+rounding error of the lower rungs, so bounds rounded the wrong way for a
+negative part give a wrong sign.  The brackets themselves are measured
+against 4096-bit and wider mpmath values, from a cold and a warm cache.
 """
 
 from fractions import Fraction
@@ -14,6 +18,7 @@ from random import Random
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moyalbench.exppoly import ExpPoly
 from moyalbench.poly import Poly
@@ -353,57 +358,193 @@ def test_bound_signs_keep_a_part_whose_upper_end_alone_reaches_the_floor(prec, s
 
 
 def _counting(monkeypatch):
-    """Wrap _bound_signs, mpf_exp and from_rational: [(parts, exps), ...] per
-    precision level, and the from_rational calls."""
+    """Clear the prefix cache and wrap _bound_signs, _cut_exp, mpf_exp and
+    from_rational: [(parts, prec, brackets), ...] per precision level, the
+    mpmath exps, and the from_rational calls."""
     from mpmath import libmp
 
     from moyalbench import exppoly
 
-    calls, rationals, exps = [], [], []
-    bounds, exp, from_rational = exppoly._bound_signs, libmp.mpf_exp, libmp.from_rational
+    calls, brackets, exps, rationals = [], [], [], []
+    bounds, cut_exp = exppoly._bound_signs, exppoly._cut_exp
+    exp, from_rational = libmp.mpf_exp, libmp.from_rational
 
     def counted_bounds(n0, parts, prec):
-        before = len(exps)
+        before = len(brackets)
         out = bounds(n0, parts, prec)
-        calls.append((parts, len(exps) - before))
+        calls.append((parts, prec, len(brackets) - before))
         return out
 
     monkeypatch.setattr(exppoly, "_bound_signs", counted_bounds)
+    monkeypatch.setattr(exppoly, "_cut_exp", lambda *a: brackets.append(1) or cut_exp(*a))
     monkeypatch.setattr(libmp, "mpf_exp", lambda *a, **k: exps.append(1) or exp(*a, **k))
     monkeypatch.setattr(libmp, "from_rational",
                         lambda *a, **k: rationals.append(1) or from_rational(*a, **k))
-    return calls, rationals
+    exppoly._exp_prefix.cache_clear()
+    return calls, exps, rationals
+
+
+K = 64  # the fractional bits of an exponent's cached prefix
+
+
+def _prefix_key(num, den, prec):
+    """(h, class) of a cut: h = floor(num/den 2^K), and the class is the least
+    multiple of 64 at least prec + 16."""
+    s = prec + 8
+    return ((num << s) // den) >> (s - K), (prec + 79) & -64
 
 
 def test_two_rate_bisection_makes_one_exp_per_bound(monkeypatch):
-    # one exp per precision level gives both bounds
+    # each bound forms one bracket, whose exp is a prefix exp from the cache
+    # or from mpmath: mpmath runs one exp per (prefix, class), not per bound
     n, l1, l2 = _projector_pairs(7, 1)[0]
     form = projector_closed(n, l1).form - projector_closed(n, l2).form
     points = _bisection_points(form, 300)
-    calls, rationals = _counting(monkeypatch)
+    s0 = form.sign_at(0)
+    hi = next(x for x in points[1:] if form.sign_at(x) != s0)  # the doubling's end
+    calls, exps, rationals = _counting(monkeypatch)
+    asked = []  # bounds asked up to each point
     for x in points:
         form.sign_at(x)
+        asked.append(len(calls))
     assert len(calls) > 300
-    assert all(exps == 1 for _, exps in calls)
+    assert all(len(parts) == brackets == 1 for parts, _, brackets in calls)
     assert not rationals
+    keys = {_prefix_key(num, den, prec) for parts, prec, _ in calls for _, num, den in parts}
+    assert len(exps) == len(keys)
+    # after the i-th midpoint every later point lies in a bracket W 2^-i wide,
+    # W = hi - hi/2 or 1, and its exponent -(r1 - r0) x in one (r1 - r0) W 2^-i
+    # wide.  Once that is at most 2^-K, the later points share at most two
+    # prefixes h, each asked at every class their bounds reach; before it,
+    # each bound may ask its own
+    r0, r1 = sorted(form.terms)
+    width = (r1 - r0) * (hi / 2 if hi > 1 else 1)
+    i = next(i for i in range(1000) if width / 2**i <= Fraction(1, 2**K))
+    last = points.index(hi) + i  # the i-th midpoint
+    classes = {_prefix_key(num, den, prec)[1]
+               for parts, prec, _ in calls[asked[last]:] for _, num, den in parts}
+    assert len(exps) <= asked[last] + 2 * len(classes) < len(calls) / 4
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_k_rate_forms_make_k_minus_1_exps_per_bound_on_negative_exponents(
         seed, monkeypatch):
-    # k - 1 exps per precision level, one for each rate but the slowest
+    # k - 1 brackets per precision level, one for each rate but the slowest,
+    # each with its one prefix exp
     rng = Random(seed)
     terms, _ = _near_cancelling(Fraction(3, 7), ODD_RATES[1:2 + seed % 3], ODD_RATES[0],
                                 150 * (1 + seed), seed % 2)
     terms.append(_vanishing_at(Fraction(3, 7), Fraction(1, 2)))  # the slowest rate
     form = _form(terms)
-    calls, rationals = _counting(monkeypatch)
+    calls, exps, rationals = _counting(monkeypatch)
     for x in [Fraction(3, 7)] + [Fraction(rng.randint(1, 2**80), 2**rng.randint(1, 70))
                                  for _ in range(6)]:
         del calls[:]
         form.sign_at(x)
         k = sum(1 for _, p in terms if p(x))  # the rates nonzero at x
-        assert calls and all(len(parts) == k - 1 and exps == k - 1 for parts, exps in calls)
+        assert calls and all(len(parts) == brackets == k - 1 for parts, _, brackets in calls)
         # the slowest nonzero part is divided out: every other exponent is < 0
-        assert all(num < 0 < den for parts, _ in calls for _, num, den in parts)
+        assert all(num < 0 < den for parts, _, _ in calls for _, num, den in parts)
     assert not rationals
+
+
+# -- the cut exp: a cached prefix times a Taylor tail on ints ----------------------
+
+PRECS = [24, 64, 365, 1500, 4096]  # s = prec + 8 <= K at 24
+
+
+def _clear_prefixes():
+    from moyalbench.exppoly import _exp_prefix
+
+    _exp_prefix.cache_clear()
+
+
+def _assert_cut_bracket(q, prec):
+    """_cut_exp(q, prec) holds exp(q 2^-s) and exp((q + 1) 2^-s), s = prec + 8,
+    measured at max(4096, 2 prec + 256) bits, and is under one ulp wide at
+    prec bits."""
+    from moyalbench.exppoly import _cut_exp
+
+    s = prec + 8
+    lo, hi, e = _cut_exp(q, prec)
+    assert 0 < lo < hi and (hi - lo) << prec < lo
+    with mpmath.workprec(max(4096, 2 * prec + 256)):
+        near = 1 - mpmath.ldexp(1, 32 - mpmath.mp.prec)  # the reference's own error
+        assert mpmath.ldexp(lo, e) <= mpmath.exp(mpmath.ldexp(q, -s)) * near
+        assert mpmath.exp(mpmath.ldexp(q + 1, -s)) <= mpmath.ldexp(hi, e) * near
+    return lo, hi, e
+
+
+def _corner(h, l, prec):
+    """(q, prec): the cut h 2^(s - K) + l, with l capped at 2^(s - K) - 1; when
+    s <= K, the cut whose prefix is h rounded down to a multiple of 2^(K - s)."""
+    cut = prec + 8 - K
+    return (h << cut) + min(l, (1 << cut) - 1) if cut > 0 else h >> -cut, prec
+
+
+@st.composite
+def _cuts(draw):
+    prec = draw(st.sampled_from(PRECS))
+    h = draw(st.one_of(st.just(-1), st.integers(-2**72, -1),
+                       st.integers(-2**100 - 2**20, -2**100 + 2**20)))
+    top = (1 << max(prec + 8 - K, 0)) - 1
+    return _corner(h, draw(st.one_of(st.just(0), st.just(top), st.integers(0, top))), prec)
+
+
+CORNERS = [pytest.param(*_corner(h, l, prec), id=f"{prec}-{name}-l{'max' if l else 0}")
+           for prec in PRECS
+           for h, name in ((-1, "h-1"), (-2**100, "h-2^100"), (-2**100 + 1, "h-2^100+1"),
+                           (-(5 << 61) - 3, "h-5*2^61-3"))
+           for l in (0, 2**5000)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cuts())
+def test_cut_exp_holds_the_cut_within_one_ulp(cut):
+    _clear_prefixes()
+    _assert_cut_bracket(*cut)
+
+
+@pytest.mark.parametrize("q,prec", CORNERS)
+def test_cut_exp_holds_the_cut_at_the_corners(q, prec):
+    # l = 0 and l = 2^(s - K) - 1, h = -1 and near -2^100, and s <= K at 24 bits
+    _clear_prefixes()
+    _assert_cut_bracket(q, prec)
+
+
+@pytest.mark.parametrize("precs", [(64, 365), (365, 64), (200, 240), (1500, 24)],
+                         ids=["low-then-high", "high-then-low", "one-class", "s-above-and-below-K"])
+def test_a_prefix_asked_at_two_classes_is_as_narrow_as_from_a_cold_cache(precs):
+    # one prefix h, asked first at one precision and then at another: the
+    # second bracket is the one a cold cache gives, and both hold the cut
+    from moyalbench.exppoly import _cut_exp
+
+    h = -(5 << 61) - (3 << 32)  # a multiple of 2^(K - s) at 24 bits, s = 32
+    cuts = [_corner(h, 7**400 % (1 << max(p + 8 - K, 0)), p) for p in precs]
+    cold = []
+    for q, p in cuts:
+        _clear_prefixes()
+        cold.append(_cut_exp(q, p))
+    _clear_prefixes()
+    assert [_assert_cut_bracket(q, p) for q, p in cuts] == cold
+
+
+def test_a_300_bit_bisection_gives_the_oracle_signs_cold_warm_and_reversed():
+    n, l1, l2 = _projector_pairs(11, 1)[0]
+    r1, p1 = ref_projector(n, l1)
+    r2, p2 = ref_projector(n, l2)
+    terms = [(r1, p1), (r2, RefPoly([-c for c in p2.coeffs]))]
+
+    def form():
+        return projector_closed(n, l1).form - projector_closed(n, l2).form
+
+    points = _bisection_points(form(), 300)
+    assert len(points) > 300
+    ref = [ref_sign_at(terms, x) for x in points]
+    _clear_prefixes()
+    f = form()
+    assert [f.sign_at(x) for x in points] == ref  # cold
+    assert [f.sign_at(x) for x in points] == ref  # warm
+    _clear_prefixes()
+    f = form()
+    assert [f.sign_at(x) for x in reversed(points)] == ref[::-1]
