@@ -1,32 +1,47 @@
 """Exact real-root counting and sign decisions for rational polynomials.
 
-Sturm chains, kept as primitive int rows that are positive multiples of the
-rational elements, count distinct real roots in half-open intervals.
-Nonnegativity on [0, inf) is decided exactly: a polynomial changes sign only
-at roots of odd multiplicity; a witness where it is negative comes from
-bisecting toward the first positive such root until a sample lands on the
-negative side.  No floats anywhere.
+Sturm chains count distinct real roots in half-open intervals.  Nonnegativity
+on [0, inf) is decided exactly: a polynomial changes sign only at roots of odd
+multiplicity; a witness where it is negative comes from bisecting toward the
+first positive such root until a sample lands on the negative side.  No
+floats anywhere.
 
-A chain carries the steps of its remainder recurrence,
-qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1) with kappa_i > 0, read off the
-divisions that built it.  An evaluation at a/b runs Horner on c_0, c_1 and
-the quotients of degree > 1 only; every later row's value follows from the two
-before it by one exact int division.
+Two kinds of chain share one interface: ``values(x)``, ints with the signs of
+the chain's elements at x = a/b (b > 0), each up to a positive factor; V(0)
+and V(+inf), the sign changes at 0 and past every root, as ``v_zero`` and
+``v_inf``; ``head``, the chain's polynomial as a primitive int row, for the
+root bound; and ``distinct_roots()``.
+``_variations`` is the one place where a chain is evaluated, and
+``isolate_roots`` and ``_negative_sample_near`` read every chain through it.
+
+- ``sturm_chain(p)`` serves any polynomial: primitive int rows that are
+  positive multiples of the rational elements p, p', -rem(p, p'), ..., with
+  the steps of their remainder recurrence,
+  qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1) with kappa_i > 0, read off the
+  pseudo-divisions that built them.  An evaluation runs Horner on c_0, c_1
+  and the quotients of degree > 1 only; every later row's value follows
+  from the two before it by one exact int division.
+- ``_LaguerreChain`` serves a multiple of L_n(x/s), s > 0, such as the
+  polynomial factor of a spectral projector.  Its elements
+  (-1)^k L_(n-k)(x/s), k = 0..n, are a Sturm sequence on (0, inf) (Szego,
+  Orthogonal Polynomials, sec. 3.3), and their values at a point are the ints
+  of ``laguerre.laguerre_scaled``: nothing is divided to build the chain or
+  to evaluate it.
 
 One remainder sequence serves a squarefree polynomial: its Sturm chain ends
 in a constant, so it is its own odd-multiplicity part and that chain is the
 one to bisect with; Yun's squarefree decomposition runs only when the chain
 ends in a nonconstant gcd.  The bisection runs on int coordinates j/2^k of
 its interval and evaluates the chain only where the count can differ from one
-already known: V(0) is read from the constant terms, and at every point from
-a dyadic Fujiwara bound U on the root moduli upward, V is V(+inf), read from
-the leading coefficients.
+already known: at 0, V is V(0), and at every point from a dyadic Fujiwara
+bound U on the root moduli upward, V is V(+inf).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 from .backend import Q, ZERO
 from .errors import AccuracyError
@@ -37,12 +52,65 @@ class _Chain(list):
     """Sturm chain rows c_0, c_1, ... with the steps of their recurrence:
     step i (from 1) is (q_i, qd_i, kappa_i, d_(i-1) - d_(i+1)), the int
     quotient row q_i over qd_i > 0 of c_(i-1) by c_i and the int kappa_i > 0,
-    with qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1)."""
+    with qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1).  values, v_zero, v_inf,
+    head and distinct_roots are the interface that every chain kind has."""
     __slots__ = ("steps",)
 
     def __init__(self, rows, steps):
         super().__init__(rows)
         self.steps = steps
+
+    def values(self, x):
+        return _chain_values(self, x)
+
+    @property
+    def v_zero(self):
+        return _sign_changes([q.nums[0] for q in self])
+
+    @property
+    def v_inf(self):
+        return _sign_changes([q.nums[-1] for q in self])
+
+    @property
+    def head(self):
+        return self[0]
+
+    def distinct_roots(self):
+        return _distinct_roots_chain(self)
+
+
+class _LaguerreChain:
+    """The Sturm sequence f_k = (-1)^k L_(n-k)(x/s), k = 0..n, on (0, inf) of
+    a polynomial p of degree n that is a nonzero multiple of L_n(x/s),
+    s = num/den > 0.
+
+    At x = a/b, laguerre_scaled(a den, b num) gives M_j = j! (b num)^j
+    L_j(x/s), so (-1)^k M_(n-k) has the sign of f_k.  At 0 the f_k alternate
+    in sign, so V(0) = n; every L_j has the leading sign (-1)^j, so the f_k
+    agree past every root and V(+inf) = 0.  The sign of p is not read:
+    negating every element changes no count.  L_n has n distinct positive
+    roots, so the chain already counts each distinct root once."""
+    __slots__ = ("head", "n", "num", "den")
+    v_inf = 0
+
+    def __init__(self, p: Poly, s):
+        self.head, self.n = p.primitive(), p.degree
+        self.num, self.den = s.numerator, s.denominator
+
+    @property
+    def v_zero(self):
+        return self.n
+
+    def values(self, x):
+        from .laguerre import laguerre_scaled
+        a, b = x
+        ms = list(islice(laguerre_scaled(a * self.den, b * self.num), self.n + 1))
+        ms.reverse()
+        ms[1::2] = [-m for m in ms[1::2]]
+        return ms
+
+    def distinct_roots(self):
+        return self
 
 
 def sturm_chain(p: Poly):
@@ -88,7 +156,7 @@ def _chain_values(chain, x):
 
 def _variations(chain, x):
     """Sign changes of the chain at x = (a, b), the point a/b with b > 0."""
-    return _sign_changes(_chain_values(chain, x))
+    return _sign_changes(chain.values(x))
 
 
 def _distinct_roots_chain(chain):
@@ -166,22 +234,23 @@ def odd_multiplicity_part(p: Poly) -> Poly:
 def isolate_roots(chain, lo, hi):
     """Disjoint rational intervals (a, b], one distinct root of the chain's
     polynomial in each, yielded left to right by a depth-first bisection that
-    splits nothing to the right of where its caller stops.  The chain is any
+    splits nothing to the right of where its caller stops.  The chain is a
     `sturm_chain` result, such as the one `nonneg_on_nonneg` built to learn
-    that its polynomial is squarefree; a chain that ends in a nonconstant
-    gcd is first divided through by it (see _distinct_roots_chain).
+    that its polynomial is squarefree, or a `_LaguerreChain`; a chain that
+    ends in a nonconstant gcd is first divided through by it (see
+    _distinct_roots_chain).
 
     The bisection runs on ints: the point at coordinate j/2^k of (lo, hi]
     is (n_lo 2^k + j w) / (m 2^k), lo = n_lo/m and hi = (n_lo + w)/m, and a
     Fraction is built only for the ends of an interval that is yielded.
     V(x), the sign changes of the chain at x, is read without evaluating the
-    chain where it is known: at x = 0 from the constant terms, and at
-    x >= U, the dyadic bound on the root moduli of chain[0], from the leading
-    coefficients, since V(x) - V(+inf) counts the roots in (x, inf)."""
-    chain = _distinct_roots_chain(chain)
-    top = _dyadic_root_bound(chain[0])
+    chain where it is known: at x = 0 it is the chain's V(0), and at x >= U,
+    the dyadic bound on the root moduli of its head, V(+inf), since
+    V(x) - V(+inf) counts the roots in (x, inf)."""
+    chain = chain.distinct_roots()
+    top = _dyadic_root_bound(chain.head)
     tn, td = top.numerator, top.denominator
-    v_inf = _sign_changes([q.nums[-1] for q in chain])
+    v_inf = chain.v_inf
     lo, hi = Q(lo), Q(hi)
     m = math.lcm(lo.denominator, hi.denominator)
     base = lo.numerator * (m // lo.denominator)
@@ -195,7 +264,7 @@ def isolate_roots(chain, lo, hi):
         if a * td >= tn * b:
             return v_inf
         if not a:
-            return _sign_changes([q.nums[0] for q in chain])
+            return chain.v_zero
         return _variations(chain, (a, b))
 
     stack = [(0, 0, variations(0, 0), variations(1, 0))]
@@ -258,7 +327,13 @@ def nonneg_on_nonneg(p: Poly):
         if odd.degree <= 0:
             return True, None
         chain = sturm_chain(odd)
-    first = next(isolate_roots(chain, ZERO, cauchy_bound(odd)), None)
-    if first is None:
-        return True, None  # no positive root of odd: p never changes sign
-    return False, _negative_sample_near(p, chain, *first)
+    witness = _negative_point(p, chain, cauchy_bound(odd))
+    return witness is None, witness
+
+
+def _negative_point(p: Poly, chain, hi):
+    """A rational x > 0 with p(x) < 0, next to the first root in (0, hi] of
+    the chain's polynomial, whose roots are where p changes sign; None when
+    it has no root there."""
+    first = next(isolate_roots(chain, ZERO, hi), None)
+    return None if first is None else _negative_sample_near(p, chain, *first)

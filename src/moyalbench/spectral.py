@@ -349,14 +349,31 @@ def energy_identity_gap(lam, mu, n_terms: int) -> float:
 
 
 def projector_negative_witness(n: int, lam):
-    """A rational mu > 0 with pi_n(mu) < 0, or None (exact root isolation)."""
-    from .rootisolate import nonneg_on_nonneg
+    """A rational mu > 0 with pi_n(mu) < 0, or None (exact root isolation).
+
+    At lam = 0, pi_n is the Poisson weight mu^n exp(-mu)/n! >= 0.  For
+    lam > 0, pi_n's polynomial factor is p = c L_n(mu/s), s = lam(1-lam), c
+    of sign (-1)^n, and pi_0 > 0.  At odd n, p(0) = c < 0.  At even n >= 2,
+    the root isolation runs on f_k = (-1)^k L_(n-k)(mu/s), k = 0..n, with no
+    remainder sequence: it is a Sturm sequence for p on (0, inf) (Szego,
+    Orthogonal Polynomials, sec. 3.3).  From x L_n'(x) = n (L_n - L_(n-1)),
+    f_1 has the sign of f_0' at every zero of f_0, since x > 0; by the
+    three-term recurrence (k+1) L_(k+1) = (2k+1-x) L_k - k L_(k-1), two
+    neighbours have no common zero, and f_(k-1) f_(k+1) < 0 at a zero of a
+    middle term; and f_n = +-1.  Its values at a point are laguerre_scaled's
+    ints.  Like p's remainder sequence it reads, at every mu >= 0, as many
+    sign changes as p has roots in (mu, inf), so the search visits the same
+    points and returns the same witness.
+    """
+    from .rootisolate import _LaguerreChain, _negative_point, cauchy_bound
     proj = projector_closed(n, lam)
-    (rate, poly), = proj.form.terms.items()
-    _, witness = nonneg_on_nonneg(poly)  # (True, None) where pi_n >= 0
-    if witness == 0:
+    (_, poly), = proj.form.terms.items()
+    lam = proj.lam
+    if not lam or not n:
+        return None
+    if poly.nums[0] < 0:
         # p(0) < 0: below |a_0| / (|a_0| + max_{i>=1} |a_i|), the Cauchy lower
         # bound on the moduli of the roots, p keeps the sign of a_0
         a0 = abs(poly.nums[0])
-        return Q(a0, a0 + max(map(abs, poly.nums[1:]), default=0))
-    return witness
+        return Q(a0, a0 + max(map(abs, poly.nums[1:])))
+    return _negative_point(poly, _LaguerreChain(poly, lam * (1 - lam)), cauchy_bound(poly))
