@@ -51,21 +51,18 @@ def laguerre_coeff(n: int, j: int):
     return Fraction((-1) ** j * math.comb(n, j), math.factorial(j))
 
 
-def laguerre_scaled(x, q=None):
-    """Yield M_0, M_1, ... with M_n = n! q^n L_n(p/q): p/q is the rational x
-    in lowest terms, or, given an int q != 0, p is the int x and the pair is
-    taken as it stands, with no gcd.
+def laguerre_scaled(x):
+    """Yield M_0, M_1, ... with M_n = n! q^n L_n(p/q), p/q the rational x in
+    lowest terms.
 
     The M_n are integers, M_{n+1} = ((2n+1)q - p) M_n - n^2 q^2 M_{n-1}, and
     the generator runs until its reader stops.  This is the one recurrence
     under every sum over levels: each keeps its terms as ints over one
     running denominator, stops at the level that decides it, and forms a
-    rational or a float once.  rootisolate's Laguerre chains read their
-    values off it too.
+    rational or a float once.
     """
-    if q is None:
-        x = Q(x)
-        x, q = x.numerator, x.denominator
+    x = Q(x)
+    x, q = x.numerator, x.denominator
     qq = q * q
     m_prev, m_cur = 0, 1
     for n in count():

@@ -6,27 +6,20 @@ multiplicity; a witness where it is negative comes from bisecting toward the
 first positive such root until a sample lands on the negative side.  No
 floats anywhere.
 
-Two kinds of chain share one interface: ``values(x)``, ints with the signs of
-the chain's elements at x = a/b (b > 0), each up to a positive factor; V(0)
-and V(+inf), the sign changes at 0 and past every root, as ``v_zero`` and
-``v_inf``; ``head``, the chain's polynomial as a primitive int row, for the
-root bound; and ``distinct_roots()``.
-``_variations`` is the one place where a chain is evaluated, and
-``isolate_roots`` and ``_negative_sample_near`` read every chain through it.
+Every chain is one record, a ``_Chain``: its last rows and the steps of its
+remainder recurrence, its head row for the root bound, V(0) and V(+inf).
+``_chain_values`` evaluates it bottom-up, Horner on the last two rows and then
+one step per row, so no high-degree row runs through Horner; ``_variations``
+reads its sign changes for ``isolate_roots`` and ``_negative_sample_near``.
+Two builders fill the record:
 
-- ``sturm_chain(p)`` serves any polynomial: primitive int rows that are
-  positive multiples of the rational elements p, p', -rem(p, p'), ..., with
-  the steps of their remainder recurrence,
-  qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1) with kappa_i > 0, read off the
-  pseudo-divisions that built them.  An evaluation runs Horner on c_0, c_1
-  and the quotients of degree > 1 only; every later row's value follows
-  from the two before it by one exact int division.
-- ``_LaguerreChain`` serves a multiple of L_n(x/s), s > 0, such as the
-  polynomial factor of a spectral projector.  Its elements
-  (-1)^k L_(n-k)(x/s), k = 0..n, are a Sturm sequence on (0, inf) (Szego,
-  Orthogonal Polynomials, sec. 3.3), and their values at a point are the ints
-  of ``laguerre.laguerre_scaled``: nothing is divided to build the chain or
-  to evaluate it.
+- ``sturm_chain(p)`` serves any polynomial: every row, each a positive
+  multiple of the rational element p, p', -rem(p, p'), ..., with the steps
+  read off the pseudo-divisions that built them.
+- ``_laguerre_chain(p, s)`` serves a multiple of L_n(x/s), s > 0, such as
+  the polynomial factor of a spectral projector: the Sturm sequence
+  (-1)^k L_(n-k)(x/s), k = 0..n, on (0, inf) (Szego, Orthogonal
+  Polynomials, sec. 3.3), whose steps are the three-term recurrence's.
 
 One remainder sequence serves a squarefree polynomial: its Sturm chain ends
 in a constant, so it is its own odd-multiplicity part and that chain is the
@@ -41,87 +34,46 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 
 from .backend import Q, ZERO
-from .errors import AccuracyError
+from .errors import AccuracyError, DomainError
 from .poly import Poly, _homogeneous, _row, divmod_poly, poly_gcd
 
 
 class _Chain(list):
-    """Sturm chain rows c_0, c_1, ... with the steps of their recurrence:
-    step i (from 1) is (q_i, qd_i, kappa_i, d_(i-1) - d_(i+1)), the int
-    quotient row q_i over qd_i > 0 of c_(i-1) by c_i and the int kappa_i > 0,
-    with qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1).  values, v_zero, v_inf,
-    head and distinct_roots are the interface that every chain kind has."""
-    __slots__ = ("steps",)
+    """Sturm chain rows c_0, ..., c_m, or at least c_(m-1) and c_m, with the
+    steps of their recurrence stored bottom-up: step i, for i = m-1 down to
+    1, is (q_i, qd_i, kappa_i, d_(i-1) - d_(i+1)), the int quotient row q_i
+    over qd_i > 0 of c_(i-1) by c_i and the int kappa_i > 0, with
+    qd_i c_(i-1) = q_i c_i - kappa_i c_(i+1).  head is the chain's
+    polynomial as a primitive int row; v_zero and v_inf are V(0) and
+    V(+inf)."""
+    __slots__ = ("steps", "head", "v_zero", "v_inf")
 
-    def __init__(self, rows, steps):
+    def __init__(self, rows, steps, head, v_zero, v_inf):
         super().__init__(rows)
-        self.steps = steps
-
-    def values(self, x):
-        return _chain_values(self, x)
-
-    @property
-    def v_zero(self):
-        return _sign_changes([q.nums[0] for q in self])
-
-    @property
-    def v_inf(self):
-        return _sign_changes([q.nums[-1] for q in self])
-
-    @property
-    def head(self):
-        return self[0]
-
-    def distinct_roots(self):
-        return _distinct_roots_chain(self)
+        self.steps, self.head, self.v_zero, self.v_inf = steps, head, v_zero, v_inf
 
 
-class _LaguerreChain:
-    """The Sturm sequence f_k = (-1)^k L_(n-k)(x/s), k = 0..n, on (0, inf) of
-    a polynomial p of degree n that is a nonzero multiple of L_n(x/s),
-    s = num/den > 0.
-
-    At x = a/b, laguerre_scaled(a den, b num) gives M_j = j! (b num)^j
-    L_j(x/s), so (-1)^k M_(n-k) has the sign of f_k.  At 0 the f_k alternate
-    in sign, so V(0) = n; every L_j has the leading sign (-1)^j, so the f_k
-    agree past every root and V(+inf) = 0.  The sign of p is not read:
-    negating every element changes no count.  L_n has n distinct positive
-    roots, so the chain already counts each distinct root once."""
-    __slots__ = ("head", "n", "num", "den")
-    v_inf = 0
-
-    def __init__(self, p: Poly, s):
-        self.head, self.n = p.primitive(), p.degree
-        self.num, self.den = s.numerator, s.denominator
-
-    @property
-    def v_zero(self):
-        return self.n
-
-    def values(self, x):
-        from .laguerre import laguerre_scaled
-        a, b = x
-        ms = list(islice(laguerre_scaled(a * self.den, b * self.num), self.n + 1))
-        ms.reverse()
-        ms[1::2] = [-m for m in ms[1::2]]
-        return ms
-
-    def distinct_roots(self):
-        return self
+def _rows_chain(rows, steps):
+    """The chain of every row c_0, ..., c_m: its head is c_0, and V(0) and
+    V(+inf) are read off the rows' constant and leading coefficients."""
+    return _Chain(rows, steps, rows[0], _sign_changes([q.nums[0] for q in rows]),
+                  _sign_changes([q.nums[-1] for q in rows]))
 
 
 def sturm_chain(p: Poly):
     """The Sturm chain of p as primitive int rows, each a positive multiple
-    of the rational element p, p', -rem(p, p'), ..., with its steps.
+    of the rational element p, p', -rem(p, p'), ..., with its steps, stored
+    bottom-up.
 
     divmod_poly gives c_(i-1) = (q_i/qd_i) c_i + r/rd; the next row is
     c_(i+1) = -r/g, g = gcd(r), so kappa_i = qd_i g / rd.  That is an int:
     from m c_(i-1) = Q c_i + R, q_i/qd_i = Q/m and r/rd = R/m in lowest
     terms, kappa_i = gcd(R) / gcd(m, gcd(Q)), and what divides both m and Q
     divides R."""
+    if p.is_zero:
+        raise DomainError("the zero polynomial has no Sturm chain")
     rows, steps = [p.primitive(), p.derivative().primitive()], []
     while not rows[-1].is_zero and rows[-1].degree > 0:
         q, r = divmod_poly(rows[-2], rows[-1])
@@ -130,7 +82,31 @@ def sturm_chain(p: Poly):
         g = math.gcd(*r.nums)
         rows.append(_row([n // -g for n in r.nums], 1))
         steps.append((q.nums, q.den, q.den * g // r.den, rows[-3].degree - rows[-1].degree))
-    return _Chain([row for row in rows if not row.is_zero], steps)
+    steps.reverse()
+    return _rows_chain([row for row in rows if not row.is_zero], steps)
+
+
+def _laguerre_chain(p: Poly, s) -> _Chain:
+    """The Sturm sequence f_k = (-1)^k L_(n-k)(x/s), k = 0..n, on (0, inf) of
+    a polynomial p of degree n that is a nonzero multiple of L_n(x/s),
+    s = u/v > 0.
+
+    Its rows are c_k = (-1)^k P_(n-k), P_j = j! u^j L_j(v x/u), positive
+    multiples of the f_k with int coefficients.  The three-term recurrence
+    (j+1) L_(j+1) = (2j+1-y) L_j - j L_(j-1) gives
+    P_(j+1) = ((2j+1)u - vx) P_j - j^2 u^2 P_(j-1), so
+    c_(k-1) = (vx - (2j+1)u) c_k - j^2 u^2 c_(k+1), j = n - k: step k is
+    ((-(2j+1)u, v), 1, j^2 u^2, 2), and only the rows c_(n-1) =
+    (-1)^(n-1) (u - vx) and c_n = (-1)^n are kept.  At 0 the f_k alternate
+    in sign, so V(0) = n; every L_j has the leading sign (-1)^j, so the f_k
+    agree past every root and V(+inf) = 0.  The sign of p is not read:
+    negating every element changes no count.  L_n has n distinct positive
+    roots, and the chain ends in a constant, so it counts each root once."""
+    n, u, v = p.degree, s.numerator, s.denominator
+    sign, uu = (-1) ** n, u * u
+    rows = [_row([-sign * u, sign * v], 1), _row([sign], 1)][-1 - n:]  # one at n = 0
+    steps = [((-(2 * j + 1) * u, v), 1, j * j * uu, 2) for j in range(1, n)]
+    return _Chain(rows, steps, p.primitive(), n, 0)
 
 
 def _sign_changes(values):
@@ -139,24 +115,30 @@ def _sign_changes(values):
 
 
 def _chain_values(chain, x):
-    """[H_j]: H_j = b^(d_j) c_j(a/b), an int, for x = (a, b), the point a/b
-    with b > 0.  Horner gives H_0 and H_1; each step then gives
-    H_(i+1) = (Q_i H_i - qd_i H_(i-1)) / (kappa_i b^(d_(i-1) - d_(i+1))),
-    Q_i = b^(deg q_i) q_i(a/b), a division with no remainder."""
+    """[H_0, ..., H_m]: H_j = b^(d_j) c_j(a/b), an int, for x = (a, b), the
+    point a/b with b > 0, computed bottom-up.  Horner gives H_m and H_(m-1);
+    each step then gives
+    H_(i-1) = (Q_i H_i - kappa_i b^(d_(i-1) - d_(i+1)) H_(i+1)) / qd_i,
+    Q_i = b^(deg q_i) q_i(a/b), a division with no remainder, skipped at
+    qd_i = 1.  A drop of one degree a row makes every shift 2, so b^2 is
+    formed once."""
     a, b = x
-    values = [_homogeneous(q.nums, a, b) for q in chain[:2]]
+    values = [_homogeneous(q.nums, a, b) for q in reversed(chain[-2:])]
     if chain.steps:
-        h0, h1 = values
+        bb = b * b
+        h1, h0 = values
         for q, qd, kappa, s in chain.steps:
             hq = q[1] * a + q[0] * b if len(q) == 2 else _homogeneous(q, a, b)
-            h0, h1 = h1, (hq * h1 - qd * h0) // (kappa * b ** s)
-            values.append(h1)
+            h = hq * h0 - kappa * (bb if s == 2 else b ** s) * h1
+            h1, h0 = h0, h if qd == 1 else h // qd
+            values.append(h0)
+    values.reverse()
     return values
 
 
 def _variations(chain, x):
     """Sign changes of the chain at x = (a, b), the point a/b with b > 0."""
-    return _sign_changes(chain.values(x))
+    return _sign_changes(_chain_values(chain, x))
 
 
 def _distinct_roots_chain(chain):
@@ -165,17 +147,26 @@ def _distinct_roots_chain(chain):
     reads no sign change there; the quotients are a Sturm sequence of the
     squarefree part p/g, whose sign changes count each distinct root of p
     once.  A chain ending in a constant comes back as it is.  By Gauss's
-    lemma each quotient is the int row c_j/g, so the steps carry over."""
+    lemma each quotient is the int row c_j/g, so the steps carry over.  A
+    chain that keeps only its last two rows ends in a constant."""
     g = chain[-1]
     if g.degree <= 0:
         return chain
-    return _Chain([divmod_poly(q, g)[0].primitive() for q in chain], chain.steps)
+    return _rows_chain([divmod_poly(q, g)[0].primitive() for q in chain], chain.steps)
+
+
+def _interval(lo, hi):
+    """lo and hi as exact rationals, lo <= hi."""
+    lo, hi = Q(lo), Q(hi)
+    if lo > hi:
+        raise DomainError(f"empty interval: lo = {lo} > hi = {hi}")
+    return lo, hi
 
 
 def count_roots(p: Poly, a, b) -> int:
-    """Number of distinct real roots of p in (a, b]."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no isolated roots")
+    """Number of distinct real roots of p in (a, b]; a and b are read as
+    exact rationals, and a > b or the zero polynomial is a DomainError."""
+    a, b = _interval(a, b)
     chain = _distinct_roots_chain(sturm_chain(p))
     return (_variations(chain, (a.numerator, a.denominator))
             - _variations(chain, (b.numerator, b.denominator)))
@@ -183,6 +174,8 @@ def count_roots(p: Poly, a, b) -> int:
 
 def cauchy_bound(p: Poly):
     """All real roots lie strictly inside (-B, B)."""
+    if p.is_zero:
+        raise DomainError("the zero polynomial has no root bound")
     lead = abs(p.nums[-1])
     return Fraction(lead + max((abs(n) for n in p.nums[:-1]), default=0), lead)
 
@@ -236,9 +229,10 @@ def isolate_roots(chain, lo, hi):
     polynomial in each, yielded left to right by a depth-first bisection that
     splits nothing to the right of where its caller stops.  The chain is a
     `sturm_chain` result, such as the one `nonneg_on_nonneg` built to learn
-    that its polynomial is squarefree, or a `_LaguerreChain`; a chain that
+    that its polynomial is squarefree, or a `_laguerre_chain`; a chain that
     ends in a nonconstant gcd is first divided through by it (see
-    _distinct_roots_chain).
+    _distinct_roots_chain).  lo and hi are read as exact rationals, and
+    lo > hi is a DomainError.
 
     The bisection runs on ints: the point at coordinate j/2^k of (lo, hi]
     is (n_lo 2^k + j w) / (m 2^k), lo = n_lo/m and hi = (n_lo + w)/m, and a
@@ -247,11 +241,11 @@ def isolate_roots(chain, lo, hi):
     chain where it is known: at x = 0 it is the chain's V(0), and at x >= U,
     the dyadic bound on the root moduli of its head, V(+inf), since
     V(x) - V(+inf) counts the roots in (x, inf)."""
-    chain = chain.distinct_roots()
+    lo, hi = _interval(lo, hi)
+    chain = _distinct_roots_chain(chain)
     top = _dyadic_root_bound(chain.head)
     tn, td = top.numerator, top.denominator
     v_inf = chain.v_inf
-    lo, hi = Q(lo), Q(hi)
     m = math.lcm(lo.denominator, hi.denominator)
     base = lo.numerator * (m // lo.denominator)
     w = hi.numerator * (m // hi.denominator) - base

@@ -360,12 +360,13 @@ def projector_negative_witness(n: int, lam):
     f_1 has the sign of f_0' at every zero of f_0, since x > 0; by the
     three-term recurrence (k+1) L_(k+1) = (2k+1-x) L_k - k L_(k-1), two
     neighbours have no common zero, and f_(k-1) f_(k+1) < 0 at a zero of a
-    middle term; and f_n = +-1.  Its values at a point are laguerre_scaled's
-    ints.  Like p's remainder sequence it reads, at every mu >= 0, as many
-    sign changes as p has roots in (mu, inf), so the search visits the same
-    points and returns the same witness.
+    middle term; and f_n = +-1.  Its values at a point come from the
+    recurrence's steps (rootisolate._laguerre_chain).  Like p's remainder
+    sequence it reads, at every mu >= 0, as many sign changes as p has roots
+    in (mu, inf), so the search visits the same points and finds the same
+    witness.
     """
-    from .rootisolate import _LaguerreChain, _negative_point, cauchy_bound
+    from .rootisolate import _laguerre_chain, _negative_point, cauchy_bound
     proj = projector_closed(n, lam)
     (_, poly), = proj.form.terms.items()
     lam = proj.lam
@@ -376,4 +377,4 @@ def projector_negative_witness(n: int, lam):
         # bound on the moduli of the roots, p keeps the sign of a_0
         a0 = abs(poly.nums[0])
         return Q(a0, a0 + max(map(abs, poly.nums[1:])))
-    return _negative_point(poly, _LaguerreChain(poly, lam * (1 - lam)), cauchy_bound(poly))
+    return _negative_point(poly, _laguerre_chain(poly, lam * (1 - lam)), cauchy_bound(poly))

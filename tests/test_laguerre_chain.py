@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from moyalbench import poly as poly_module
 from moyalbench import rootisolate
 from moyalbench.laguerre import laguerre
-from moyalbench.rootisolate import _LaguerreChain, nonneg_on_nonneg, sturm_chain
+from moyalbench.rootisolate import _chain_values, _laguerre_chain, nonneg_on_nonneg, sturm_chain
 from moyalbench.spectral import projector_closed, projector_negative_witness
 
 
@@ -29,7 +29,7 @@ def _projector_poly(n, lam):
 
 def _chains(n, lam):
     p = _projector_poly(n, lam)
-    return p, _LaguerreChain(p, lam * (1 - lam)), sturm_chain(p)
+    return p, _laguerre_chain(p, lam * (1 - lam)), sturm_chain(p)
 
 
 def _closed_form_values(n, s, a, b):
@@ -86,7 +86,7 @@ def test_the_chain_values_are_the_scaled_laguerre_values(case):
     s = lam * (1 - lam)
     _, chain, _ = _chains(n, lam)
     for a, b in points:
-        assert chain.values((a, b)) == _closed_form_values(n, s, a, b)
+        assert _chain_values(chain, (a, b)) == _closed_form_values(n, s, a, b)
 
 
 def test_at_mu_equal_to_s_a_middle_element_vanishes():
@@ -95,7 +95,7 @@ def test_at_mu_equal_to_s_a_middle_element_vanishes():
     for n in (2, 7, 12):
         _, chain, generic = _chains(n, lam)
         x = (s.numerator, s.denominator)
-        values = chain.values(x)
+        values = _chain_values(chain, x)
         assert values[n - 1] == 0 and values[n - 2] * values[n] < 0  # L_1(1) = 0
         assert rootisolate._variations(chain, x) == rootisolate._variations(generic, x)
 
@@ -104,9 +104,9 @@ def test_an_unreduced_point_is_not_reduced():
     # mu = 6/4 with s = 3/16: the recurrence runs on (6 * 16, 4 * 3), not on
     # 8/1, so each value is the closed form at that pair exactly
     s = Fraction(3, 16)
-    chain = _LaguerreChain(_projector_poly(4, Fraction(1, 4)), s)
-    assert chain.values((6, 4)) == _closed_form_values(4, s, 6, 4)
-    assert chain.values((6, 4)) != chain.values((3, 2))
+    chain = _laguerre_chain(_projector_poly(4, Fraction(1, 4)), s)
+    assert _chain_values(chain, (6, 4)) == _closed_form_values(4, s, 6, 4)
+    assert _chain_values(chain, (6, 4)) != _chain_values(chain, (3, 2))
 
 
 def _generic_witness(n, lam):
@@ -134,8 +134,9 @@ def test_the_witness_is_the_generic_routes(n):
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = {"variations": 0}
+    counts = {"variations": 0, "horner": []}
     variations = rootisolate._variations
+    homogeneous = rootisolate._homogeneous
 
     def spy_variations(chain, x):
         counts["variations"] += 1
@@ -146,11 +147,16 @@ def calls(monkeypatch):
             raise AssertionError(f"{name} called")
         return fail
 
+    def short_rows_only(nums, a, b):
+        assert len(nums) <= 2, f"Horner on a row of length {len(nums)}"
+        counts["horner"].append(len(nums))
+        return homogeneous(nums, a, b)
+
     monkeypatch.setattr(rootisolate, "_variations", spy_variations)
     monkeypatch.setattr(rootisolate, "sturm_chain", never("sturm_chain"))
     monkeypatch.setattr(rootisolate, "divmod_poly", never("divmod_poly"))
     monkeypatch.setattr(poly_module, "divmod_poly", never("divmod_poly"))
-    monkeypatch.setattr(rootisolate, "_homogeneous", never("Horner"))
+    monkeypatch.setattr(rootisolate, "_homogeneous", short_rows_only)
     return counts
 
 
@@ -160,6 +166,7 @@ def test_the_witness_builds_no_remainder_sequence(calls, n, lam, most):
     witness = projector_negative_witness(n, lam)
     assert witness > 0 and projector_closed(n, lam).form.sign_at(witness) < 0
     assert 0 < calls["variations"] <= most
+    assert calls["horner"] == [1, 2] * calls["variations"]  # c_n and c_(n-1) only
 
 
 def test_lam_zero_takes_the_poisson_branch(calls):

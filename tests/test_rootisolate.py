@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from moyalbench import rootisolate
+from moyalbench.errors import DomainError
 from moyalbench.laguerre import laguerre
 from moyalbench.poly import Poly, _homogeneous
 from moyalbench.rootisolate import (
@@ -353,7 +354,7 @@ def test_one_chain_evaluation_runs_horner_on_two_rows(horner_rows):
     assert all(len(q) == 2 for q, *_ in chain.steps)  # every quotient is linear
     x = Fraction(3, 7) * cauchy_bound(p)
     v = rootisolate._variations(chain, (x.numerator, x.denominator))
-    assert horner_rows == [21, 20]  # c_0 and c_1, and no other row
+    assert horner_rows == [1, 2]  # c_20 and c_19, and no other row
     assert v == rootisolate._sign_changes([row.sign_at(x) for row in chain])
 
 
@@ -361,7 +362,7 @@ def test_a_quotient_of_degree_three_is_the_one_more_horner_run(horner_rows):
     chain = sturm_chain(Poly([1, -1, 0, 0, 0, 1]))  # x^5 - x + 1
     assert [row.degree for row in chain] == [5, 4, 1, 0]
     rootisolate._variations(chain, (-5, 4))
-    assert horner_rows == [6, 5, 4]  # c_0, c_1 and the cubic quotient of c_1 by c_2
+    assert horner_rows == [1, 2, 4]  # c_3, c_2 and the cubic quotient of c_1 by c_2
 
 
 def test_the_witness_search_evaluates_no_point_twice():
@@ -381,3 +382,50 @@ def test_the_witness_search_evaluates_no_point_twice():
         witness = rootisolate._negative_sample_near(p, sturm_chain(p), Fraction(0), Fraction(1))
     assert witness == Fraction(2**21 + 1, 2**21) and p.sign_at(witness) < 0
     assert len(points) == 22 and len(set(points)) == 22
+
+
+# -- typed rejections ----------------------------------------------------------
+
+SQRT2 = Poly([-2, 0, 1])  # x^2 - 2, a root at -sqrt(2) and one at sqrt(2)
+
+
+def test_isolate_roots_rejects_a_reversed_range(monkeypatch):
+    # a bisection of (2, -2] would never end: the spy stops it
+    evaluations = []
+    variations = rootisolate._variations
+
+    def bounded(chain, x):
+        evaluations.append(x)
+        assert len(evaluations) <= 64, "isolate_roots does not end"
+        return variations(chain, x)
+
+    monkeypatch.setattr(rootisolate, "_variations", bounded)
+    with pytest.raises(DomainError):
+        list(isolate_roots(sturm_chain(SQRT2), 2, -2))
+    assert evaluations == []
+
+
+def test_count_roots_rejects_a_reversed_range():
+    with pytest.raises(DomainError):
+        count_roots(SQRT2, 2, -2)
+
+
+def test_an_empty_range_holds_no_root():
+    assert count_roots(SQRT2, 1, 1) == 0
+    assert list(isolate_roots(sturm_chain(SQRT2), 1, 1)) == []
+
+
+def test_count_roots_reads_its_endpoints_as_exact_rationals():
+    assert count_roots(SQRT2, "1/2", 2) == 1
+    assert count_roots(SQRT2, -2, Fraction(1, 2)) == 1
+    with pytest.raises(TypeError):
+        count_roots(SQRT2, 0.5, 2)
+
+
+def test_the_zero_polynomial_is_a_domain_error():
+    with pytest.raises(DomainError):
+        cauchy_bound(Poly())
+    with pytest.raises(DomainError):
+        list(isolate_roots(sturm_chain(Poly()), 0, 1))
+    with pytest.raises(DomainError):
+        count_roots(Poly(), 0, 1)
